@@ -18,7 +18,14 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .distribution import rate_cdf, rate_density, transition_spec
-from .engine import NoiseMatrix, euler_auxiliary, euler_ckls, explicit_rate, sample_cir_exact
+from .engine import (
+    NOISE_STREAM,
+    NoiseMatrix,
+    euler_auxiliary,
+    euler_ckls,
+    explicit_rate,
+    sample_cir_exact,
+)
 from .errors import CklsError, ConfigError, DegenerateTransform, RegimeError, SingularSample
 from .params import classify_regime
 from .pathio import write_paths_binary, write_paths_csv
@@ -35,7 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, help="path to a JSON run config")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--workers", type=int, default=1, help="worker threads for path blocks")
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="threads for the path blocks of verify (>= 1); simulate runs on one thread",
+    )
     parser.add_argument("--out", default=None, help="override the config output path")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -115,7 +125,7 @@ def _write_output(cfg: RunConfig, times: np.ndarray, values: np.ndarray, summary
     print(json.dumps(summary, sort_keys=True))
 
 
-def cmd_simulate(cfg: RunConfig, mode: str, workers: int) -> int:
+def cmd_simulate(cfg: RunConfig, mode: str) -> int:
     p = cfg.params
     started = time.perf_counter()
     summary: dict = {"mode": mode, "config": cfg.to_dict(), "n_paths": cfg.n_paths}
@@ -159,6 +169,8 @@ def cmd_simulate(cfg: RunConfig, mode: str, workers: int) -> int:
     else:
         raise ConfigError(f"unknown simulate mode {mode!r}")
     summary["seed"] = cfg.seed
+    summary["noise_stream"] = NOISE_STREAM
+    summary["numpy_version"] = np.__version__
     summary["elapsed_seconds"] = round(time.perf_counter() - started, 6)
     _write_output(cfg, times, values, summary)
     return 0
@@ -225,6 +237,8 @@ def cmd_verify(cfg: RunConfig, suite: str, workers: int) -> int:
         "suite": suite,
         "config": cfg.to_dict(),
         "checks": [r.to_dict() for r in reports],
+        "noise_stream": NOISE_STREAM,
+        "numpy_version": np.__version__,
     }
     text = json.dumps(payload, sort_keys=True, indent=2, default=float)
     if cfg.output_path:
@@ -239,11 +253,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg = _resolve(args)
         if args.command == "regime":
             return cmd_regime(cfg)
         if args.command == "simulate":
-            return cmd_simulate(cfg, args.mode, args.workers)
+            return cmd_simulate(cfg, args.mode)
         if args.command == "density":
             return cmd_density(cfg, args.x_min, args.x_max, args.x_points)
         if args.command == "verify":

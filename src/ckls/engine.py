@@ -4,8 +4,11 @@ draws under the transformed measure.
 Everything is reproducible: Gaussian increments come from per-path
 substreams keyed by (seed, path index), so changing the path count never
 reshuffles earlier paths, and results are bit-identical across runs and
-across worker counts (reductions are stitched in path order).  Normals
-are generated by numpy's PCG64 ziggurat, fixed for this build.
+across worker counts (reductions are stitched in path order).  Row i is
+exactly the normals of numpy's default_rng([seed, i]) (NOISE_STREAM); the
+generator states of a block of rows are computed in bulk with numpy's own
+SeedSequence hash and PCG64 seeding step rather than by building one
+generator per row, which cost more than the model itself on short grids.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .params import CklsParams, classify_regime
 from .transform import CirParams
 
 __all__ = [
+    "NOISE_STREAM",
     "POSITIVITY_FLOOR",
     "TimeGrid",
     "NoiseMatrix",
@@ -47,6 +51,24 @@ __all__ = [
 # visible in the reported counts instead of being hidden by the scheme.
 POSITIVITY_FLOOR = 1e-12
 
+# The rule that turns (seed, path index) into a noise row; echoed in outputs.
+NOISE_STREAM = "per-path numpy default_rng([seed, i]): PCG64, ziggurat standard_normal"
+
+# numpy.random.SeedSequence (numpy/random/bit_generator.pyx): pool size and
+# hash constants, and the PCG64 128-bit LCG multiplier.  _bulk_pcg64_states
+# reproduces default_rng([seed, i]) seeding with them; NoiseMatrix.increments
+# checks every call against numpy, so a change on numpy's side raises.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+# rows whose states are turned into Python ints at once; a whole block's
+# worth of ints costs resident memory for no speed
+_SEED_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -70,13 +92,86 @@ class TimeGrid:
         return np.linspace(0.0, self.t_end, self.n_steps + 1)
 
 
+def _hash_constants(init: int, mult: int, n: int) -> list:
+    """(xor, multiplier) pairs of n successive SeedSequence hash calls: the
+    hash constant starts at init and is multiplied by mult on every call."""
+    pairs, h = [], init
+    for _ in range(n):
+        pairs.append((np.uint32(h), np.uint32(h * mult & _MASK32)))
+        h = h * mult & _MASK32
+    return pairs
+
+
+# mix_entropy hashes each pool word once, then once per ordered pair of
+# distinct words; generate_state hashes 8 output words (4 uint64)
+_MIX_CONSTANTS = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE**2)
+_OUT_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _uint32_words(n: int) -> list:
+    """Little-endian 32-bit words of a nonnegative int, [0] for 0, as
+    SeedSequence splits its entropy."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash(value: np.ndarray, constants: tuple) -> np.ndarray:
+    xor, mult = constants
+    value = (value ^ xor) * mult
+    return value ^ value >> _SHIFT
+
+
+def _bulk_pcg64_states(seed: int, lo: int, hi: int):
+    """Yield the PCG64 (state, inc) of default_rng([seed, i]) for lo <= i < hi.
+
+    Runs SeedSequence([seed, i]).generate_state(4, uint64) for all i at
+    once in uint32 arithmetic (i < 2**32, so i is one entropy word), then
+    PCG64's seeding step in Python ints, chunk by chunk.
+    """
+    for c_lo in range(lo, hi, _SEED_CHUNK):
+        idx = np.arange(c_lo, min(c_lo + _SEED_CHUNK, hi), dtype=np.uint32)
+        # full arrays, not scalars: numpy warns on scalar uint32 wraparound
+        entropy = [np.full_like(idx, w) for w in _uint32_words(seed)] + [idx]
+        entropy += [np.zeros_like(idx)] * (_POOL_SIZE - len(entropy))
+        mix = iter(_MIX_CONSTANTS)
+        pool = [_hash(e, next(mix)) for e in entropy]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hash(pool[src], next(mix))
+                    pool[dst] = mixed ^ mixed >> _SHIFT
+        words = [
+            _hash(pool[k % _POOL_SIZE], c).astype(np.uint64)
+            for k, c in enumerate(_OUT_CONSTANTS)
+        ]
+        # generate_state(4, uint64) pairs the words little-endian; PCG64
+        # reads the four as (initstate high, low, initseq high, low)
+        s_hi, s_lo, q_hi, q_lo = (
+            (words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)
+        )
+        for sh, sl, qh, ql in zip(s_hi, s_lo, q_hi, q_lo):
+            inc = ((qh << 64 | ql) << 1 | 1) & _MASK128
+            yield ((inc + (sh << 64 | sl)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def _require_integer(name: str, value) -> None:
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NoiseMatrix:
     """Per-path Gaussian increments with variance dt per step.
 
-    Row i is drawn from the substream seeded by (seed, i); rows are
-    realized lazily in blocks so large runs never materialize the full
-    matrix.
+    Row i is the standard normals of np.random.default_rng([seed, i]),
+    bit for bit, scaled by sqrt(dt); rows are realized lazily in blocks so
+    large runs never materialize the full matrix.  A call to increments
+    computes the generator states of its rows in bulk and loads each into
+    one generator of its own (so concurrent calls share nothing), instead
+    of constructing numpy's SeedSequence and PCG64 once per row.
     """
 
     seed: int
@@ -84,22 +179,45 @@ class NoiseMatrix:
     grid: TimeGrid
 
     def __post_init__(self) -> None:
+        _require_integer("seed", self.seed)
+        _require_integer("n_paths", self.n_paths)
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not self.n_paths >= 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
 
     def increments(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Realize rows lo..hi (exclusive) as an array of shape (hi-lo, n_steps)."""
+        """Realize rows lo..hi (exclusive) as an array of shape (hi-lo, n_steps).
+
+        Raises RuntimeError if the first row differs from numpy's own
+        default_rng([seed, lo]), i.e. if numpy changed its seeding.
+        """
         hi = self.n_paths if hi is None else hi
         if not 0 <= lo <= hi <= self.n_paths:
             raise ValueError(f"bad row range [{lo}, {hi}) for n_paths={self.n_paths}")
-        sqrt_dt = math.sqrt(self.grid.dt)
+        seed = int(self.seed)
         out = np.empty((hi - lo, self.grid.n_steps))
-        for i in range(lo, hi):
-            rng = np.random.default_rng([int(self.seed), i])
-            out[i - lo] = rng.standard_normal(self.grid.n_steps)
-        out *= sqrt_dt
+        if hi == lo:
+            return out
+        gen = np.random.default_rng([seed, lo])
+        expected = gen.standard_normal(self.grid.n_steps)
+        bitgen = gen.bit_generator
+        words = {}
+        state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
+        # the bulk hash takes the path index as one 32-bit word
+        split = min(max(lo, 2**32), hi)
+        for row, (s, inc) in zip(out, _bulk_pcg64_states(seed, lo, split)):
+            words["state"], words["inc"] = s, inc
+            bitgen.state = state
+            gen.standard_normal(out=row)
+        for i in range(split, hi):
+            np.random.default_rng([seed, i]).standard_normal(out=out[i - lo])
+        if not np.array_equal(out[0], expected):
+            raise RuntimeError(
+                f"bulk-seeded noise row {lo} differs from default_rng([{seed}, {lo}]) "
+                f"under numpy {np.__version__}; its SeedSequence or PCG64 seeding changed"
+            )
+        out *= math.sqrt(self.grid.dt)
         return out
 
     def row(self, i: int) -> np.ndarray:
@@ -204,9 +322,11 @@ def euler_values(
 
     Returns (values, exits) with values of shape (n_paths, n_steps + 1)
     and per-path counts of steps that landed below the floor, where they
-    are clamped.  With exit_to_inf such a step, or one that overflows to a
-    non-finite value, is instead read as a path that ran off to +inf: its
-    values are +inf from that step on, and it counts one exit.
+    are clamped.  A path that overflows stays non-finite (NaN is never
+    below the floor), so each path with a non-finite terminal value counts
+    one exit more.  With exit_to_inf a step below the floor, or one that
+    overflows to a non-finite value, is instead read as a path that ran off
+    to +inf: its values are +inf from that step on, and it counts one exit.
     """
     n_paths, n_steps = dW.shape
     values = np.empty((n_paths, n_steps + 1))
@@ -230,6 +350,8 @@ def euler_values(
         first_exit = np.minimum(first_exit, overflowed)
         values[np.arange(n_steps + 1) >= first_exit[:, None]] = np.inf
         trunc = (first_exit <= n_steps).astype(np.int64)
+    else:
+        trunc += ~np.isfinite(r)
     return values, trunc
 
 

@@ -5,7 +5,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from ckls.engine import NOISE_STREAM
 from ckls.pathio import read_paths_binary
 
 
@@ -57,6 +59,13 @@ class TestRegimeCommand:
         assert res.returncode == 1
         assert "unknown key" in res.stderr
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_one(self, tmp_path, workers):
+        cfg = write_config(tmp_path)
+        res = run_cli("--config", cfg, "--workers", workers, "verify", "--suite", "transform")
+        assert res.returncode == 1
+        assert "--workers must be >= 1" in res.stderr
+
 
 class TestSimulateCommand:
     def test_explicit_mode_deterministic_single_value(self, tmp_path):
@@ -77,6 +86,8 @@ class TestSimulateCommand:
         summary = json.loads((tmp_path / "paths.csv.summary.json").read_text())
         assert summary["mode"] == "euler-p"
         assert "truncations" in summary
+        assert summary["noise_stream"] == NOISE_STREAM
+        assert summary["numpy_version"] == np.__version__
         assert summary["config"]["params"]["gamma"] == 1.5
         rows = [
             line for line in out.read_text().splitlines()
@@ -188,6 +199,8 @@ class TestVerifyCommand:
         res = run_cli("--config", cfg, "verify", "--suite", "transform")
         assert res.returncode == 0
         payload = json.loads(res.stdout)
+        assert payload["noise_stream"] == NOISE_STREAM
+        assert payload["numpy_version"] == np.__version__
         assert payload["checks"][0]["name"] == "transform-identities"
         assert payload["checks"][0]["status"] == "pass"
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from ckls import (
@@ -25,6 +26,7 @@ from ckls import (
     sample_cir_exact,
     transform_inverse,
 )
+from ckls.engine import map_noise_blocks
 
 HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
 LOW = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=0.75, r0=1.0)
@@ -74,6 +76,79 @@ class TestNoiseMatrix:
         with pytest.raises(ValueError):
             NoiseMatrix(-1, 4, TimeGrid(1.0, 4))
 
+    @given(
+        st.sampled_from(["seed", "n_paths"]),
+        st.one_of(
+            st.booleans(),
+            st.just(np.True_),
+            st.floats(allow_nan=True).filter(lambda v: not float(v).is_integer()),
+            st.integers(1, 2**40).map(float),
+        ),
+    )
+    def test_rejects_coerced_counts(self, field, value):
+        """A bool, a float (integral or not) or NaN is rejected, never
+        truncated to an integer seed or path count."""
+        kwargs = {"seed": 3, "n_paths": 4, field: value}
+        with pytest.raises(ValueError):
+            NoiseMatrix(grid=TimeGrid(1.0, 4), **kwargs)
+
+    @pytest.mark.parametrize("cast", [int, np.int64, np.uint64, np.uint32])
+    def test_accepts_numpy_integers(self, cast):
+        g = TimeGrid(1.0, 4)
+        nm = NoiseMatrix(cast(7), cast(3), g)
+        assert np.array_equal(nm.increments(), NoiseMatrix(7, 3, g).increments())
+
+
+def numpy_rows(seed, lo, hi, grid):
+    """Oracle: row i is numpy's default_rng([seed, i]) normals times sqrt(dt)."""
+    return np.array([
+        np.random.default_rng([seed, i]).standard_normal(grid.n_steps) * math.sqrt(grid.dt)
+        for i in range(lo, hi)
+    ]).reshape(hi - lo, grid.n_steps)
+
+
+class TestNoiseOracle:
+    """NoiseMatrix rows against numpy itself, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("lo,hi", [(0, 1), (0, 37), (5, 1029), (1023, 2050)])
+    def test_rows_equal_default_rng(self, seed, lo, hi):
+        grid = TimeGrid(0.5, 3)
+        nm = NoiseMatrix(seed, 2100, grid)
+        assert np.array_equal(nm.increments(lo, hi), numpy_rows(seed, lo, hi, grid))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 9),
+        st.integers(0, 300),
+        st.integers(0, 300),
+    )
+    def test_drawn_seeds_and_ranges(self, seed, n_steps, a, b):
+        grid = TimeGrid(1.0, n_steps)
+        lo, hi = sorted((a, b))
+        nm = NoiseMatrix(seed, 301, grid)
+        assert np.array_equal(nm.increments(lo, hi), numpy_rows(seed, lo, hi, grid))
+
+    def test_single_step_and_row_zero(self):
+        grid = TimeGrid(2.0, 1)
+        nm = NoiseMatrix(11, 5, grid)
+        assert np.array_equal(nm.row(0), numpy_rows(11, 0, 1, grid)[0])
+        assert nm.increments(3, 3).shape == (0, 1)
+
+    def test_rows_past_32_bit_index(self):
+        """Path indices of two 32-bit words take numpy's own seeding."""
+        grid = TimeGrid(1.0, 4)
+        nm = NoiseMatrix(2**40 + 9, 2**32 + 3, grid)
+        lo, hi = 2**32 - 2, 2**32 + 3
+        assert np.array_equal(nm.increments(lo, hi), numpy_rows(2**40 + 9, lo, hi, grid))
+
+    def test_map_noise_blocks_two_workers(self):
+        grid = TimeGrid(1.0, 6)
+        nm = NoiseMatrix(2**63 + 5, 1000, grid)
+        blocks = map_noise_blocks(nm, lambda lo, hi, dW: dW, block_size=333, workers=2)
+        assert np.array_equal(np.concatenate(blocks), numpy_rows(2**63 + 5, 0, 1000, grid))
+
 
 class TestEulerCkls:
     def test_single_deterministic_step(self):
@@ -114,6 +189,18 @@ class TestEulerCkls:
         assert total > 0
         assert all(path.values.min() >= 1e-12 for path in paths)
         assert any(path.truncated for path in paths)
+
+    def test_overflow_counted_in_clamp_mode(self):
+        """A path that overflows is never below the floor, so the clamp
+        misses it; its non-finite terminal value counts one exit."""
+        from ckls.engine import euler_values
+
+        drift = lambda x: x * x - x * x  # noqa: E731  (0, or NaN once x * x overflows)
+        dW = np.array([[0.0, 0.0, 0.0], [1e200, 1e200, 0.0], [1e100, 0.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, exits = euler_values(drift, lambda x: x * x, 1.0, 0.1, dW)
+        assert np.isnan(values[1, -1]) and values[2, -1] == 1e100
+        assert exits.tolist() == [0, 1, 0]
 
 
 class TestEulerAuxiliary:

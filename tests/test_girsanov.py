@@ -1,5 +1,6 @@
 """Drift adjustment, weight accumulation and measure-consistency estimators."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -187,6 +188,30 @@ class TestMartingaleProperty:
         assert abs(w.mean() - 1.0) <= 3.0 * se
 
 
+class TestGoldenWeightedSample:
+    """SHA-256 of fixed-seed simulate_weighted arrays, recorded before the
+    noise rows were seeded in bulk: any change to the noise bits, the
+    kernel or the block stitching changes the digest."""
+
+    GOLDEN = {
+        "high": "e8f5abd432c6a1157e222c67fd6b5dd3bfba9dfe7b6739c137484d2cbc1ee6fc",
+        "low": "0a12e0e7c0db2109ed5dcb2e23e8ec96f0d2cc13d7010ee8f2c8730a76f4abbd",
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name,p", [("high", HIGH), ("low", LOW)])
+    def test_digest(self, name, p, workers):
+        grid = TimeGrid(0.5, 16)
+        s = simulate_weighted(
+            p, grid, NoiseMatrix(2024, 3000, grid), workers=workers, block_size=1024
+        )
+        h = hashlib.sha256()
+        for a in (s.terminal_rate, s.log_weight, s.q_integral_sq):
+            h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        h.update(str(s.truncations).encode())
+        assert h.hexdigest() == self.GOLDEN[name]
+
+
 class TestPushforwardLaw:
     def _weighted_pushforward(self, p, c, t, n_steps, n_paths, seed):
         grid = TimeGrid(t, n_steps)
@@ -239,7 +264,8 @@ class TestPushforwardLaw:
         grid = TimeGrid(t, n_steps)
         dW = NoiseMatrix(97, n, grid).increments()
         vals, _ = euler_values(
-            auxiliary_drift(HIGH, "derived"), ckls_diffusion(HIGH), HIGH.r0, grid.dt, dW
+            auxiliary_drift(HIGH, "derived"), ckls_diffusion(HIGH), HIGH.r0, grid.dt, dW,
+            exit_to_inf=True,
         )
         aux = tr.f(vals[:, -1])
         gap = abs(est.estimate - aux.mean())
