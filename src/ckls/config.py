@@ -15,12 +15,16 @@ A config object looks like
     }
 
 "C" and everything from "delta_rule" down are optional.  Unknown keys are
-rejected at every level; round-trips are lossless.
+rejected at every level; round-trips are lossless.  Nothing is coerced:
+"n_paths", "seed" and "n_steps" must be JSON integers (not floats, not
+booleans), and every real value must be a finite number (JSON NaN and
+Infinity are rejected).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
@@ -85,6 +89,20 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
 def parse_config(obj: dict) -> RunConfig:
     if not isinstance(obj, dict):
         raise ConfigError(f"config must be an object, got {type(obj).__name__}")
@@ -92,8 +110,8 @@ def parse_config(obj: dict) -> RunConfig:
     try:
         raw_params = obj["params"]
         raw_grid = obj["grid"]
-        n_paths = int(obj["n_paths"])
-        seed = int(obj["seed"])
+        n_paths = _integer(obj["n_paths"], "n_paths")
+        seed = _integer(obj["seed"], "seed")
     except KeyError as exc:
         raise ConfigError(f"missing required config key: {exc.args[0]}") from exc
     if not isinstance(raw_params, dict):
@@ -122,13 +140,16 @@ def parse_config(obj: dict) -> RunConfig:
         raise ConfigError(f"output format must be one of {sorted(_FORMATS)}, got {output_format!r}")
 
     try:
-        params = CklsParams.from_dict(raw_params)
-        c = raw_params.get("C")
-        if c is not None:
-            c = float(c)
-            if not c > 0:
-                raise ConfigError(f"C must be positive, got {c}")
-        grid = TimeGrid(t_end=float(raw_grid["t_end"]), n_steps=int(raw_grid["n_steps"]))
+        # "C": null is the same as leaving C out
+        reals = {k: _real(v, k) for k, v in raw_params.items() if v is not None or k != "C"}
+        params = CklsParams.from_dict(reals)
+        c = reals.get("C")
+        if c is not None and not c > 0:
+            raise ConfigError(f"C must be positive, got {c}")
+        grid = TimeGrid(
+            t_end=_real(raw_grid["t_end"], "t_end"),
+            n_steps=_integer(raw_grid["n_steps"], "n_steps"),
+        )
         if n_paths < 1:
             raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
         if not 0 <= seed < 2**64:

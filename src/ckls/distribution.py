@@ -13,14 +13,21 @@ squared-Gaussian structure ("derived" rule).  The alternative df = C^2
 ("paper" rule) is kept as a selectable variant so the goodness-of-fit
 arbitration can document the discrepancy; the two coincide at C = 1.
 
-The density is evaluated as the Poisson mixture
+At df = 1 (the default) Y_t / L = (sqrt(nonc) + Z)^2 with Z standard
+normal, so the law has the closed form
 
-    pdf(x) = sum_n  e^(-nonc/2) (nonc/2)^n / n!  *  chi2_pdf(x; df + 2n)
+    cdf(x) = Phi(sqrt(x) - sqrt(nonc)) - Phi(-sqrt(x) - sqrt(nonc)),
+    pdf(x) = (phi(sqrt(x) - sqrt(nonc)) + phi(sqrt(x) + sqrt(nonc))) / (2 sqrt(x)).
 
-with all terms through log-gamma, summation started at the Poisson modal
-index floor(nonc/2) and expanded outward until a geometric tail bound
-drops below series_tol (head terms underflow for large nonc, so a 0-based
-sum would lose the mass).
+Other df go through scipy.special: the distribution function is chndtr
+and the density the Bessel form
+
+    pdf(x) = 1/2 e^(-(sqrt(x) - sqrt(nonc))^2 / 2) (x / nonc)^(df/4 - 1/2)
+             ive(df/2 - 1, sqrt(nonc x)),
+
+with the exponentially scaled Bessel function, so nothing overflows at
+large nonc.  Only scipy.special is imported: scipy.stats would add about
+half a second to every process that imports ckls.
 """
 
 from __future__ import annotations
@@ -79,15 +86,12 @@ class NoncentralChiSq:
 
     df: float
     nonc: float
-    series_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if not self.df > 0:
             raise ValueError(f"df must be positive, got {self.df}")
         if not self.nonc >= 0:
             raise ValueError(f"nonc must be nonnegative, got {self.nonc}")
-        if not self.series_tol > 0:
-            raise ValueError(f"series_tol must be positive, got {self.series_tol}")
 
 
 def transition_spec(
@@ -119,128 +123,64 @@ def transition_spec(
     return TransitionSpec(t=t, scale=scale, df=df, nonc=nonc)
 
 
-def _poisson_log_weight(n: np.ndarray, half_nonc: float) -> np.ndarray:
-    return -half_nonc + n * math.log(half_nonc) - special.gammaln(n + 1.0)
-
-
-def _poisson_window(half_nonc: float, tol: float) -> np.ndarray:
-    """Index window around the Poisson mode covering all but < tol mass."""
-    if half_nonc == 0.0:
-        return np.array([0])
-    mode = int(half_nonc)
-    # expand until the one-sided geometric tail bounds fall below tol
-    lo = mode
-    w = math.exp(_poisson_log_weight(np.array([mode]), half_nonc)[0])
-    w_lo = w
-    while lo > 0:
-        ratio = lo / half_nonc  # w_(n-1) / w_n
-        if ratio < 1.0 and w_lo * ratio / (1.0 - ratio) < tol:
-            break
-        lo -= 1
-        w_lo *= ratio
-    hi = mode
-    w_hi = w
-    while True:
-        ratio = half_nonc / (hi + 1.0)  # w_(n+1) / w_n
-        if ratio < 1.0 and w_hi * ratio / (1.0 - ratio) < tol:
-            break
-        hi += 1
-        w_hi *= ratio
-    return np.arange(lo, hi + 1)
-
-
-def _pdf_scalar(d: NoncentralChiSq, x: float) -> float:
-    half_df = 0.5 * d.df
-    half_nonc = 0.5 * d.nonc
-    if half_nonc == 0.0:
-        return math.exp(
-            (half_df - 1.0) * math.log(x) - 0.5 * x - half_df * math.log(2.0)
-            - math.lgamma(half_df)
-        )
-
-    def log_term(n: int) -> float:
-        return (
-            -half_nonc + n * math.log(half_nonc) - math.lgamma(n + 1.0)
-            + (half_df + n - 1.0) * math.log(x) - 0.5 * x
-            - (half_df + n) * math.log(2.0) - math.lgamma(half_df + n)
-        )
-
-    def up_ratio(n: int) -> float:
-        return half_nonc * 0.5 * x / ((n + 1.0) * (half_df + n))
-
-    mode = int(half_nonc)
-    term = math.exp(log_term(mode))
-    total = term
-    # upward sweep: ratios decrease in n, so a geometric bound closes the tail
-    n, t_up = mode, term
-    while True:
-        r = up_ratio(n)
-        if r < 1.0 and t_up * r / (1.0 - r) <= d.series_tol * total:
-            break
-        t_up *= r
-        n += 1
-        total += t_up
-    # downward sweep
-    n, t_dn = mode, term
-    while n > 0:
-        r = 1.0 / up_ratio(n - 1)  # term(n-1) / term(n)
-        if r < 1.0 and t_dn * r / (1.0 - r) <= d.series_tol * total:
-            break
-        t_dn *= r
-        n -= 1
-        total += t_dn
-    return total
-
-
 def noncentral_pdf(d: NoncentralChiSq, x):
     """Density of the noncentral chi-square at x.
 
-    x < 0 gives 0.  At x = 0 the continuous limit is returned for df >= 2
-    (e^(-nonc/2)/2 at df = 2, 0 above); for df < 2 the density diverges at
-    0+ and x = 0 raises DomainError.
+    df = 1 is the squared-Gaussian closed form; other df use the Bessel
+    form with the exponentially scaled scipy.special.ive, and nonc = 0 the
+    central chi-square.  x < 0 gives 0.  At x = 0 the continuous limit is
+    returned for df >= 2 (e^(-nonc/2)/2 at df = 2, 0 above); for df < 2 the
+    density diverges at 0+ and x = 0 raises DomainError.
     """
-    if np.isscalar(x) or np.ndim(x) == 0:
-        xs = float(x)
-        if xs < 0.0:
-            return 0.0
-        if xs == 0.0:
-            if d.df < 2.0:
-                raise DomainError("density diverges at 0+ for df < 2")
-            return 0.5 * math.exp(-0.5 * d.nonc) if d.df == 2.0 else 0.0
-        return _pdf_scalar(d, xs)
     arr = np.asarray(x, dtype=float)
-    out = np.empty(arr.shape, dtype=float)
-    flat = arr.ravel()
-    res = out.ravel()
-    for i, xi in enumerate(flat):
-        res[i] = noncentral_pdf(d, xi)
-    return out
+    if d.df < 2.0 and np.any(arr == 0.0):
+        raise DomainError("density diverges at 0+ for df < 2")
+    half_df = 0.5 * d.df
+    # x <= 0 is overwritten below; NaN propagates
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if d.nonc == 0.0:
+            dens = np.exp(
+                (half_df - 1.0) * np.log(arr) - 0.5 * arr - half_df * math.log(2.0)
+                - math.lgamma(half_df)
+            )
+        else:
+            s, r = np.sqrt(arr), math.sqrt(d.nonc)
+            gap = (arr - d.nonc) / (s + r)  # s - r without cancellation
+            if d.df == 1.0:
+                dens = (np.exp(-0.5 * gap**2) + np.exp(-0.5 * (s + r) ** 2)) / (
+                    2.0 * np.sqrt(2.0 * math.pi * arr)
+                )
+            else:
+                # ive(v, z) = I_v(z) e^(-z) folds e^(sqrt(nonc x)) into the
+                # exponent; one exp, so a large power of x / nonc cannot meet
+                # an underflowed Gaussian factor as inf * 0.  ive is NaN
+                # beyond z of about 2e9, where two terms of its large-z
+                # expansion are exact in double precision.
+                v, z = half_df - 1.0, r * s
+                bessel = np.where(
+                    z < 1e9,
+                    special.ive(v, z),
+                    (1.0 - (4.0 * v * v - 1.0) / (8.0 * z)) / np.sqrt(2.0 * math.pi * z),
+                )
+                dens = 0.5 * bessel * np.exp(
+                    (0.5 * half_df - 0.5) * np.log(arr / d.nonc) - 0.5 * gap**2
+                )
+    at_zero = 0.5 * math.exp(-0.5 * d.nonc) if d.df == 2.0 else 0.0
+    out = np.where(arr < 0.0, 0.0, np.where(arr == 0.0, at_zero, dens))
+    return float(out) if out.ndim == 0 else out
 
 
 def noncentral_cdf(d: NoncentralChiSq, x):
-    """Distribution function: the Poisson mixture over regularized lower
-    incomplete gamma functions.  Monotone, 0 at x = 0, 1 at infinity."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros(arr.shape, dtype=float)
-    pos = arr > 0.0
-    if np.any(pos):
-        half_nonc = 0.5 * d.nonc
-        ns = _poisson_window(half_nonc, d.series_tol)
-        if half_nonc == 0.0:
-            logw = np.array([0.0])
-        else:
-            logw = _poisson_log_weight(ns.astype(float), half_nonc)
-        w = np.exp(logw)
-        xp = arr[pos]
-        acc = np.zeros(xp.shape, dtype=float)
-        a = 0.5 * d.df + ns.astype(float)
-        for chunk in range(0, xp.size, 65536):
-            sl = slice(chunk, chunk + 65536)
-            g = special.gammainc(a[:, None], 0.5 * xp[None, sl])
-            acc[sl] = w @ g
-        out[pos] = np.minimum(acc, 1.0)
-    return float(out[0]) if scalar else out
+    """Distribution function: Phi(sqrt(x) - sqrt(nonc)) - Phi(-sqrt(x) -
+    sqrt(nonc)) at df = 1, scipy.special.chndtr otherwise.  Monotone, 0 for
+    x <= 0, 1 at infinity."""
+    arr = np.maximum(np.asarray(x, dtype=float), 0.0)
+    if d.df == 1.0:
+        s, r = np.sqrt(arr), math.sqrt(d.nonc)
+        out = special.ndtr(s - r) - special.ndtr(-s - r)
+    else:
+        out = special.chndtr(arr, d.df, d.nonc)
+    return float(out) if out.ndim == 0 else out
 
 
 def noncentral_sample(d: NoncentralChiSq, rng: np.random.Generator, size=None):

@@ -78,8 +78,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not self.n_steps >= 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 

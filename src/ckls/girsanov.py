@@ -135,22 +135,35 @@ def accumulate_weight(p: CklsParams, path: Path, noise_row: np.ndarray) -> Weigh
     return WeightedPath(path=path, log_weight=log_w, q_integral_sq=q_int)
 
 
+def _times_exp(x: float, m: float) -> float:
+    """x e^m: infinite where that overflows, 0 at x = 0, never NaN for
+    finite x and m."""
+    if x == 0.0:
+        return 0.0
+    with np.errstate(over="ignore"):
+        return float(x * np.exp(m))
+
+
 def weighted_expectation_arrays(log_weights: np.ndarray, phi: np.ndarray) -> WeightedEstimate:
     log_weights = np.asarray(log_weights, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if log_weights.size == 0:
         raise InputError("empty input")
-    w = np.exp(log_weights)
-    w_sum = w.sum()
-    if w_sum == 0.0:
+    shift = float(log_weights.max())
+    if shift == -np.inf:
         raise DegenerateWeights("all weights are zero")
+    # the self-normalised estimate, its SE and the ESS do not change when
+    # every log weight moves by one constant; shifting by the max keeps
+    # exp finite (log weights near 800 overflow it)
+    w = np.exp(log_weights - shift)
+    w_sum = w.sum()
     n = w.size
     est = float(np.sum(w * phi) / w_sum)
     wn = w / w_sum
     se = float(np.sqrt(np.sum(wn * wn * (phi - est) ** 2)))
     raw = w * phi
-    raw_est = float(raw.mean())
-    raw_se = float(raw.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
+    raw_est = _times_exp(float(raw.mean()), shift)
+    raw_se = _times_exp(float(raw.std(ddof=1) / np.sqrt(n)), shift) if n > 1 else float("nan")
     ess = float(w_sum**2 / np.sum(w * w))
     return WeightedEstimate(
         estimate=est,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -28,6 +29,8 @@ __all__ = [
 class CklsParams:
     """The model quadruple (a, b, sigma, gamma) plus the initial rate r0.
 
+    All five must be finite.
+
     a       drift level (rate/time), must be positive
     b       mean-reversion speed (1/time), any sign
     sigma   volatility scale, must be positive
@@ -42,6 +45,9 @@ class CklsParams:
     r0: float
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "sigma", "gamma", "r0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.a > 0:
             raise ValueError(f"a must be positive, got {self.a}")
         if not self.sigma > 0:

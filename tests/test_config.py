@@ -1,8 +1,10 @@
 """Run-config parsing: strict keys, lossless round-trips."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ckls import ConfigError, load_config, parse_config
 
@@ -86,6 +88,58 @@ class TestParse:
         mutate(obj)
         with pytest.raises(ConfigError):
             parse_config(obj)
+
+
+class TestNoCoercion:
+    """Counts must be JSON integers and reals finite numbers; nothing is
+    truncated or converted on the way in."""
+
+    @given(
+        key=st.sampled_from(["n_paths", "seed", "n_steps"]),
+        value=st.one_of(st.booleans(), st.floats(), st.text(max_size=3)),
+    )
+    def test_counts_must_be_integers(self, key, value):
+        obj = base_config()
+        (obj["grid"] if key == "n_steps" else obj)[key] = value
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            parse_config(obj)
+
+    @given(
+        key=st.sampled_from(["a", "b", "sigma", "gamma", "r0", "C", "t_end"]),
+        value=st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_reals_must_be_finite(self, key, value):
+        obj = base_config()
+        (obj["grid"] if key == "t_end" else obj["params"])[key] = value
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            parse_config(obj)
+
+    @given(
+        key=st.sampled_from(["a", "b", "sigma", "gamma", "r0", "C", "t_end"]),
+        value=st.one_of(st.booleans(), st.text(max_size=3), st.none()),
+    )
+    def test_reals_must_be_numbers(self, key, value):
+        obj = base_config()
+        if key == "C" and value is None:
+            value = "1"  # "C": null means C left out
+        (obj["grid"] if key == "t_end" else obj["params"])[key] = value
+        with pytest.raises(ConfigError, match=f"{key} must be a number"):
+            parse_config(obj)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ['"b": 0.2', '"t_end": 0.5', '"n_paths": 100'])
+    def test_json_constants_rejected(self, tmp_path, literal, field):
+        text = json.dumps(base_config())
+        assert field in text
+        dest = tmp_path / "cfg.json"
+        dest.write_text(text.replace(field, field.split(":")[0] + ": " + literal))
+        with pytest.raises(ConfigError):
+            load_config(dest)
+
+    def test_null_c_is_c_left_out(self):
+        obj = base_config()
+        obj["params"]["C"] = None
+        assert parse_config(obj).c is None
 
 
 class TestLoad:

@@ -1,6 +1,10 @@
 """Noncentral chi-square machinery and the time-t transition laws."""
 
+import functools
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -27,11 +31,48 @@ LOW = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=0.75, r0=1.0)
 
 SPECS = [(1.0, 14.4533), (1.0, 0.5), (3.0, 2.0), (0.25, 3.0)]
 
+# (df, nonc) of the checks and the benchmark: both rules at C = 1 and 2 on
+# the reference sets, the ncx2 battery, and large-nonc tails.
+ORACLE_SPECS = [
+    (1.0, 14.4533), (4.0, 14.4533), (1.0, 67.25), (4.0, 67.25), (1.0, 0.5), (3.0, 2.0),
+    (1.0, 1e3), (4.0, 1e3), (1.0, 1800.0), (4.0, 1800.0),
+]
+
+
+def _oracle_pdf(x, df, nonc):
+    """The Bessel closed form, 1/2 e^(-(x+nonc)/2) (x/nonc)^(df/4-1/2)
+    I_(df/2-1)(sqrt(nonc x)), in mpmath arithmetic."""
+    df, nonc = mpmath.mpf(df), mpmath.mpf(nonc)
+    return (
+        mpmath.exp(-(x + nonc) / 2) * (x / nonc) ** (df / 4 - mpmath.mpf(1) / 2)
+        * mpmath.besseli(df / 2 - 1, mpmath.sqrt(nonc * x)) / 2
+    )
+
+
+@functools.cache
+def _oracle(df, nonc):
+    """Points at mean +- {1, 2, 3} SD (those above 0) and at 8 and 15 SD,
+    with 40-digit pdf and CDF values there and the total mass.  The CDF is
+    the quadrature of the pdf in u = sqrt(t), which removes the t^(-1/2)
+    singularity at df = 1, summed over the segments between the points."""
+    mean, sd = df + nonc, math.sqrt(2.0 * (df + 2.0 * nonc))
+    xs = [mean + j * sd for j in (-3, -2, -1, 1, 2, 3, 8, 15) if mean + j * sd > 0]
+    with mpmath.workdps(40):
+        edges = [mpmath.mpf(0)] + [mpmath.sqrt(x) for x in xs] + [mpmath.inf]
+        segs = [
+            mpmath.quad(lambda u: 2 * u * _oracle_pdf(u * u, df, nonc), [lo, hi])
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+        cdf = [float(mpmath.fsum(segs[: i + 1])) for i in range(len(xs))]
+        pdf = [float(_oracle_pdf(mpmath.mpf(x), df, nonc)) for x in xs]
+        mass = float(mpmath.fsum(segs) - 1)
+    return np.array(xs), np.array(pdf), np.array(cdf), mass
+
 
 class TestLogGammaBackend:
     def test_lgamma_accuracy_on_working_range(self):
-        """The log-gamma backing the series must be 1e-13 relative on
-        [0.5, 200] (checked against 50-digit arithmetic)."""
+        """The log-gamma backing the central chi-square density must be
+        1e-13 relative on [0.5, 200] (checked against 50-digit arithmetic)."""
         mpmath.mp.dps = 50
         xs = np.geomspace(0.5, 200.0, 80)
         for x in xs:
@@ -78,8 +119,8 @@ class TestNoncentralPdf:
         np.testing.assert_allclose(mine, ref, rtol=1e-9, atol=1e-300)
 
     def test_large_noncentrality_head_underflow(self):
-        # modal-start summation must survive nonc where the n = 0 term
-        # underflows (e^(-nonc/2) = 0 in float)
+        # the density must survive nonc where e^(-nonc/2) underflows to 0
+        # in float
         d = NoncentralChiSq(df=1.0, nonc=1800.0)
         x = 1800.0
         ref = stats.ncx2.pdf(x, 1.0, 1800.0)
@@ -129,6 +170,76 @@ class TestNoncentralCdf:
         np.testing.assert_allclose(
             noncentral_cdf(d, xs), stats.ncx2.cdf(xs, df, nonc), rtol=1e-9, atol=1e-12
         )
+
+
+class TestMpmathOracle:
+    """Both functions against an oracle that shares no code with them: the
+    Bessel closed form in 40-digit mpmath for the pdf, its quadrature for
+    the CDF.  Before the closed forms, the Poisson series scored 2e-13 to
+    2e-12 absolute on the CDF and up to 3e-12 relative on the pdf at these
+    points."""
+
+    @pytest.mark.parametrize("df,nonc", ORACLE_SPECS)
+    def test_oracle_is_normalised(self, df, nonc):
+        assert abs(_oracle(df, nonc)[3]) < 1e-20
+
+    @pytest.mark.parametrize("nonc", [14.4533, 1800.0])
+    def test_oracle_matches_the_gaussian_form_at_df_one(self, nonc):
+        # at df = 1 the law is that of (Z + sqrt(nonc))^2, Z standard normal
+        xs, pdf, cdf, _ = _oracle(1.0, nonc)
+        with mpmath.workdps(40):
+            for x, p, c in zip(xs, pdf, cdf):
+                s, r = mpmath.sqrt(x), mpmath.sqrt(nonc)
+                gauss_pdf = (mpmath.npdf(s - r) + mpmath.npdf(s + r)) / (2 * s)
+                gauss_cdf = mpmath.ncdf(s - r) - mpmath.ncdf(-s - r)
+                assert p == pytest.approx(float(gauss_pdf), rel=1e-15)
+                assert abs(c - float(gauss_cdf)) < 1e-17
+
+    @pytest.mark.parametrize("df,nonc", ORACLE_SPECS)
+    def test_cdf_against_oracle(self, df, nonc):
+        xs, _, cdf, _ = _oracle(df, nonc)
+        got = noncentral_cdf(NoncentralChiSq(df, nonc), xs)
+        assert np.max(np.abs(got - cdf)) <= 1e-14
+
+    @pytest.mark.parametrize("df,nonc", ORACLE_SPECS)
+    def test_pdf_against_oracle(self, df, nonc):
+        xs, pdf, _, _ = _oracle(df, nonc)
+        got = noncentral_pdf(NoncentralChiSq(df, nonc), xs)
+        assert np.max(np.abs(got / pdf - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("df", [1.0, 3.0, 4.0])
+    def test_pdf_at_noncentrality_beyond_the_bessel_range(self, df):
+        # sqrt(nonc x) > 2e9, where scipy.special.ive returns NaN; the
+        # paper rule on the HIGH set at C = 2, t = 1e-9 has nonc = 1.6e10
+        nonc = 1.6e10
+        sd = math.sqrt(2.0 * (df + 2.0 * nonc))
+        xs = nonc + df + sd * np.array([-3.0, -1.0, 0.0, 1.0, 3.0, 8.0])
+        with mpmath.workdps(40):
+            ref = np.array([float(_oracle_pdf(mpmath.mpf(x), df, nonc)) for x in xs])
+        got = noncentral_pdf(NoncentralChiSq(df, nonc), xs)
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("df", [4.0, 16.0])
+    def test_pdf_vanishes_far_out(self, df):
+        # at df = 16, (x / nonc)^(df/4 - 1/2) overflows here while the
+        # Gaussian factor underflows; the density is 0, not inf * 0
+        got = noncentral_pdf(NoncentralChiSq(df, 3.0), np.array([1e200, 1e300]))
+        assert np.array_equal(got, [0.0, 0.0])
+
+
+class TestImportCost:
+    def test_import_does_not_load_scipy_stats(self):
+        # scipy.stats costs about half a second per process to import
+        import ckls
+
+        src = os.path.dirname(os.path.dirname(ckls.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, ckls; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 class TestNoncentralSample:

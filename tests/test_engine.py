@@ -43,6 +43,9 @@ class TestTimeGrid:
             TimeGrid(0.0, 4)
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
+        for t_end in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                TimeGrid(t_end, 4)
 
 
 class TestNoiseMatrix:

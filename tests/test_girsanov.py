@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ckls import (
     CklsParams,
@@ -131,6 +133,29 @@ class TestWeightedExpectation:
         wpaths = [accumulate_weight(HIGH, paths[i], dW[i]) for i in range(20)]
         est = weighted_expectation(wpaths, lambda path: path.values[-1])
         assert est.n_paths == 20 and math.isfinite(est.estimate)
+
+    @given(
+        logw=arrays(np.float64, st.integers(2, 50), elements=st.floats(-30.0, 30.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shift_invariance(self, logw, seed):
+        """Moving every log weight by 800 leaves the self-normalised
+        estimate, its SE and the ESS alone, and the raw estimate finite
+        or infinite but never NaN."""
+        phi = np.random.default_rng(seed).normal(1.0, 0.5, logw.size)
+        base = weighted_expectation_arrays(logw, phi)
+        moved = weighted_expectation_arrays(logw + 800.0, phi)
+        # absolute slack for estimates that cancel to near 0
+        tol = 1e-12 * np.max(np.abs(phi))
+        assert moved.estimate == pytest.approx(base.estimate, rel=1e-12, abs=tol)
+        assert moved.std_error == pytest.approx(base.std_error, rel=1e-12, abs=tol)
+        assert moved.ess == pytest.approx(base.ess, rel=1e-12)
+        for est in (moved.raw_estimate, moved.raw_std_error):
+            assert not math.isnan(est)
+        raw = np.exp(logw) * phi
+        assert base.raw_estimate == pytest.approx(
+            raw.mean(), rel=1e-12, abs=1e-12 * np.abs(raw).max()
+        )
 
     def test_degenerate_weights(self):
         with pytest.raises(DegenerateWeights):

@@ -1,5 +1,7 @@
 """Parameter validation and regime classification."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -32,6 +34,16 @@ class TestValidation:
         base.update(kwargs)
         with pytest.raises(ValueError):
             CklsParams(**base)
+
+    @given(
+        name=st.sampled_from(["a", "b", "sigma", "gamma", "r0"]),
+        value=st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_rejects_non_finite(self, name, value):
+        # b has no sign constraint, so b = nan used to pass as a HIGH set
+        kwargs = dict(HIGH.to_dict(), **{name: value})
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            CklsParams(**kwargs)
 
     def test_negative_b_allowed(self):
         CklsParams(a=1.0, b=-0.3, sigma=0.5, gamma=1.5, r0=1.0)
