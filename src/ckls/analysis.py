@@ -163,19 +163,23 @@ def _scale_exponents(p: CklsParams, variant: str) -> tuple[float, float]:
     if not 0.5 <= p.gamma < 1.0:
         raise RegimeError(f"scale function requires gamma in [1/2, 1), got {p.gamma}")
     kappa = p.b / (p.sigma**2 * (1.0 - p.gamma))
-    inner_exp = p.gamma / p.sigma if variant == "paper" else p.gamma
-    return kappa, inner_exp
+    if variant == "paper":
+        return kappa, p.gamma / p.sigma
+    return -kappa, p.gamma
 
 
 def scale_function(p: CklsParams, x: float, variant: str = "paper") -> float:
     """Boundary-classification scale function, by adaptive quadrature:
 
         p(x) = e^(-kappa) integral_1^x y^(-e) exp(kappa y^(2 (1-gamma))) dy,
-        kappa = b / (sigma^2 (1-gamma)),
 
-    with inner power e = gamma/sigma as printed (variant "paper") or
-    e = gamma from the expanded drift (variant "derived").  p(1) = 0 and p
-    is strictly increasing; divergence at the boundaries is exhibited by
+    with kappa = b / (sigma^2 (1-gamma)) and inner power e = gamma/sigma as
+    printed (variant "paper"), or kappa = -b / (sigma^2 (1-gamma)) and
+    e = gamma (variant "derived"): the scale function of the auxiliary
+    drift b x + (gamma sigma^2 / 2) x^(2 gamma - 1) with diffusion
+    sigma x^gamma, whose density x^(-gamma) exp(kappa (x^(2 (1-gamma)) - 1))
+    is exp(-integral_1^x 2 mu / sigma^2).  p(1) = 0 and p is
+    strictly increasing; divergence at the boundaries is exhibited by
     evaluation, never asserted.
     """
     if not x > 0:

@@ -19,6 +19,7 @@ import numpy as np
 from .config import RunConfig, load_config
 from .distribution import rate_cdf, rate_density, transition_spec
 from .engine import (
+    NOISE_RULES,
     NOISE_STREAM,
     NoiseMatrix,
     euler_auxiliary,
@@ -134,6 +135,7 @@ def cmd_simulate(cfg: RunConfig, mode: str) -> int:
         paths = euler_ckls(p, cfg.grid, noise)
         values = np.stack([path.values for path in paths])
         summary["truncations"] = int(sum(path.truncations for path in paths))
+        rule = noise.rule
         times = cfg.grid.times
     elif mode == "auxiliary":
         noise = NoiseMatrix(cfg.seed, cfg.n_paths, cfg.grid)
@@ -145,6 +147,7 @@ def cmd_simulate(cfg: RunConfig, mode: str) -> int:
         summary["blowups"] = result.blowups
         summary["blowup_fraction"] = result.blowup_fraction
         summary["min_over_paths"] = float(result.min_values.min())
+        rule = noise.rule
         times = cfg.grid.times
     elif mode == "explicit-q":
         rng = np.random.default_rng([cfg.seed, 1])
@@ -157,6 +160,7 @@ def cmd_simulate(cfg: RunConfig, mode: str) -> int:
             except SingularSample:
                 singular += 1  # probability-zero event; redraw the batch
         summary["singular_resamples"] = singular
+        rule = "numpy default_rng([seed, 1]): PCG64, ziggurat standard_normal"
         values = draws[:, None]
         times = np.array([cfg.grid.t_end])
     elif mode == "cir-exact":
@@ -165,11 +169,12 @@ def cmd_simulate(cfg: RunConfig, mode: str) -> int:
         rng = np.random.default_rng([cfg.seed, 2])
         draws = sample_cir_exact(cir, p, cfg.grid.t_end, rng, cfg.n_paths)
         values = np.asarray(draws)[:, None]
+        rule = "numpy default_rng([seed, 2]): PCG64"
         times = np.array([cfg.grid.t_end])
     else:
         raise ConfigError(f"unknown simulate mode {mode!r}")
     summary["seed"] = cfg.seed
-    summary["noise_stream"] = NOISE_STREAM
+    summary["noise_stream"] = rule
     summary["numpy_version"] = np.__version__
     summary["elapsed_seconds"] = round(time.perf_counter() - started, 6)
     _write_output(cfg, times, values, summary)
@@ -237,7 +242,8 @@ def cmd_verify(cfg: RunConfig, suite: str, workers: int) -> int:
         "suite": suite,
         "config": cfg.to_dict(),
         "checks": [r.to_dict() for r in reports],
-        "noise_stream": NOISE_STREAM,
+        # every check draws its paths from NoiseMatrix's default rule
+        "noise_stream": NOISE_RULES[NOISE_STREAM],
         "numpy_version": np.__version__,
     }
     text = json.dumps(payload, sort_keys=True, indent=2, default=float)

@@ -1,19 +1,25 @@
 """Path simulation: discretized schemes under the base measure and exact
 draws under the transformed measure.
 
-Everything is reproducible: Gaussian increments come from per-path
-substreams keyed by (seed, path index), so changing the path count never
-reshuffles earlier paths, and results are bit-identical across runs and
-across worker counts (reductions are stitched in path order).  Row i is
-exactly the normals of numpy's default_rng([seed, i]) (NOISE_STREAM); the
-generator states of a block of rows are computed in bulk with numpy's own
-SeedSequence hash and PCG64 seeding step rather than by building one
-generator per row, which cost more than the model itself on short grids.
+Everything is reproducible: the Gaussian increments of path i depend on
+(seed, i) and the noise-stream rule alone, so changing the path count
+never reshuffles earlier paths, and results are bit-identical across runs
+and across worker counts (reductions are stitched in path order).
+
+Two noise-stream rules exist (NOISE_RULES).  Rule v2, the default, cuts
+the rows into stream blocks of NOISE_BLOCK rows; block k is one
+standard_normal draw, filled row-major, of the generator keyed by
+SeedSequence(seed, spawn_key=(k,)), so one generator serves a thousand
+rows and its draw runs without the GIL.  Rule v1 (stream=1) makes row i
+exactly the normals of numpy's default_rng([seed, i]); its generator
+states are computed in bulk with numpy's own SeedSequence hash and PCG64
+seeding step, but each row is still a state load and a draw of its own.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -26,6 +32,8 @@ from .params import CklsParams, classify_regime
 from .transform import CirParams
 
 __all__ = [
+    "NOISE_BLOCK",
+    "NOISE_RULES",
     "NOISE_STREAM",
     "POSITIVITY_FLOOR",
     "TimeGrid",
@@ -51,13 +59,26 @@ __all__ = [
 # visible in the reported counts instead of being hidden by the scheme.
 POSITIVITY_FLOOR = 1e-12
 
-# The rule that turns (seed, path index) into a noise row; echoed in outputs.
-NOISE_STREAM = "per-path numpy default_rng([seed, i]): PCG64, ziggurat standard_normal"
+# Rows per v2 stream block.  Part of the rule: changing it changes every
+# row past the first block, so it is not a setting.
+NOISE_BLOCK = 1024
+
+# The rules that turn (seed, path index) into a noise row, by version;
+# NoiseMatrix.rule echoes the one in use into every output.
+NOISE_RULES = {
+    1: "v1: per-path numpy default_rng([seed, i]): PCG64, ziggurat standard_normal",
+    2: (
+        f"v2: per-block numpy Generator(PCG64(SeedSequence(seed, spawn_key=(k,)))) "
+        f"for rows [{NOISE_BLOCK}k, {NOISE_BLOCK}(k+1)): ziggurat standard_normal, row-major"
+    ),
+}
+# the rule NoiseMatrix uses unless told otherwise
+NOISE_STREAM = 2
 
 # numpy.random.SeedSequence (numpy/random/bit_generator.pyx): pool size and
 # hash constants, and the PCG64 128-bit LCG multiplier.  _bulk_pcg64_states
-# reproduces default_rng([seed, i]) seeding with them; NoiseMatrix.increments
-# checks every call against numpy, so a change on numpy's side raises.
+# reproduces default_rng([seed, i]) seeding with them for rule v1, whose
+# every call is checked against numpy, so a change on numpy's side raises.
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -166,17 +187,26 @@ def _require_integer(name: str, value) -> None:
 class NoiseMatrix:
     """Per-path Gaussian increments with variance dt per step.
 
-    Row i is the standard normals of np.random.default_rng([seed, i]),
-    bit for bit, scaled by sqrt(dt); rows are realized lazily in blocks so
-    large runs never materialize the full matrix.  A call to increments
-    computes the generator states of its rows in bulk and loads each into
-    one generator of its own (so concurrent calls share nothing), instead
-    of constructing numpy's SeedSequence and PCG64 once per row.
+    Row i is standard normals scaled by sqrt(dt), drawn under the
+    noise-stream rule NOISE_RULES[stream]; rows are realized lazily in
+    blocks so large runs never materialize the full matrix.
+
+    v2 (default): block k holds rows [NOISE_BLOCK k, NOISE_BLOCK (k+1))
+    and is one standard_normal((rows, n_steps)) draw of
+    Generator(PCG64(SeedSequence(seed, spawn_key=(k,)))).  The first j rows
+    of a block equal a j-row draw, so a range that starts inside a block
+    draws from the block start and drops the prefix, and the rows do not
+    depend on how the range is cut into calls.
+
+    v1: row i is the normals of np.random.default_rng([seed, i]), bit for
+    bit; the generator states of a call's rows are computed in bulk and
+    loaded one by one into a generator of the call's own.
     """
 
     seed: int
     n_paths: int
     grid: TimeGrid
+    stream: int = NOISE_STREAM
 
     def __post_init__(self) -> None:
         _require_integer("seed", self.seed)
@@ -185,20 +215,51 @@ class NoiseMatrix:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not self.n_paths >= 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+        _require_integer("stream", self.stream)
+        if self.stream not in NOISE_RULES:
+            raise ValueError(f"stream must be one of {sorted(NOISE_RULES)}, got {self.stream!r}")
+
+    @property
+    def rule(self) -> str:
+        return NOISE_RULES[self.stream]
 
     def increments(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Realize rows lo..hi (exclusive) as an array of shape (hi-lo, n_steps).
 
-        Raises RuntimeError if the first row differs from numpy's own
-        default_rng([seed, lo]), i.e. if numpy changed its seeding.
+        Under v1, raises RuntimeError if the first row differs from numpy's
+        own default_rng([seed, lo]), i.e. if numpy changed its seeding.
         """
-        hi = self.n_paths if hi is None else hi
-        if not 0 <= lo <= hi <= self.n_paths:
-            raise ValueError(f"bad row range [{lo}, {hi}) for n_paths={self.n_paths}")
-        seed = int(self.seed)
+        # Python ints: block arithmetic on numpy unsigned counts wraps
+        n_paths = int(self.n_paths)
+        lo = operator.index(lo)
+        hi = n_paths if hi is None else operator.index(hi)
+        if not 0 <= lo <= hi <= n_paths:
+            raise ValueError(f"bad row range [{lo}, {hi}) for n_paths={n_paths}")
         out = np.empty((hi - lo, self.grid.n_steps))
         if hi == lo:
             return out
+        if self.stream == 1:
+            self._fill_v1(lo, hi, out)
+        else:
+            self._fill_v2(lo, hi, out)
+        out *= math.sqrt(self.grid.dt)
+        return out
+
+    def _fill_v2(self, lo: int, hi: int, out: np.ndarray) -> None:
+        seed, n_steps = int(self.seed), self.grid.n_steps
+        for k in range(lo // NOISE_BLOCK, -(-hi // NOISE_BLOCK)):
+            start = k * NOISE_BLOCK
+            first, last = max(lo, start), min(hi, start + NOISE_BLOCK)
+            gen = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,)))
+            )
+            if first > start:
+                # the normals of the rows before lo, drawn and dropped
+                gen.standard_normal((first - start) * n_steps)
+            gen.standard_normal(out=out[first - lo : last - lo])
+
+    def _fill_v1(self, lo: int, hi: int, out: np.ndarray) -> None:
+        seed = int(self.seed)
         gen = np.random.default_rng([seed, lo])
         expected = gen.standard_normal(self.grid.n_steps)
         bitgen = gen.bit_generator
@@ -217,8 +278,6 @@ class NoiseMatrix:
                 f"bulk-seeded noise row {lo} differs from default_rng([{seed}, {lo}]) "
                 f"under numpy {np.__version__}; its SeedSequence or PCG64 seeding changed"
             )
-        out *= math.sqrt(self.grid.dt)
-        return out
 
     def row(self, i: int) -> np.ndarray:
         return self.increments(i, i + 1)[0]
@@ -515,7 +574,9 @@ def map_noise_blocks(
 
     Blocks may run on a thread pool; the returned list is always in block
     order, so downstream ordered reductions are identical for any worker
-    count.
+    count.  The default 8192 rows are 8 whole v2 stream blocks: a block
+    size that cuts a stream block gives the same rows, but the cut stream
+    block is drawn by both thread blocks.
     """
     ranges = [
         (lo, min(lo + block_size, noise.n_paths))

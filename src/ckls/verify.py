@@ -281,9 +281,10 @@ def _snapshot_rates(
     seed: int,
     snap_indices: list[int],
     workers: int = 1,
-) -> np.ndarray:
-    """Euler terminal states captured at several grid indices; returns an
-    array of shape (len(snap_indices), n_paths)."""
+) -> tuple[np.ndarray, int]:
+    """Euler states captured at several grid indices, of shape
+    (len(snap_indices), n_paths), and the number of steps clamped at the
+    positivity floor."""
     grid = TimeGrid(t_end, n_steps)
     noise = NoiseMatrix(seed, n_paths, grid)
     drift, diffusion = ckls_drift(p), ckls_diffusion(p)
@@ -293,17 +294,22 @@ def _snapshot_rates(
     def run_block(lo, hi, dW):
         r = np.full(hi - lo, p.r0)
         snaps = np.empty((len(snap_indices), hi - lo))
+        trunc = 0
         if 0 in index_set:
             snaps[index_set[0]] = r
         for k in range(n_steps):
             r = r + drift(r) * dt + diffusion(r) * dW[:, k]
-            r = np.where(r < POSITIVITY_FLOOR, POSITIVITY_FLOOR, r)
+            hit = r < POSITIVITY_FLOOR
+            if hit.any():
+                trunc += int(hit.sum())
+                r = np.where(hit, POSITIVITY_FLOOR, r)
             if k + 1 in index_set:
                 snaps[index_set[k + 1]] = r
-        return {"snaps": snaps}
+        return {"snaps": snaps, "trunc": trunc}
 
     blocks = map_noise_blocks(noise, run_block, workers=workers)
-    return np.concatenate([b["snaps"] for b in blocks], axis=1)
+    snaps = np.concatenate([b["snaps"] for b in blocks], axis=1)
+    return snaps, sum(b["trunc"] for b in blocks)
 
 
 def check_closed_form_mean(
@@ -318,7 +324,7 @@ def check_closed_form_mean(
     t_end = max(ts)
     n_steps = int(round(n_steps_per_unit * t_end))
     idx = [int(round(t / t_end * n_steps)) for t in ts]
-    snaps = _snapshot_rates(p, t_end, n_steps, n_paths, seed, idx, workers)
+    snaps, truncations = _snapshot_rates(p, t_end, n_steps, n_paths, seed, idx, workers)
     zs = {}
     for j, t in enumerate(ts):
         m = float(snaps[j].mean())
@@ -332,7 +338,7 @@ def check_closed_form_mean(
         statistic=worst,
         threshold=3.0,
         seed=seed,
-        details={str(t): v for t, v in zs.items()},
+        details={**{str(t): v for t, v in zs.items()}, "truncations": truncations},
     )
 
 
@@ -349,8 +355,8 @@ def check_moment_bounds(
     t_end = max(ts)
     n_steps = int(round(n_steps_per_unit * t_end))
     idx = [int(round(t / t_end * n_steps)) for t in ts]
-    snaps = _snapshot_rates(p, t_end, n_steps, n_paths, seed, idx, workers)
-    details = {}
+    snaps, truncations = _snapshot_rates(p, t_end, n_steps, n_paths, seed, idx, workers)
+    details: dict = {"truncations": truncations}
     worst = -math.inf
     for kind, expo in (
         ("neg_moment", -2.0 * p.gamma),

@@ -148,12 +148,37 @@ class TestScaleFunction:
         assert abs(p4) > 2 * abs(p2) and abs(p6) > 2 * abs(p4)
 
     def test_derived_variant_saturates_toward_zero(self):
-        """With the expanded drift the inner power is integrable at 0, so
-        the boundary value stays finite (the divergence test would be
-        inconclusive): exhibited, not asserted."""
-        p6 = scale_function(LOW, 1e-6, "derived")
-        p8 = scale_function(LOW, 1e-8, "derived")
-        assert p8 < 0 and abs(p8 - p6) < 1e-2 * abs(p6)
+        """With the auxiliary drift the density x^(-gamma) is integrable at
+        0, so the boundary value stays finite (the divergence test would be
+        inconclusive): exhibited, not asserted.  Near 0 the increments over
+        two decades shrink by 10^(-2 (1-gamma)) each, a geometric series."""
+        p6, p8, p10 = (scale_function(LOW, x, "derived") for x in (1e-6, 1e-8, 1e-10))
+        assert p10 < p8 < p6 < 0
+        ratio = (p10 - p8) / (p8 - p6)
+        assert ratio == pytest.approx(10.0 ** (-2.0 * (1.0 - LOW.gamma)), rel=1e-2)
+
+    @pytest.mark.parametrize("x", [0.05, 0.3, 2.0, 10.0])
+    def test_derived_density_solves_auxiliary_drift(self, x):
+        """Oracle: the scale density of mu(x) = b x + (gamma sigma^2 / 2)
+        x^(2 gamma - 1) with diffusion sigma x^gamma is
+        p'(x)/p'(1) = exp(-integral_1^x 2 mu / sigma^2), the inner integral
+        by quadrature here and p' by central differences."""
+
+        def mu_over_var(z):
+            mu = LOW.b * z + 0.5 * LOW.gamma * LOW.sigma**2 * z ** (2.0 * LOW.gamma - 1.0)
+            return 2.0 * mu / (LOW.sigma**2 * z ** (2.0 * LOW.gamma))
+
+        def slope(y):
+            h = 1e-4 * y
+            up, down = (scale_function(LOW, y + d, "derived") for d in (h, -h))
+            return (up - down) / (2.0 * h)
+
+        inner, _ = integrate.quad(mu_over_var, 1.0, x, epsabs=0.0, epsrel=1e-13)
+        assert slope(x) / slope(1.0) == pytest.approx(math.exp(-inner), rel=1e-6)
+        sign, logmag = scale_function_log_magnitude(LOW, x, "derived")
+        raw = scale_function(LOW, x, "derived")
+        assert sign == math.copysign(1.0, raw)
+        assert math.exp(logmag) == pytest.approx(abs(raw), rel=1e-6)
 
     def test_log_magnitude_matches_raw_midrange(self):
         for x in (0.02, 0.3, 3.0, 40.0):

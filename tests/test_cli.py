@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ckls.engine import NOISE_STREAM
+from ckls.engine import NOISE_BLOCK, NOISE_RULES, NOISE_STREAM
 from ckls.pathio import read_paths_binary
 
 
@@ -86,7 +86,9 @@ class TestSimulateCommand:
         summary = json.loads((tmp_path / "paths.csv.summary.json").read_text())
         assert summary["mode"] == "euler-p"
         assert "truncations" in summary
-        assert summary["noise_stream"] == NOISE_STREAM
+        rule = summary["noise_stream"]
+        assert rule == NOISE_RULES[NOISE_STREAM]
+        assert rule.startswith("v2") and f"{NOISE_BLOCK}k" in rule
         assert summary["numpy_version"] == np.__version__
         assert summary["config"]["params"]["gamma"] == 1.5
         rows = [
@@ -199,7 +201,9 @@ class TestVerifyCommand:
         res = run_cli("--config", cfg, "verify", "--suite", "transform")
         assert res.returncode == 0
         payload = json.loads(res.stdout)
-        assert payload["noise_stream"] == NOISE_STREAM
+        rule = payload["noise_stream"]
+        assert rule == NOISE_RULES[NOISE_STREAM]
+        assert rule.startswith("v2") and f"{NOISE_BLOCK}k" in rule
         assert payload["numpy_version"] == np.__version__
         assert payload["checks"][0]["name"] == "transform-identities"
         assert payload["checks"][0]["status"] == "pass"

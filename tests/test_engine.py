@@ -26,7 +26,7 @@ from ckls import (
     sample_cir_exact,
     transform_inverse,
 )
-from ckls.engine import map_noise_blocks
+from ckls.engine import NOISE_BLOCK, NOISE_RULES, NOISE_STREAM, map_noise_blocks
 
 HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
 LOW = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=0.75, r0=1.0)
@@ -111,13 +111,13 @@ def numpy_rows(seed, lo, hi, grid):
 
 
 class TestNoiseOracle:
-    """NoiseMatrix rows against numpy itself, bit for bit."""
+    """Rule v1 rows against numpy itself, bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
     @pytest.mark.parametrize("lo,hi", [(0, 1), (0, 37), (5, 1029), (1023, 2050)])
     def test_rows_equal_default_rng(self, seed, lo, hi):
         grid = TimeGrid(0.5, 3)
-        nm = NoiseMatrix(seed, 2100, grid)
+        nm = NoiseMatrix(seed, 2100, grid, stream=1)
         assert np.array_equal(nm.increments(lo, hi), numpy_rows(seed, lo, hi, grid))
 
     @settings(max_examples=40, deadline=None)
@@ -130,27 +130,141 @@ class TestNoiseOracle:
     def test_drawn_seeds_and_ranges(self, seed, n_steps, a, b):
         grid = TimeGrid(1.0, n_steps)
         lo, hi = sorted((a, b))
-        nm = NoiseMatrix(seed, 301, grid)
+        nm = NoiseMatrix(seed, 301, grid, stream=1)
         assert np.array_equal(nm.increments(lo, hi), numpy_rows(seed, lo, hi, grid))
 
     def test_single_step_and_row_zero(self):
         grid = TimeGrid(2.0, 1)
-        nm = NoiseMatrix(11, 5, grid)
+        nm = NoiseMatrix(11, 5, grid, stream=1)
         assert np.array_equal(nm.row(0), numpy_rows(11, 0, 1, grid)[0])
         assert nm.increments(3, 3).shape == (0, 1)
 
     def test_rows_past_32_bit_index(self):
         """Path indices of two 32-bit words take numpy's own seeding."""
         grid = TimeGrid(1.0, 4)
-        nm = NoiseMatrix(2**40 + 9, 2**32 + 3, grid)
+        nm = NoiseMatrix(2**40 + 9, 2**32 + 3, grid, stream=1)
         lo, hi = 2**32 - 2, 2**32 + 3
         assert np.array_equal(nm.increments(lo, hi), numpy_rows(2**40 + 9, lo, hi, grid))
 
     def test_map_noise_blocks_two_workers(self):
         grid = TimeGrid(1.0, 6)
-        nm = NoiseMatrix(2**63 + 5, 1000, grid)
+        nm = NoiseMatrix(2**63 + 5, 1000, grid, stream=1)
         blocks = map_noise_blocks(nm, lambda lo, hi, dW: dW, block_size=333, workers=2)
         assert np.array_equal(np.concatenate(blocks), numpy_rows(2**63 + 5, 0, 1000, grid))
+
+
+def v2_rows(seed, lo, hi, grid):
+    """Oracle: whole NOISE_BLOCK-row draws of the block generators, sliced
+    to rows lo..hi and scaled by sqrt(dt)."""
+    first, last = lo // NOISE_BLOCK, -(-hi // NOISE_BLOCK)
+    blocks = [
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))))
+        .standard_normal((NOISE_BLOCK, grid.n_steps))
+        for k in range(first, max(last, first + 1))
+    ]
+    offset = first * NOISE_BLOCK
+    return np.concatenate(blocks)[lo - offset : hi - offset] * math.sqrt(grid.dt)
+
+
+class TestNoiseStreamV2:
+    """The default rule: one generator per stream block of NOISE_BLOCK rows."""
+
+    def test_is_default_and_echoed(self):
+        nm = NoiseMatrix(3, 10, TimeGrid(1.0, 4))
+        assert nm.stream == NOISE_STREAM == 2
+        assert nm.rule == NOISE_RULES[2]
+        assert nm.rule.startswith("v2") and f"{NOISE_BLOCK}k" in nm.rule
+        assert NoiseMatrix(3, 10, TimeGrid(1.0, 4), stream=1).rule.startswith("v1")
+
+    @pytest.mark.parametrize("stream", [0, 3, True, 2.0, "2"])
+    def test_rejects_unknown_stream(self, stream):
+        with pytest.raises(ValueError):
+            NoiseMatrix(3, 10, TimeGrid(1.0, 4), stream=stream)
+
+    def test_growing_path_count_keeps_rows(self):
+        g = TimeGrid(1.0, 4)
+        small = NoiseMatrix(17, 50_000, g).increments()
+        big = NoiseMatrix(17, 60_000, g).increments()
+        assert np.array_equal(big[:50_000], small)
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [(0, 1), (0, 3000), (1023, 1025), (5, 2050), (1024, 2048), (1000, 3100), (2047, 2048)],
+    )
+    def test_ranges_across_block_edges(self, lo, hi):
+        grid = TimeGrid(0.5, 3)
+        nm = NoiseMatrix(2**63 + 1, 3100, grid)
+        assert np.array_equal(nm.increments(lo, hi), v2_rows(2**63 + 1, lo, hi, grid))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 9),
+        st.integers(0, 2500),
+        st.integers(0, 2500),
+    )
+    def test_drawn_seeds_and_ranges(self, seed, n_steps, a, b):
+        grid = TimeGrid(1.0, n_steps)
+        lo, hi = sorted((a, b))
+        nm = NoiseMatrix(seed, 2500, grid)
+        assert np.array_equal(nm.increments(lo, hi), v2_rows(seed, lo, hi, grid))
+
+    def test_rows_one_at_a_time(self):
+        grid = TimeGrid(1.0, 5)
+        nm = NoiseMatrix(8, 2100, grid)
+        for i in (0, 1, 1023, 1024, 2099):
+            assert np.array_equal(nm.row(i), v2_rows(8, i, i + 1, grid)[0])
+        assert nm.increments(7, 7).shape == (0, 5)
+
+    @pytest.mark.parametrize("seed,lo", [(2**40 + 9, 2**32 - 2), (5, 2**64 - 3)])
+    def test_rows_past_32_bit_index(self, seed, lo):
+        grid = TimeGrid(1.0, 4)
+        nm = NoiseMatrix(seed, lo + 1030, grid)
+        assert np.array_equal(nm.increments(lo, lo + 1030), v2_rows(seed, lo, lo + 1030, grid))
+
+    def test_numpy_integer_range(self):
+        """Unsigned numpy counts and bounds take Python-int block arithmetic
+        (unsigned negation wraps around)."""
+        grid = TimeGrid(1.0, 4)
+        nm = NoiseMatrix(np.uint64(7), np.uint64(2000), grid)
+        got = nm.increments(np.uint64(1000), np.uint64(1030))
+        assert np.array_equal(got, v2_rows(7, 1000, 1030, grid))
+        with pytest.raises(TypeError):
+            nm.increments(1.0, 3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32, 2**64 - 1])
+    def test_keys_differ_from_v1(self, seed):
+        grid = TimeGrid(1.0, 8)
+        v1 = NoiseMatrix(seed, 1, grid, stream=1).row(0)
+        v2 = NoiseMatrix(seed, 1, grid).row(0)
+        assert not np.array_equal(v1, v2)
+
+    @pytest.mark.parametrize(
+        "lo,hi,blocks", [(0, 1, 1), (0, 1024, 1), (1000, 3100, 4), (1024, 2048, 1), (5, 9000, 9)]
+    )
+    def test_one_seed_sequence_per_stream_block(self, monkeypatch, lo, hi, blocks):
+        """A count, not a timing: seeding per row instead of per stream
+        block fails here at once."""
+        made = {"SeedSequence": 0, "PCG64": 0}
+
+        def counting(name):
+            real = getattr(np.random, name)
+
+            def make(*args, **kwargs):
+                made[name] += 1
+                return real(*args, **kwargs)
+
+            return make
+
+        def no_default_rng(*args, **kwargs):
+            raise AssertionError("v2 rows must not seed through default_rng")
+
+        nm = NoiseMatrix(99, 9000, TimeGrid(1.0, 3))
+        for name in made:
+            monkeypatch.setattr(np.random, name, counting(name))
+        monkeypatch.setattr(np.random, "default_rng", no_default_rng)
+        assert nm.increments(lo, hi).shape == (hi - lo, 3)
+        assert made == {"SeedSequence": blocks, "PCG64": blocks}
 
 
 class TestEulerCkls:

@@ -213,10 +213,18 @@ class TestMartingaleProperty:
         assert abs(w.mean() - 1.0) <= 3.0 * se
 
 
+def weighted_sample_digest(s) -> str:
+    h = hashlib.sha256()
+    for a in (s.terminal_rate, s.log_weight, s.q_integral_sq):
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    h.update(str(s.truncations).encode())
+    return h.hexdigest()
+
+
 class TestGoldenWeightedSample:
-    """SHA-256 of fixed-seed simulate_weighted arrays, recorded before the
-    noise rows were seeded in bulk: any change to the noise bits, the
-    kernel or the block stitching changes the digest."""
+    """SHA-256 of fixed-seed simulate_weighted arrays on noise rule v1,
+    recorded before the noise rows were seeded in bulk: any change to the
+    noise bits, the kernel or the block stitching changes the digest."""
 
     GOLDEN = {
         "high": "e8f5abd432c6a1157e222c67fd6b5dd3bfba9dfe7b6739c137484d2cbc1ee6fc",
@@ -228,13 +236,31 @@ class TestGoldenWeightedSample:
     def test_digest(self, name, p, workers):
         grid = TimeGrid(0.5, 16)
         s = simulate_weighted(
-            p, grid, NoiseMatrix(2024, 3000, grid), workers=workers, block_size=1024
+            p, grid, NoiseMatrix(2024, 3000, grid, stream=1), workers=workers,
+            block_size=1024,
         )
-        h = hashlib.sha256()
-        for a in (s.terminal_rate, s.log_weight, s.q_integral_sq):
-            h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-        h.update(str(s.truncations).encode())
-        assert h.hexdigest() == self.GOLDEN[name]
+        assert weighted_sample_digest(s) == self.GOLDEN[name]
+
+
+class TestGoldenWeightedSampleV2:
+    """The same digest on the default noise rule v2, recorded when v2 was
+    introduced.  A thread block of 333 rows cuts the 1024-row stream
+    blocks, and must give the same bits as whole stream blocks."""
+
+    GOLDEN = {
+        "high": "a06937bbfd95d852d851fbf7ac7ce9e2726bf10e04065e5362f70a832916c686",
+        "low": "732f6b8116c53a18d3bb8576890d8621116ffc7bde2a24d1abeea9ce05831cc9",
+    }
+
+    @pytest.mark.parametrize("block_size", [1024, 333])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name,p", [("high", HIGH), ("low", LOW)])
+    def test_digest(self, name, p, workers, block_size):
+        grid = TimeGrid(0.5, 16)
+        s = simulate_weighted(
+            p, grid, NoiseMatrix(2024, 3000, grid), workers=workers, block_size=block_size
+        )
+        assert weighted_sample_digest(s) == self.GOLDEN[name]
 
 
 class TestPushforwardLaw:
