@@ -1,0 +1,6 @@
+"""Import ckls from the src/ tree beside this directory."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))

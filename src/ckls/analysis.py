@@ -18,6 +18,7 @@ from .engine import (
     ckls_diffusion,
     ckls_drift,
     map_noise_blocks,
+    step_columns,
 )
 from .errors import DomainError, InputError, RegimeError
 from .numerics import affine_exp_convolution, stable_phi
@@ -132,8 +133,8 @@ def mc_moment(
         g_prev = r**exponent
         integral = np.zeros(n)
         trunc = 0
-        for k in range(n_steps):
-            r = r + drift(r) * dt + diffusion(r) * dW[:, k]
+        for col in step_columns(dW):
+            r = r + drift(r) * dt + diffusion(r) * col
             hit = r < POSITIVITY_FLOOR
             if hit.any():
                 trunc += int(hit.sum())

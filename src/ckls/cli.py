@@ -230,6 +230,7 @@ def cmd_verify(cfg: RunConfig, suite: str, workers: int) -> int:
     if suite not in SUITES:
         print(json.dumps({"error": f"unknown suite {suite!r}", "known": sorted(SUITES)}))
         return 1
+    started = time.perf_counter()
     reports = run_suite(
         suite,
         cfg.params,
@@ -245,6 +246,7 @@ def cmd_verify(cfg: RunConfig, suite: str, workers: int) -> int:
         # every check draws its paths from NoiseMatrix's default rule
         "noise_stream": NOISE_RULES[NOISE_STREAM],
         "numpy_version": np.__version__,
+        "elapsed_seconds": round(time.perf_counter() - started, 6),
     }
     text = json.dumps(payload, sort_keys=True, indent=2, default=float)
     if cfg.output_path:

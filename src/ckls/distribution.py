@@ -173,13 +173,19 @@ def noncentral_pdf(d: NoncentralChiSq, x):
 def noncentral_cdf(d: NoncentralChiSq, x):
     """Distribution function: Phi(sqrt(x) - sqrt(nonc)) - Phi(-sqrt(x) -
     sqrt(nonc)) at df = 1, scipy.special.chndtr otherwise.  Monotone, 0 for
-    x <= 0, 1 at infinity."""
+    x <= 0, 1 at infinity; NaN at a NaN x.  chndtr returns NaN at some
+    very large nonc (around 1e11 and up); that raises DomainError rather
+    than passing the NaN on."""
     arr = np.maximum(np.asarray(x, dtype=float), 0.0)
     if d.df == 1.0:
         s, r = np.sqrt(arr), math.sqrt(d.nonc)
         out = special.ndtr(s - r) - special.ndtr(-s - r)
     else:
         out = special.chndtr(arr, d.df, d.nonc)
+        if np.any(np.isnan(out) & ~np.isnan(arr)):
+            raise DomainError(
+                f"scipy.special.chndtr returned NaN at df={d.df}, nonc={d.nonc}"
+            )
     return float(out) if out.ndim == 0 else out
 
 

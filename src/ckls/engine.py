@@ -53,11 +53,16 @@ __all__ = [
     "explicit_rate_on_grid",
     "sample_cir_exact",
     "map_noise_blocks",
+    "step_columns",
 ]
 
 # Euler paths are clamped here rather than reflected: truncation stays
 # visible in the reported counts instead of being hidden by the scheme.
 POSITIVITY_FLOOR = 1e-12
+
+# Steps step_columns copies at a time: one 64-byte cache line of a
+# float64 noise row.
+STEP_CHUNK = 8
 
 # Rows per v2 stream block.  Part of the rule: changing it changes every
 # row past the first block, so it is not a setting.
@@ -368,6 +373,32 @@ def _as_increments(noise) -> np.ndarray:
     return dW
 
 
+def step_columns(dW: np.ndarray):
+    """Yield the noise columns dW[:, k] in step order as contiguous arrays.
+
+    A column of a row-major block is strided by a whole row, so reading it
+    misses the cache on every element.  The columns are instead copied
+    STEP_CHUNK steps at a time: each row's next STEP_CHUNK values (one
+    cache line) go as one record into an (n_paths, STEP_CHUNK) buffer,
+    which is then transposed into the (STEP_CHUNK, n_paths) buffer whose
+    rows are yielded.  Both buffers are reused, so a column is valid only
+    until the next one is drawn.  The values are dW's, bit for bit; a dW
+    that is not C-contiguous is copied once first.
+    """
+    dW = np.ascontiguousarray(dW)
+    n_paths, n_steps = dW.shape
+    rows = np.empty((n_paths, STEP_CHUNK), dtype=dW.dtype)
+    cols = np.empty((STEP_CHUNK, n_paths), dtype=dW.dtype)
+    for k in range(0, n_steps, STEP_CHUNK):
+        m = min(STEP_CHUNK, n_steps - k)
+        # each row's m values copied as one record: a copy loop restarted
+        # every m values costs more than the memory reads
+        record = np.dtype((np.void, m * dW.itemsize))
+        rows[:, :m].view(record)[...] = dW[:, k : k + m].view(record)
+        cols[:m] = rows[:, :m].T
+        yield from cols[:m]
+
+
 def euler_values(
     drift: Callable,
     diffusion: Callable,
@@ -395,8 +426,8 @@ def euler_values(
     r = np.full(n_paths, float(r0))
     quiet = {"over": "ignore", "invalid": "ignore"} if exit_to_inf else {}
     with np.errstate(**quiet):
-        for k in range(n_steps):
-            r = r + drift(r) * dt + diffusion(r) * dW[:, k]
+        for k, col in enumerate(step_columns(dW)):
+            r = r + drift(r) * dt + diffusion(r) * col
             hit = r < floor
             if hit.any():
                 trunc += hit
@@ -572,11 +603,14 @@ def map_noise_blocks(
 ):
     """Apply fn(lo, hi, increments) over row blocks, stitched in block order.
 
-    Blocks may run on a thread pool; the returned list is always in block
-    order, so downstream ordered reductions are identical for any worker
-    count.  The default 8192 rows are 8 whole v2 stream blocks: a block
-    size that cuts a stream block gives the same rows, but the cut stream
-    block is drawn by both thread blocks.
+    increments is the (hi - lo, n_steps) row-major block of noise rows lo
+    to hi; the Euler loops read it a step at a time through step_columns,
+    and keep their working arrays per call, so each thread block has its
+    own.  Blocks may run on a thread pool; the returned list is always in
+    block order, so downstream ordered reductions are identical for any
+    worker count.  The default 8192 rows are 8 whole v2 stream blocks: a
+    block size that cuts a stream block gives the same rows, but the cut
+    stream block is drawn by both thread blocks.
     """
     ranges = [
         (lo, min(lo + block_size, noise.n_paths))

@@ -27,9 +27,8 @@ from .engine import (
     NoiseMatrix,
     Path,
     TimeGrid,
-    ckls_diffusion,
-    ckls_drift,
     map_noise_blocks,
+    step_columns,
     POSITIVITY_FLOOR,
 )
 from .errors import DegenerateTransform, DegenerateWeights, DomainError, InputError
@@ -107,12 +106,24 @@ def drift_adjustment(p: CklsParams, x):
     """
     if p.gamma == 1.0:
         raise DegenerateTransform("drift adjustment requires gamma != 1")
-    arr = np.asarray(x, dtype=float)
+    arr = np.array(x, dtype=float, ndmin=1)
     if not np.all(arr > 0):
         raise DomainError(f"x must be positive, got {x}")
-    u = arr ** (p.gamma - 1.0)
-    out = (2.0 * p.b - p.a / arr) / (p.sigma * u) + 0.5 * p.gamma * p.sigma * u
-    return float(out) if np.ndim(x) == 0 else out
+    out = _drift_adjustment_into(p, arr, np.empty_like(arr), np.empty_like(arr))
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
+def _drift_adjustment_into(p: CklsParams, x: np.ndarray, out: np.ndarray, tmp: np.ndarray):
+    """drift_adjustment's arithmetic, operation for operation, into out;
+    tmp is scratch of x's shape.  Unchecked: gamma != 1 and x > 0."""
+    # `**`, not np.power: its ** 0.5 fast path is the correctly rounded sqrt
+    u = x ** (p.gamma - 1.0)
+    np.divide(p.a, x, out=out)
+    np.subtract(2.0 * p.b, out, out=out)
+    np.multiply(p.sigma, u, out=tmp)
+    np.divide(out, tmp, out=out)
+    np.multiply(0.5 * p.gamma * p.sigma, u, out=u)
+    return np.add(out, u, out=out)
 
 
 def accumulate_weight(p: CklsParams, path: Path, noise_row: np.ndarray) -> WeightedPath:
@@ -222,10 +233,17 @@ def simulate_weighted(
 
     Weight accumulation is per-path and parallelizes with the simulation;
     blocks are stitched by path index, so statistics do not depend on the
-    worker count.
+    worker count.  A thread block reads its noise through
+    engine.step_columns and does each step in buffers allocated once per
+    block, with the floating-point operations of drift_adjustment,
+    ckls_drift and ckls_diffusion in their order, so the arrays are those
+    of evaluating the formulas step by step, bit for bit.  A rate that
+    overflows to +inf gives a NaN rate one step later; that NaN is
+    returned if it comes from the last step, and raises DomainError at
+    the next step otherwise.
     """
-    drift = ckls_drift(p)
-    diffusion = ckls_diffusion(p)
+    if p.gamma == 1.0:
+        raise DegenerateTransform("drift adjustment requires gamma != 1")
     dt = grid.dt
 
     def run_block(lo: int, hi: int, dW: np.ndarray) -> dict:
@@ -233,18 +251,35 @@ def simulate_weighted(
         r = np.full(n, p.r0)
         lw = np.zeros(n)
         q_int = np.zeros(n)
+        q, q_sq_dt, tmp = np.empty(n), np.empty(n), np.empty(n)
+        hit = np.empty(n, dtype=bool)
         trunc = 0
-        for k in range(grid.n_steps):
-            q = drift_adjustment(p, r)
-            col = dW[:, k]
-            q_sq_dt = q * q * dt
-            lw += q * col - 0.5 * q_sq_dt
+        for k, col in enumerate(step_columns(dW)):
+            # min() is NaN if any rate is
+            if not r.min() > 0:
+                raise DomainError(f"non-positive or NaN rate before step {k}")
+            _drift_adjustment_into(p, r, q, tmp)
+            # lw += q col - 0.5 q^2 dt and q_int += q^2 dt
+            np.multiply(q, q, out=q_sq_dt)
+            q_sq_dt *= dt
+            q *= col
+            np.multiply(0.5, q_sq_dt, out=tmp)
+            q -= tmp
+            lw += q
             q_int += q_sq_dt
-            r = r + drift(r) * dt + diffusion(r) * col
-            hit = r < POSITIVITY_FLOOR
+            # r + (a - b r) dt + (sigma r^gamma) col
+            np.multiply(p.b, r, out=tmp)
+            np.subtract(p.a, tmp, out=tmp)
+            tmp *= dt
+            diffusion = r**p.gamma
+            np.multiply(p.sigma, diffusion, out=diffusion)
+            diffusion *= col
+            r += tmp
+            r += diffusion
+            np.less(r, POSITIVITY_FLOOR, out=hit)
             if hit.any():
                 trunc += int(hit.sum())
-                r = np.where(hit, POSITIVITY_FLOOR, r)
+                r[hit] = POSITIVITY_FLOOR
         return {"rate": r, "log_weight": lw, "q_integral_sq": q_int, "trunc": trunc}
 
     blocks = map_noise_blocks(noise, run_block, block_size=block_size, workers=workers)

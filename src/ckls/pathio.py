@@ -34,6 +34,9 @@ __all__ = [
 BINARY_MAGIC = b"CKLS"
 BINARY_VERSION = 1
 
+# CSV lines formatted per write, in whole paths
+_CSV_ROWS_PER_WRITE = 1024
+
 
 def _as_matrix(values: np.ndarray) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -60,10 +63,13 @@ def write_paths_csv(
         for key, val in (metadata or {}).items():
             fh.write(f"# {key}: {json.dumps(val, sort_keys=True)}\n")
         fh.write("path_id,t,value\n")
-        for i in range(matrix.shape[0]):
-            row = matrix[i]
-            for t, v in zip(times.tolist(), row.tolist()):
-                fh.write(f"{i},{t!r},{v!r}\n")
+        # one template for a path's lines, time strings rendered once: {0}
+        # is the path id and {k!r} the repr of value k
+        template = "".join(f"{{0}},{t!r},{{{k}!r}}\n" for k, t in enumerate(times.tolist(), 1))
+        per_write = max(1, _CSV_ROWS_PER_WRITE // max(1, times.size))
+        for lo in range(0, matrix.shape[0], per_write):
+            block = matrix[lo : lo + per_write].tolist()
+            fh.write("".join(template.format(i, *row) for i, row in enumerate(block, lo)))
 
 
 def write_paths_binary(dest: str | FsPath, times: np.ndarray, values: np.ndarray) -> None:

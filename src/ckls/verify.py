@@ -16,7 +16,9 @@ dynamics is reported alongside as a cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +51,7 @@ from .engine import (
     explicit_rate,
     explicit_rate_on_grid,
     map_noise_blocks,
+    step_columns,
 )
 from .girsanov import simulate_weighted, weighted_expectation_arrays, weighted_report
 from .params import CklsParams, classify_regime
@@ -80,6 +83,8 @@ class CheckReport:
     threshold: float
     seed: int
     details: dict = field(default_factory=dict)
+    # wall time of the check; 0 for a check skipped by run_suite
+    elapsed_seconds: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -89,6 +94,7 @@ class CheckReport:
             "threshold": self.threshold,
             "seed": self.seed,
             "details": self.details,
+            "elapsed_seconds": self.elapsed_seconds,
         }
 
 
@@ -96,6 +102,20 @@ def _status(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
+def _timed(check):
+    """Set the elapsed_seconds of the CheckReport that check returns."""
+
+    @functools.wraps(check)
+    def run(*args, **kwargs) -> CheckReport:
+        started = time.perf_counter()
+        report = check(*args, **kwargs)
+        report.elapsed_seconds = round(time.perf_counter() - started, 6)
+        return report
+
+    return run
+
+
+@_timed
 def check_transform_identities(p: CklsParams, c: float | None = None, seed: int = 0) -> CheckReport:
     """|x^gamma f'(x)| = C sqrt(f(x)) and finv(f(x)) = x on a 100-point
     log grid, 1e-10 relative."""
@@ -117,6 +137,7 @@ def check_transform_identities(p: CklsParams, c: float | None = None, seed: int 
     )
 
 
+@_timed
 def check_martingale(
     p: CklsParams,
     t: float = 0.5,
@@ -144,6 +165,7 @@ def check_martingale(
     )
 
 
+@_timed
 def check_explicit_law(
     p: CklsParams,
     c: float | None = None,
@@ -181,6 +203,7 @@ def _terminal_euler(drift, diffusion, r0, grid, noise, workers=1, exit_to_inf=Fa
     return np.concatenate([b["r"] for b in blocks]), sum(b["exits"] for b in blocks)
 
 
+@_timed
 def check_measure_consistency(
     p: CklsParams,
     c: float | None = None,
@@ -237,6 +260,7 @@ def check_measure_consistency(
     )
 
 
+@_timed
 def check_delta_arbitration(
     p: CklsParams,
     c: float = 2.0,
@@ -297,8 +321,8 @@ def _snapshot_rates(
         trunc = 0
         if 0 in index_set:
             snaps[index_set[0]] = r
-        for k in range(n_steps):
-            r = r + drift(r) * dt + diffusion(r) * dW[:, k]
+        for k, col in enumerate(step_columns(dW)):
+            r = r + drift(r) * dt + diffusion(r) * col
             hit = r < POSITIVITY_FLOOR
             if hit.any():
                 trunc += int(hit.sum())
@@ -312,6 +336,7 @@ def _snapshot_rates(
     return snaps, sum(b["trunc"] for b in blocks)
 
 
+@_timed
 def check_closed_form_mean(
     p: CklsParams,
     ts: tuple = (0.25, 0.5, 1.0),
@@ -342,6 +367,7 @@ def check_closed_form_mean(
     )
 
 
+@_timed
 def check_moment_bounds(
     p: CklsParams,
     ts: tuple = (0.5, 1.0),
@@ -381,6 +407,7 @@ def check_moment_bounds(
     )
 
 
+@_timed
 def check_convergence_ladder(
     p: CklsParams,
     n_paths: int = 1000,
@@ -418,6 +445,7 @@ def check_convergence_ladder(
     )
 
 
+@_timed
 def check_ncx2_battery(
     seed: int = 454,
     n_moment: int = 1_000_000,
@@ -475,6 +503,7 @@ def check_ncx2_battery(
     )
 
 
+@_timed
 def check_scale_trends(p: CklsParams, variant: str = "paper", seed: int = 0) -> CheckReport:
     """Boundary divergence trend of the scale function: |p| strictly
     increasing along x = 10^-2k and x = 10^+2k, k = 1..4 (log-magnitude
@@ -507,6 +536,7 @@ def check_scale_trends(p: CklsParams, variant: str = "paper", seed: int = 0) -> 
     )
 
 
+@_timed
 def check_determinism(
     p: CklsParams,
     n_paths: int = 2000,

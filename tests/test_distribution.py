@@ -171,6 +171,24 @@ class TestNoncentralCdf:
             noncentral_cdf(d, xs), stats.ncx2.cdf(xs, df, nonc), rtol=1e-9, atol=1e-12
         )
 
+    def test_chndtr_nan_raises(self):
+        """The paper rule on the HIGH set at C = 2, t = 1e-10 (nonc about
+        1.6e11), where scipy.special.chndtr returns NaN at x = 1."""
+        tr = make_transform(HIGH, 2.0)
+        spec = transition_spec(HIGH, derive_cir(HIGH, tr), 1e-10, delta_rule="paper")
+        assert spec.df != 1.0 and spec.nonc > 1e11
+        with pytest.raises(DomainError, match=r"df=.*nonc="):
+            rate_cdf(HIGH, tr, spec, 1.0)
+        level = tr.f(1.0) / spec.scale
+        with pytest.raises(DomainError):
+            noncentral_cdf(NoncentralChiSq(spec.df, spec.nonc), np.array([level, np.nan]))
+
+    @pytest.mark.parametrize("df", [1.0, 3.0])
+    def test_nan_argument_gives_nan(self, df):
+        got = noncentral_cdf(NoncentralChiSq(df, 2.0), np.array([np.nan, 1.0]))
+        assert np.isnan(got[0]) and 0.0 < got[1] < 1.0
+        assert math.isnan(noncentral_cdf(NoncentralChiSq(df, 2.0), math.nan))
+
 
 class TestMpmathOracle:
     """Both functions against an oracle that shares no code with them: the

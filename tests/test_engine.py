@@ -26,7 +26,7 @@ from ckls import (
     sample_cir_exact,
     transform_inverse,
 )
-from ckls.engine import NOISE_BLOCK, NOISE_RULES, NOISE_STREAM, map_noise_blocks
+from ckls.engine import NOISE_BLOCK, NOISE_RULES, NOISE_STREAM, map_noise_blocks, step_columns
 
 HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
 LOW = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=0.75, r0=1.0)
@@ -265,6 +265,21 @@ class TestNoiseStreamV2:
         monkeypatch.setattr(np.random, "default_rng", no_default_rng)
         assert nm.increments(lo, hi).shape == (hi - lo, 3)
         assert made == {"SeedSequence": blocks, "PCG64": blocks}
+
+
+class TestStepColumns:
+    """step_columns yields dW's columns in order, bit for bit, for any
+    layout and for step counts on and off the copy-chunk edges."""
+
+    @pytest.mark.parametrize("shape", [(5, 1), (3, 7), (10, 8), (4, 9), (1, 33), (0, 5)])
+    def test_columns_in_order(self, shape):
+        a = np.random.default_rng(sum(shape)).standard_normal(shape)
+        wide = np.hstack([a, a])
+        for dW in (a, np.asfortranarray(a), a[:, ::-1], wide[:, : shape[1]], wide[:, 1::2]):
+            cols = [col.copy() for col in step_columns(dW)]
+            assert len(cols) == shape[1]
+            assert all(col.flags.c_contiguous for col in cols)
+            np.testing.assert_array_equal(np.array(cols).reshape(shape[::-1]), dW.T)
 
 
 class TestEulerCkls:

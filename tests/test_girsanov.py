@@ -263,6 +263,83 @@ class TestGoldenWeightedSampleV2:
         assert weighted_sample_digest(s) == self.GOLDEN[name]
 
 
+class CraftedNoise(NoiseMatrix):
+    """Every increment 0.01, except one huge increment on path 0 at step 3."""
+
+    def increments(self, lo=0, hi=None):
+        hi = self.n_paths if hi is None else hi
+        out = np.full((hi - lo, self.grid.n_steps), 0.01)
+        if lo == 0:
+            out[0, 3] = 1e300
+        return out
+
+
+def reference_weighted_run(p, dt, dW):
+    """The weighted Euler step written out with whole-array expressions,
+    one column of dW per step."""
+    r = np.full(dW.shape[0], p.r0)
+    lw, q_int, trunc = np.zeros_like(r), np.zeros_like(r), 0
+    for k in range(dW.shape[1]):
+        q = drift_adjustment(p, r)
+        q_sq_dt = q * q * dt
+        lw += q * dW[:, k] - 0.5 * q_sq_dt
+        q_int += q_sq_dt
+        r = r + (p.a - p.b * r) * dt + p.sigma * r**p.gamma * dW[:, k]
+        trunc += int(np.sum(r < 1e-12))
+        r = np.where(r < 1e-12, 1e-12, r)
+    return r, lw, q_int, trunc
+
+
+class TestKernelAgainstReference:
+    @pytest.mark.parametrize("n_steps", [1, 7, 8, 13, 24])
+    @pytest.mark.parametrize("p", [
+        HIGH, LOW, CklsParams(a=0.5, b=5.0, sigma=0.5, gamma=0.5, r0=0.01),
+        CklsParams(a=0.3, b=-0.4, sigma=1.2, gamma=1.25, r0=0.2),
+    ])
+    def test_bit_identical(self, p, n_steps):
+        grid = TimeGrid(0.5, n_steps)
+        noise = NoiseMatrix(17, 2500, grid)
+        s = simulate_weighted(p, grid, noise, workers=2, block_size=1000)
+        r, lw, q_int, trunc = reference_weighted_run(p, grid.dt, noise.increments())
+        np.testing.assert_array_equal(s.terminal_rate, r)
+        np.testing.assert_array_equal(s.log_weight, lw)
+        np.testing.assert_array_equal(s.q_integral_sq, q_int)
+        assert s.truncations == trunc
+
+
+class TestNonFiniteWeightedPaths:
+    """The increment 1e300 takes path 0 to about 7e299 at step 3, to +inf
+    at step 4 (sigma r^1.5 overflows) and to NaN at step 5 (inf - inf);
+    path 1 is not touched by it."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_inf_then_nan_is_returned(self):
+        for n_steps, expect in ((5, np.inf), (6, np.nan)):
+            grid = TimeGrid(0.5, n_steps)
+            s = simulate_weighted(HIGH, grid, CraftedNoise(1, 2, grid))
+            np.testing.assert_array_equal(s.terminal_rate[:1], [expect])
+            assert np.isfinite(s.terminal_rate[1]) and np.isfinite(s.log_weight[1])
+            assert s.truncations == 0
+        assert np.isnan(s.log_weight[0]) and s.q_integral_sq[0] == np.inf
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_rate_raises_at_the_next_step(self):
+        grid = TimeGrid(0.5, 7)
+        with pytest.raises(DomainError):
+            simulate_weighted(HIGH, grid, CraftedNoise(1, 2, grid))
+
+    def test_clamp_count_matches_euler(self):
+        """On a set that clamps, the kernel clamps the same steps as
+        euler_ckls on the same rows, and ends in the same states."""
+        p = CklsParams(a=0.5, b=5.0, sigma=0.5, gamma=0.5, r0=0.01)
+        grid = TimeGrid(0.5, 16)
+        noise = NoiseMatrix(3, 3000, grid)
+        s = simulate_weighted(p, grid, noise, workers=2, block_size=1000)
+        paths = euler_ckls(p, grid, noise)
+        assert s.truncations == sum(path.truncations for path in paths) == 69
+        np.testing.assert_array_equal(s.terminal_rate, [path.values[-1] for path in paths])
+
+
 class TestPushforwardLaw:
     def _weighted_pushforward(self, p, c, t, n_steps, n_paths, seed):
         grid = TimeGrid(t, n_steps)
