@@ -3,8 +3,11 @@
     python -m pytest benchmarks --benchmark-json BENCH.json
 
 Each layer is timed on its own, at the sizes of the benchmark workloads:
-noise generation, the Euler-weight kernel on noise drawn beforehand, the
-noncentral chi-square pdf and CDF, and the two path writers.  Rounds are
+noise generation, the Euler-weight kernel on noise drawn beforehand (on
+the HIGH set, whose power r^(gamma-1) is a square root, and on the LOW
+set, whose power is a general one), the unweighted Euler loop at the
+export size, the noncentral chi-square pdf and CDF, and the two path
+writers.  Rounds are
 fixed so a full run takes well under a minute.
 """
 
@@ -13,11 +16,12 @@ import functools
 import numpy as np
 import pytest
 
-from ckls import CklsParams, NoiseMatrix, TimeGrid, simulate_weighted
+from ckls import CklsParams, NoiseMatrix, TimeGrid, euler_ckls, simulate_weighted
 from ckls.distribution import NoncentralChiSq, noncentral_cdf, noncentral_pdf
 from ckls.pathio import write_paths_binary, write_paths_csv
 
 HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
+LOW = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=0.75, r0=1.0)
 LONG = TimeGrid(0.5, 512)
 SHORT = TimeGrid(0.5, 16)
 
@@ -43,13 +47,22 @@ def test_noise_increments(benchmark, grid, n_paths):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("grid,n_paths", [(SHORT, 50_000), (LONG, 16_384)], ids=["16-steps", "512-steps"])
-def test_weighted_kernel(benchmark, grid, n_paths, workers):
+@pytest.mark.parametrize("p", [HIGH, LOW], ids=["high", "low"])
+def test_weighted_kernel(benchmark, p, grid, n_paths, workers):
     noise = PreDrawn(5, n_paths, grid)
     sample = benchmark.pedantic(
-        simulate_weighted, args=(HIGH, grid, noise), kwargs={"workers": workers},
+        simulate_weighted, args=(p, grid, noise), kwargs={"workers": workers},
         rounds=5, warmup_rounds=1,
     )
     assert np.isfinite(sample.log_weight).all()
+
+
+def test_euler_ckls(benchmark):
+    """The Euler loop and Path list of euler_ckls at the export size."""
+    grid = TimeGrid(0.5, 32)
+    dW = NoiseMatrix(5, 5000, grid).increments()
+    paths = benchmark.pedantic(euler_ckls, args=(HIGH, grid, dW), rounds=5, warmup_rounds=1)
+    assert len(paths) == 5000
 
 
 @pytest.mark.parametrize("fn", [noncentral_pdf, noncentral_cdf], ids=["pdf", "cdf"])

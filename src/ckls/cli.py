@@ -22,8 +22,11 @@ from .engine import (
     NOISE_RULES,
     NOISE_STREAM,
     NoiseMatrix,
+    ckls_diffusion,
+    ckls_drift,
     euler_auxiliary,
-    euler_ckls,
+    euler_ckls,  # noqa: F401  (unused: perfbench/tracing.py rebinds cli.euler_ckls)
+    euler_values,
     explicit_rate,
     sample_cir_exact,
 )
@@ -132,9 +135,10 @@ def cmd_simulate(cfg: RunConfig, mode: str) -> int:
     summary: dict = {"mode": mode, "config": cfg.to_dict(), "n_paths": cfg.n_paths}
     if mode == "euler-p":
         noise = NoiseMatrix(cfg.seed, cfg.n_paths, cfg.grid)
-        paths = euler_ckls(p, cfg.grid, noise)
-        values = np.stack([path.values for path in paths])
-        summary["truncations"] = int(sum(path.truncations for path in paths))
+        values, exits = euler_values(
+            ckls_drift(p), ckls_diffusion(p), p.r0, cfg.grid.dt, noise.increments()
+        )
+        summary["truncations"] = int(exits.sum())
         rule = noise.rule
         times = cfg.grid.times
     elif mode == "auxiliary":

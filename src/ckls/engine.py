@@ -330,8 +330,12 @@ def ckls_drift(p: CklsParams) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def ckls_diffusion(p: CklsParams) -> Callable[[np.ndarray], np.ndarray]:
-    """Diffusion sigma x^gamma."""
-    return lambda x: p.sigma * x**p.gamma
+    """Diffusion sigma x^gamma, evaluated as (sigma x^(gamma-1)) x: the
+    power girsanov.simulate_weighted also derives q from, so its rates
+    equal the Euler loops' bit for bit.  For x > 0; at x = 0 or +inf with
+    gamma < 1 the product is 0 * inf, NaN."""
+    g1 = p.gamma - 1.0
+    return lambda x: p.sigma * x**g1 * x
 
 
 def auxiliary_drift(p: CklsParams, variant: str = "derived") -> Callable:

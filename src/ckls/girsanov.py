@@ -101,29 +101,38 @@ def drift_adjustment(p: CklsParams, x):
     The kernel that carries the base drift a - b x to the drift the
     closed-form solution solves (engine.explicit_solution_drift):
     q = (b x + gamma sigma^2/2 x^(2 gamma-1) - (a - b x)) / (sigma x^gamma),
-    on both branches.  Evaluated from the single power u = x^(gamma-1) as
-    (2b - a/x) / (sigma u) + gamma sigma/2 u.
+    on both branches.  Evaluated from the single power s = sigma x^(gamma-1),
+    the one engine.ckls_diffusion multiplies by x, as
+    (2b - a/x) / s + gamma/2 s.
     """
     if p.gamma == 1.0:
         raise DegenerateTransform("drift adjustment requires gamma != 1")
     arr = np.array(x, dtype=float, ndmin=1)
     if not np.all(arr > 0):
         raise DomainError(f"x must be positive, got {x}")
-    out = _drift_adjustment_into(p, arr, np.empty_like(arr), np.empty_like(arr))
+    s = _sigma_power(p, arr)
+    out = _drift_adjustment_into(p, arr, s, np.empty_like(arr), np.empty_like(arr))
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def _drift_adjustment_into(p: CklsParams, x: np.ndarray, out: np.ndarray, tmp: np.ndarray):
-    """drift_adjustment's arithmetic, operation for operation, into out;
-    tmp is scratch of x's shape.  Unchecked: gamma != 1 and x > 0."""
+def _sigma_power(p: CklsParams, x: np.ndarray) -> np.ndarray:
+    """s = sigma x^(gamma-1), a new array, as engine.ckls_diffusion forms it."""
     # `**`, not np.power: its ** 0.5 fast path is the correctly rounded sqrt
-    u = x ** (p.gamma - 1.0)
+    s = x ** (p.gamma - 1.0)
+    return np.multiply(p.sigma, s, out=s)
+
+
+def _drift_adjustment_into(
+    p: CklsParams, x: np.ndarray, s: np.ndarray, out: np.ndarray, tmp: np.ndarray
+):
+    """drift_adjustment's arithmetic, operation for operation, from
+    s = _sigma_power(p, x) into out; tmp is scratch of x's shape.
+    Unchecked: gamma != 1 and x > 0."""
     np.divide(p.a, x, out=out)
     np.subtract(2.0 * p.b, out, out=out)
-    np.multiply(p.sigma, u, out=tmp)
-    np.divide(out, tmp, out=out)
-    np.multiply(0.5 * p.gamma * p.sigma, u, out=u)
-    return np.add(out, u, out=out)
+    np.divide(out, s, out=out)
+    np.multiply(0.5 * p.gamma, s, out=tmp)
+    return np.add(out, tmp, out=out)
 
 
 def accumulate_weight(p: CklsParams, path: Path, noise_row: np.ndarray) -> WeightedPath:
@@ -235,12 +244,14 @@ def simulate_weighted(
     blocks are stitched by path index, so statistics do not depend on the
     worker count.  A thread block reads its noise through
     engine.step_columns and does each step in buffers allocated once per
-    block, with the floating-point operations of drift_adjustment,
-    ckls_drift and ckls_diffusion in their order, so the arrays are those
-    of evaluating the formulas step by step, bit for bit.  A rate that
-    overflows to +inf gives a NaN rate one step later; that NaN is
-    returned if it comes from the last step, and raises DomainError at
-    the next step otherwise.
+    block.  A step takes one power, s = sigma r^(gamma-1): q comes from it
+    with drift_adjustment's operations and the diffusion is (s r) dW with
+    engine.ckls_diffusion's, so the rates are those of euler_ckls, bit for
+    bit.  Each path keeps the running sums of q dW and q^2; the log weight
+    sum q dW - 1/2 dt sum q^2 and dt sum q^2 are formed once per block.
+    A rate that overflows to +inf gives a NaN rate one step later; that
+    NaN is returned if it comes from the last step, and raises DomainError
+    at the next step otherwise.
     """
     if p.gamma == 1.0:
         raise DegenerateTransform("drift adjustment requires gamma != 1")
@@ -249,37 +260,37 @@ def simulate_weighted(
     def run_block(lo: int, hi: int, dW: np.ndarray) -> dict:
         n = hi - lo
         r = np.full(n, p.r0)
-        lw = np.zeros(n)
-        q_int = np.zeros(n)
-        q, q_sq_dt, tmp = np.empty(n), np.empty(n), np.empty(n)
-        hit = np.empty(n, dtype=bool)
+        q_dw, q_sq = np.zeros(n), np.zeros(n)
+        q, tmp = np.empty(n), np.empty(n)
         trunc = 0
+        # the least rate after the last step, before its clamp: NaN if any
+        # rate is NaN, and the clamp never removes a NaN
+        low = p.r0
         for k, col in enumerate(step_columns(dW)):
-            # min() is NaN if any rate is
-            if not r.min() > 0:
-                raise DomainError(f"non-positive or NaN rate before step {k}")
-            _drift_adjustment_into(p, r, q, tmp)
-            # lw += q col - 0.5 q^2 dt and q_int += q^2 dt
-            np.multiply(q, q, out=q_sq_dt)
-            q_sq_dt *= dt
-            q *= col
-            np.multiply(0.5, q_sq_dt, out=tmp)
-            q -= tmp
-            lw += q
-            q_int += q_sq_dt
-            # r + (a - b r) dt + (sigma r^gamma) col
+            if low != low:
+                raise DomainError(f"NaN rate before step {k}")
+            s = _sigma_power(p, r)
+            _drift_adjustment_into(p, r, s, q, tmp)
+            np.multiply(q, col, out=tmp)
+            q_dw += tmp
+            np.multiply(q, q, out=q)
+            q_sq += q
+            # r + (a - b r) dt + (s r) col
             np.multiply(p.b, r, out=tmp)
             np.subtract(p.a, tmp, out=tmp)
             tmp *= dt
-            diffusion = r**p.gamma
-            np.multiply(p.sigma, diffusion, out=diffusion)
-            diffusion *= col
+            s *= r
+            s *= col
             r += tmp
-            r += diffusion
-            np.less(r, POSITIVITY_FLOOR, out=hit)
-            if hit.any():
-                trunc += int(hit.sum())
+            r += s
+            low = r.min()
+            # also true on NaN: the clamp pass then counts the other rates
+            if not low >= POSITIVITY_FLOOR:
+                hit = r < POSITIVITY_FLOOR
+                trunc += int(np.count_nonzero(hit))
                 r[hit] = POSITIVITY_FLOOR
+        q_int = np.multiply(dt, q_sq, out=q_sq)
+        lw = q_dw - 0.5 * q_int
         return {"rate": r, "log_weight": lw, "q_integral_sq": q_int, "trunc": trunc}
 
     blocks = map_noise_blocks(noise, run_block, block_size=block_size, workers=workers)

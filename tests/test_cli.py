@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ckls.engine import NOISE_BLOCK, NOISE_RULES, NOISE_STREAM
+from ckls.engine import NOISE_BLOCK, NOISE_RULES, NOISE_STREAM, NoiseMatrix
 from ckls.pathio import read_paths_binary
 
 
@@ -96,6 +96,36 @@ class TestSimulateCommand:
             if not line.startswith(("#", "path_id"))
         ]
         assert len(rows) == 40 * 65
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_euler_mode_writes_the_stacked_euler_ckls_paths(self, tmp_path, capsys, fmt):
+        """The bytes and the clamp count of simulate --mode euler-p equal
+        those of euler_ckls' paths, stacked and written by the same writer,
+        on a set that clamps."""
+        from ckls import cli, euler_ckls
+        from ckls.config import load_config
+        from ckls.pathio import write_paths_binary, write_paths_csv
+
+        out = tmp_path / f"cli.{fmt}"
+        cfg_path = write_config(
+            tmp_path, params={"a": 0.5, "b": 5.0, "sigma": 0.5, "gamma": 0.5, "r0": 0.01},
+            n_paths=300, grid={"t_end": 0.5, "n_steps": 16},
+            output={"format": fmt, "path": str(out)},
+        )
+        assert cli.main(["--config", cfg_path, "simulate", "--mode", "euler-p"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        cfg = load_config(cfg_path)
+        paths = euler_ckls(cfg.params, cfg.grid, NoiseMatrix(cfg.seed, cfg.n_paths, cfg.grid))
+        values = np.stack([path.values for path in paths])
+        expected = tmp_path / f"expected.{fmt}"
+        if fmt == "csv":
+            metadata = {"config": cli._echo_config(cfg)}
+            write_paths_csv(expected, cfg.grid.times, values, metadata=metadata)
+        else:
+            write_paths_binary(expected, cfg.grid.times, values)
+        assert out.read_bytes() == expected.read_bytes()
+        truncations = sum(path.truncations for path in paths)
+        assert summary["truncations"] == truncations > 0
 
     def test_small_vol_terminal_mean_near_closed_form(self, tmp_path):
         from ckls import CklsParams, mean_rate

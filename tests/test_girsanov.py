@@ -2,11 +2,13 @@
 
 import hashlib
 import math
+from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ckls import (
@@ -29,7 +31,7 @@ from ckls import (
     weighted_expectation,
 )
 from ckls.analysis import ks_statistic
-from ckls.engine import auxiliary_drift
+from ckls.engine import auxiliary_drift, ckls_diffusion, ckls_drift
 from ckls.girsanov import weighted_expectation_arrays
 from ckls.numerics import stable_phi
 
@@ -75,6 +77,52 @@ class TestDriftAdjustment:
         xs = np.geomspace(0.05, 20.0, 50)
         adjusted = p.a - p.b * xs + drift_adjustment(p, xs) * p.sigma * xs**p.gamma
         np.testing.assert_allclose(adjusted, auxiliary_drift(p, "derived")(xs), rtol=1e-12)
+
+
+EPS = 2.0**-52
+
+
+class TestOnePowerAccuracy:
+    """ckls_diffusion as (sigma x^(gamma-1)) x and q from s = sigma
+    x^(gamma-1), against 40-digit mpmath.  Measured on 40 000 random draws
+    of this domain (sigma in [0.05, 3], a in [0.01, 5], b in [-2, 5]), in
+    units of EPS = 2^-52: the diffusion's worst relative error was 1.29
+    (0.92 for the sigma x^gamma it replaced), and q's worst error relative
+    to |2b/s| + |a/(x s)| + |gamma s/2| was 2.06 (2.06 for q from its own
+    power).  Rounding analysis bounds them by 1.5 and 3 (pow within one
+    half ulp plus a little, each other operation a half ulp); the bounds
+    below are 2 and 4, about 1.5 and 1.9 times the measured worst."""
+
+    @staticmethod
+    def params(gamma, sigma, a, b):
+        return CklsParams(a=a, b=b, sigma=sigma, gamma=gamma, r0=1.0)
+
+    domain = dict(
+        gamma=st.floats(0.55, 0.99) | st.floats(1.01, 3.0) | st.sampled_from([0.75, 1.5, 2.5]),
+        x=st.floats(1e-12, 1e6),
+        sigma=st.floats(0.05, 3.0),
+        a=st.floats(0.01, 5.0),
+        b=st.floats(-2.0, 5.0),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(**domain)
+    def test_diffusion(self, gamma, x, sigma, a, b):
+        got = ckls_diffusion(self.params(gamma, sigma, a, b))(np.array([x]))[0]
+        with mpmath.workdps(40):
+            exact = mpmath.mpf(sigma) * mpmath.mpf(x) ** mpmath.mpf(gamma)
+            assert abs((got - exact) / exact) <= 2 * EPS
+
+    @settings(max_examples=300, deadline=None)
+    @given(**domain)
+    def test_drift_adjustment(self, gamma, x, sigma, a, b):
+        got = drift_adjustment(self.params(gamma, sigma, a, b), np.array([x]))[0]
+        with mpmath.workdps(40):
+            x_, g_, s_, a_, b_ = (mpmath.mpf(v) for v in (x, gamma, sigma, a, b))
+            s = s_ * x_ ** (g_ - 1)
+            exact = (2 * b_ - a_ / x_) / s + g_ / 2 * s
+            scale = abs(2 * b_ / s) + abs(a_ / (x_ * s)) + abs(g_ * s / 2)
+            assert abs(got - exact) <= 4 * EPS * scale
 
 
 class TestAccumulateWeight:
@@ -223,12 +271,14 @@ def weighted_sample_digest(s) -> str:
 
 class TestGoldenWeightedSample:
     """SHA-256 of fixed-seed simulate_weighted arrays on noise rule v1,
-    recorded before the noise rows were seeded in bulk: any change to the
-    noise bits, the kernel or the block stitching changes the digest."""
+    first recorded before the noise rows were seeded in bulk, re-recorded
+    when the step came to take one power (see tests/test_golden.py,
+    TestOneEulerPowerAgainstOldStep): any change to the noise bits, the
+    kernel or the block stitching changes the digest."""
 
     GOLDEN = {
-        "high": "e8f5abd432c6a1157e222c67fd6b5dd3bfba9dfe7b6739c137484d2cbc1ee6fc",
-        "low": "0a12e0e7c0db2109ed5dcb2e23e8ec96f0d2cc13d7010ee8f2c8730a76f4abbd",
+        "high": "54c48b2d7019e993ba4ebd47b16b89fdbac04da9a4d09b43dc814a6ec5127eff",
+        "low": "c185b5bdad87f06ecce8468f54783152fa530b60f28e4560154c2480ccf6babe",
     }
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -244,12 +294,12 @@ class TestGoldenWeightedSample:
 
 class TestGoldenWeightedSampleV2:
     """The same digest on the default noise rule v2, recorded when v2 was
-    introduced.  A thread block of 333 rows cuts the 1024-row stream
+    introduced and re-recorded with the one-power step.  A thread block of 333 rows cuts the 1024-row stream
     blocks, and must give the same bits as whole stream blocks."""
 
     GOLDEN = {
-        "high": "a06937bbfd95d852d851fbf7ac7ce9e2726bf10e04065e5362f70a832916c686",
-        "low": "732f6b8116c53a18d3bb8576890d8621116ffc7bde2a24d1abeea9ce05831cc9",
+        "high": "95b5ed6ae36dc700e30f33191674890a3ed0a6f2f46b9ab769c461a8caab8785",
+        "low": "94af8b4dccfdd82f4f7c9887a4d74f1af6146489d53623ef788d5d14988d226f",
     }
 
     @pytest.mark.parametrize("block_size", [1024, 333])
@@ -274,20 +324,38 @@ class CraftedNoise(NoiseMatrix):
         return out
 
 
+@dataclass(frozen=True)
+class EdgeNoise(NoiseMatrix):
+    """Every increment 0.01, except at step edge_step: NaN on path 0 and
+    -10 on path 1, which takes a rate near 1 to about -4."""
+
+    edge_step: int = 0
+
+    def increments(self, lo=0, hi=None):
+        hi = self.n_paths if hi is None else hi
+        out = np.full((hi - lo, self.grid.n_steps), 0.01)
+        if lo == 0:
+            out[0, self.edge_step] = np.nan
+            out[1, self.edge_step] = -10.0
+        return out
+
+
 def reference_weighted_run(p, dt, dW):
-    """The weighted Euler step written out with whole-array expressions,
-    one column of dW per step."""
+    """The weighted Euler step composed from drift_adjustment, ckls_drift
+    and ckls_diffusion with whole-array expressions, one column of dW per
+    step: running sums of q dW and q^2, the weight formed at the end."""
+    drift, diffusion = ckls_drift(p), ckls_diffusion(p)
     r = np.full(dW.shape[0], p.r0)
-    lw, q_int, trunc = np.zeros_like(r), np.zeros_like(r), 0
+    q_dw, q_sq, trunc = np.zeros_like(r), np.zeros_like(r), 0
     for k in range(dW.shape[1]):
         q = drift_adjustment(p, r)
-        q_sq_dt = q * q * dt
-        lw += q * dW[:, k] - 0.5 * q_sq_dt
-        q_int += q_sq_dt
-        r = r + (p.a - p.b * r) * dt + p.sigma * r**p.gamma * dW[:, k]
+        q_dw += q * dW[:, k]
+        q_sq += q * q
+        r = r + drift(r) * dt + diffusion(r) * dW[:, k]
         trunc += int(np.sum(r < 1e-12))
         r = np.where(r < 1e-12, 1e-12, r)
-    return r, lw, q_int, trunc
+    q_int = dt * q_sq
+    return r, q_dw - 0.5 * q_int, q_int, trunc
 
 
 class TestKernelAgainstReference:
@@ -327,6 +395,27 @@ class TestNonFiniteWeightedPaths:
         grid = TimeGrid(0.5, 7)
         with pytest.raises(DomainError):
             simulate_weighted(HIGH, grid, CraftedNoise(1, 2, grid))
+
+    @pytest.mark.parametrize("n_steps", [6, 9])
+    def test_nan_and_floor_in_the_last_step(self, n_steps):
+        """Path 0 turns NaN and path 1 lands below the floor in the same,
+        last step: the NaN is returned, and path 1 is still clamped and
+        counted."""
+        grid = TimeGrid(0.5, n_steps)
+        s = simulate_weighted(HIGH, grid, EdgeNoise(1, 3, grid, edge_step=n_steps - 1))
+        assert np.isnan(s.terminal_rate[0]) and np.isnan(s.log_weight[0])
+        assert np.isfinite(s.q_integral_sq[0])
+        assert s.terminal_rate[1] == 1e-12 and np.isfinite(s.log_weight[1])
+        assert np.isfinite(s.terminal_rate[2])
+        assert s.truncations == 1
+
+    @pytest.mark.parametrize("n_steps,edge_step", [(6, 2), (9, 0), (9, 7)])
+    def test_nan_and_floor_in_an_inner_step(self, n_steps, edge_step):
+        """The same edge before the last step raises at the next step."""
+        grid = TimeGrid(0.5, n_steps)
+        noise = EdgeNoise(1, 3, grid, edge_step=edge_step)
+        with pytest.raises(DomainError, match=f"before step {edge_step + 1}$"):
+            simulate_weighted(HIGH, grid, noise)
 
     def test_clamp_count_matches_euler(self):
         """On a set that clamps, the kernel clamps the same steps as

@@ -1,18 +1,37 @@
 """Golden outputs of the Euler loops: SHA-256 of fixed-seed arrays.
 
-Recorded before the loops read their noise through engine.step_columns;
-any change to the noise bits, the arithmetic of a step or its order, the
+Recorded when the step came to take one power, sigma r^(gamma-1), for
+the diffusion (sigma r^(gamma-1)) r and for q, after
+TestOneEulerPowerAgainstOldStep had held the new step to the old one; any
+change to the noise bits, the arithmetic of a step or its order, the
 clamp rule or the block stitching changes a digest.
 """
 
+import contextlib
 import hashlib
 
 import numpy as np
 import pytest
 
-from ckls import CklsParams, NoiseMatrix, TimeGrid, euler_auxiliary, euler_ckls
+from ckls import (
+    CklsParams,
+    NoiseMatrix,
+    TimeGrid,
+    analysis,
+    engine,
+    euler_auxiliary,
+    euler_ckls,
+    simulate_weighted,
+    verify,
+)
 from ckls.analysis import mc_moment
-from ckls.engine import ckls_diffusion, ckls_drift, euler_values
+from ckls.engine import (
+    POSITIVITY_FLOOR,
+    ckls_diffusion,
+    ckls_drift,
+    euler_values,
+    map_noise_blocks,
+)
 from ckls.verify import _snapshot_rates
 
 HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
@@ -39,21 +58,37 @@ def path_digest(paths) -> str:
     )
 
 
+def mc_moment_with_blocks(p, exponent, workers=1):
+    """mc_moment's result on 10 000 paths, and the per-path terminal and
+    integral arrays of its blocks, read through analysis.map_noise_blocks."""
+    blocks = []
+
+    def recording(*args, **kwargs):
+        out = map_noise_blocks(*args, **kwargs)
+        blocks.extend(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "map_noise_blocks", recording)
+        res = mc_moment(p, 0.5, exponent, 10_000, 16, seed=5, workers=workers)
+    return res, [b[key] for b in blocks for key in ("terminal", "integral")]
+
+
 class TestGoldenEulerValues:
     GRID = TimeGrid(0.5, 16)
     # t = 2 on 16 steps: the gamma > 1 auxiliary runs blow up on some paths
     LONG = TimeGrid(2.0, 16)
 
     GOLDEN = {
-        "ckls-high": "f229c07fab84a60628d3b3d80297c2304c6a9504c5de29ffbe34c66afa1df101",
-        "ckls-low": "56d0f50612fcc93bfdd5e5546874ff01b2de57b8bf42ca2838c587c531160301",
-        "ckls-clamping": "47c5852829cf01345f45e5fd268d1ff29ca8d3a545bc461ff1330abc5bea0caa",
-        "aux-high-derived": "bff97597224e8a35268bf371fd09deb6365f6842c38c7e75609d2c2c8eadbd9f",
-        "aux-high-paper": "5859dae129f32b8e690e562753b0b7fe06fb4b1d8db740099ac98cacf0a50106",
-        "aux-clamping-derived": "7b48f0e3f0c9e82d65271fda7b7c40509aef80800dba0eff8e1813674a71b328",
-        "aux-clamping-paper": "e92fdf73568021f63e9f70a53f270dea327d279cc5a8c609809cdca157a6110b",
-        "values-clamp": "47c5852829cf01345f45e5fd268d1ff29ca8d3a545bc461ff1330abc5bea0caa",
-        "values-exit-to-inf": "dc5e389b8e1b11b1725c806e641f6645509fb19d0b338889556b22bd3aa7c44c",
+        "ckls-high": "db2616dc6609adb9225607ed2e0943ec559db55a2cab5270ea27a18b4b610d83",
+        "ckls-low": "0708d8a7bbfa7b056763f2b09d99bef5c821bc97a46763590dcf390f23adb827",
+        "ckls-clamping": "17c7023da4f60e7ebd36c35ac4bcf4ad9acfb97c1c620e11010dba48e42e3db9",
+        "aux-high-derived": "b00ae702343e31921ca6ca2d1273a5b161d7a4b88a33498e56ff3ca4180d2be0",
+        "aux-high-paper": "2e4b9f617756c5400963017864fa6100b519ba2fa1c88ca702ef9d9f4922df1e",
+        "aux-clamping-derived": "fc428bbfeef47de5704f81cb10b0a2fdfdd6a0239e60ba5cf04db5400beee571",
+        "aux-clamping-paper": "c45ca159188b3cfa563c877053d62ee15cccd168cee06f2487a32434d5e84558",
+        "values-clamp": "17c7023da4f60e7ebd36c35ac4bcf4ad9acfb97c1c620e11010dba48e42e3db9",
+        "values-exit-to-inf": "58970fa1594c16357a3e0d3888919d16eef11d6d04290c84cf94858cc87a7c28",
     }
 
     @pytest.mark.parametrize("name,p", [("high", HIGH), ("low", LOW), ("clamping", CLAMPING)])
@@ -92,21 +127,183 @@ class TestGoldenBlockLoops:
     thread blocks, on one and two workers."""
 
     GOLDEN = {
-        "moment-high": "d37f80e6058b6872f7d8c97d638ee489f948e294f66ffb1b302fc70b6ad9872f",
-        "moment-clamping": "2523454c08f80a5d2617e5532a76b1f56ecead0a296af26ac9b06dd6ca546b16",
-        "snapshot-high": "e1d39d836e3e1eef45627085c60a3fab05929d76d150907cfc27676ac37e7312",
-        "snapshot-clamping": "f1be0dbcb86e212167d7067bf33b43dbe099844a9b071ef073ed016b848cc143",
+        "moment-high": "d2f27e0b845ecaae8c887254e5c89d7a01ef4ed58b5821635eb091a36aa29123",
+        "moment-clamping": "7becbf07ebf8f35f51f60c0b224a51fbb1f691ccea4c7088c012aa01435734ad",
+        "snapshot-high": "38d5be3fa2d9811209c4baa4b2fd1038659fff5e0422abefcab4a63483837b1e",
+        "snapshot-clamping": "3ea01e74a68a832d41e7dd9f83564aaac6d126757ecab91db6aa62f079865f8b",
     }
     CASES = [("high", HIGH, -3.0), ("clamping", CLAMPING, -1.0)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name,p,exponent", CASES)
     def test_mc_moment(self, name, p, exponent, workers):
-        res = mc_moment(p, 0.5, exponent, 10_000, 16, seed=5, workers=workers)
-        assert digest(res) == self.GOLDEN[f"moment-{name}"]
+        """The four rounded means of the result, and the per-path terminal
+        and integral arrays of every block: a last-bit change on a path
+        can leave the means as they were."""
+        res, arrays = mc_moment_with_blocks(p, exponent, workers)
+        assert len(arrays) == 4
+        assert digest(res, *arrays) == self.GOLDEN[f"moment-{name}"]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name,p", [(name, p) for name, p, _ in CASES])
     def test_snapshot_rates(self, name, p, workers):
         snaps, trunc = _snapshot_rates(p, 0.5, 16, 10_000, 7, [0, 5, 16], workers)
         assert digest(snaps, trunc) == self.GOLDEN[f"snapshot-{name}"]
+
+
+def old_ckls_diffusion(p):
+    """The diffusion before the Euler step shared its power with q."""
+    return lambda x: p.sigma * x**p.gamma
+
+
+@contextlib.contextmanager
+def old_diffusion():
+    """Run the Euler loops with old_ckls_diffusion in place of
+    ckls_diffusion."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (engine, analysis, verify):
+            mp.setattr(module, "ckls_diffusion", old_ckls_diffusion)
+        yield
+
+
+def old_weighted_run(p, dt, dW):
+    """The weighted Euler step before it shared one power, written out: q
+    from u = r^(gamma-1), the diffusion sigma r^gamma, and the log weight
+    accumulated a step at a time, each operation in its old order."""
+    r = np.full(dW.shape[0], p.r0)
+    lw, q_int, trunc = np.zeros_like(r), np.zeros_like(r), 0
+    for k in range(dW.shape[1]):
+        u = r ** (p.gamma - 1.0)
+        q = (2.0 * p.b - p.a / r) / (p.sigma * u) + 0.5 * p.gamma * p.sigma * u
+        q_sq_dt = q * q * dt
+        lw += q * dW[:, k] - 0.5 * q_sq_dt
+        q_int += q_sq_dt
+        r = r + (p.a - p.b * r) * dt + p.sigma * r**p.gamma * dW[:, k]
+        trunc += int(np.sum(r < POSITIVITY_FLOOR))
+        r = np.where(r < POSITIVITY_FLOOR, POSITIVITY_FLOOR, r)
+    return r, lw, q_int, trunc
+
+
+def weighted_digest(rate, log_weight, q_integral_sq, truncations) -> str:
+    """tests/test_girsanov.py's weighted_sample_digest of these arrays."""
+    h = hashlib.sha256()
+    for a in (rate, log_weight, q_integral_sq):
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    h.update(str(truncations).encode())
+    return h.hexdigest()
+
+
+def first_exits(values) -> np.ndarray:
+    """Per path, the first grid index at the floor or at +inf."""
+    out = (values <= POSITIVITY_FLOOR) | np.isinf(values)
+    return np.where(out.any(axis=1), out.argmax(axis=1), values.shape[1])
+
+
+def euler_golden_runs():
+    """Every golden Euler input, by TestGoldenEulerValues/TestGoldenBlockLoops
+    key: a function giving (digest, rate arrays, exact counts).  The
+    diffusion is looked up at call time, so old_diffusion reaches it."""
+    grid, long = TestGoldenEulerValues.GRID, TestGoldenEulerValues.LONG
+
+    def paths_run(paths, *extra):
+        values = np.stack([path.values for path in paths])
+        trunc = np.array([path.truncations for path in paths])
+        return [values], {"trunc": trunc, "first": first_exits(values), "extra": extra}
+
+    def ckls(p):
+        paths = euler_ckls(p, grid, NoiseMatrix(3, 3000, grid))
+        return (path_digest(paths), *paths_run(paths))
+
+    def aux(p, g, seed, variant):
+        res = euler_auxiliary(p, g, NoiseMatrix(seed, 3000, g), variant)
+        got = digest(path_digest(res.paths), res.min_values, res.floor_hits, res.blowups)
+        arrays, counts = paths_run(res.paths, res.floor_hits, res.blowups)
+        return got, arrays + [res.min_values], counts
+
+    def values(exit_to_inf):
+        dW = np.asfortranarray(NoiseMatrix(3, 3000, grid).increments())
+        vals, exits = euler_values(
+            ckls_drift(CLAMPING), engine.ckls_diffusion(CLAMPING), CLAMPING.r0, grid.dt, dW,
+            exit_to_inf=exit_to_inf,
+        )
+        return digest(vals, exits.astype(float)), [vals], {"trunc": exits, "first": first_exits(vals)}
+
+    def moment(p, exponent):
+        res, arrays = mc_moment_with_blocks(p, exponent)
+        return digest(res, *arrays), arrays, {"trunc": res.truncations}
+
+    def snapshot(p):
+        snaps, trunc = _snapshot_rates(p, 0.5, 16, 10_000, 7, [0, 5, 16])
+        return digest(snaps, trunc), [snaps], {"trunc": trunc}
+
+    return {
+        "ckls-high": lambda: ckls(HIGH),
+        "ckls-low": lambda: ckls(LOW),
+        "ckls-clamping": lambda: ckls(CLAMPING),
+        "aux-high-derived": lambda: aux(HIGH, long, 2024, "derived"),
+        "aux-high-paper": lambda: aux(HIGH, long, 2024, "paper"),
+        "aux-clamping-derived": lambda: aux(CLAMPING, grid, 3, "derived"),
+        "aux-clamping-paper": lambda: aux(CLAMPING, grid, 3, "paper"),
+        "values-clamp": lambda: values(False),
+        "values-exit-to-inf": lambda: values(True),
+        "moment-high": lambda: moment(HIGH, -3.0),
+        "moment-clamping": lambda: moment(CLAMPING, -1.0),
+        "snapshot-high": lambda: snapshot(HIGH),
+        "snapshot-clamping": lambda: snapshot(CLAMPING),
+    }
+
+
+class TestOneEulerPowerAgainstOldStep:
+    """The step that takes one power s = sigma r^(gamma-1), for q and for
+    the diffusion (s r) dW, against the step before it (sigma r^gamma, and
+    q from its own r^(gamma-1)) on every golden input.  The old step
+    reproduces the digests recorded before the change; the new one keeps
+    the rates within 1e-12 relative, the log weights within 1e-12
+    absolute, and every clamp count, blowup and first exit."""
+
+    OLD_GOLDEN = {
+        "ckls-high": "f229c07fab84a60628d3b3d80297c2304c6a9504c5de29ffbe34c66afa1df101",
+        "ckls-low": "56d0f50612fcc93bfdd5e5546874ff01b2de57b8bf42ca2838c587c531160301",
+        "ckls-clamping": "47c5852829cf01345f45e5fd268d1ff29ca8d3a545bc461ff1330abc5bea0caa",
+        "aux-high-derived": "bff97597224e8a35268bf371fd09deb6365f6842c38c7e75609d2c2c8eadbd9f",
+        "aux-high-paper": "5859dae129f32b8e690e562753b0b7fe06fb4b1d8db740099ac98cacf0a50106",
+        "aux-clamping-derived": "7b48f0e3f0c9e82d65271fda7b7c40509aef80800dba0eff8e1813674a71b328",
+        "aux-clamping-paper": "e92fdf73568021f63e9f70a53f270dea327d279cc5a8c609809cdca157a6110b",
+        "values-clamp": "47c5852829cf01345f45e5fd268d1ff29ca8d3a545bc461ff1330abc5bea0caa",
+        "values-exit-to-inf": "dc5e389b8e1b11b1725c806e641f6645509fb19d0b338889556b22bd3aa7c44c",
+        "moment-high": "77ad26b8c8b7c37178cb650c2e0d9f4161a33767a4520d3540eb913d3a657e5c",
+        "moment-clamping": "78ec704f0ff678bb1afe6ffce5ca0736cb2cfc1a502ed31525294964e76e34e6",
+        "snapshot-high": "e1d39d836e3e1eef45627085c60a3fab05929d76d150907cfc27676ac37e7312",
+        "snapshot-clamping": "f1be0dbcb86e212167d7067bf33b43dbe099844a9b071ef073ed016b848cc143",
+        "weighted-v1-high": "e8f5abd432c6a1157e222c67fd6b5dd3bfba9dfe7b6739c137484d2cbc1ee6fc",
+        "weighted-v1-low": "0a12e0e7c0db2109ed5dcb2e23e8ec96f0d2cc13d7010ee8f2c8730a76f4abbd",
+        "weighted-v2-high": "a06937bbfd95d852d851fbf7ac7ce9e2726bf10e04065e5362f70a832916c686",
+        "weighted-v2-low": "732f6b8116c53a18d3bb8576890d8621116ffc7bde2a24d1abeea9ce05831cc9",
+    }
+
+    @pytest.mark.parametrize("name", sorted(euler_golden_runs()))
+    def test_euler_loops(self, name):
+        run = euler_golden_runs()[name]
+        with old_diffusion():
+            old_digest, old_arrays, old_counts = run()
+        assert old_digest == self.OLD_GOLDEN[name]
+        _, new_arrays, new_counts = run()
+        for new, old in zip(new_arrays, old_arrays, strict=True):
+            np.testing.assert_allclose(new, old, rtol=1e-12, atol=0)
+        assert new_counts.keys() == old_counts.keys()
+        for key, old in old_counts.items():
+            np.testing.assert_array_equal(new_counts[key], old, err_msg=key)
+
+    @pytest.mark.parametrize("stream", [1, 2])
+    @pytest.mark.parametrize("name,p", [("high", HIGH), ("low", LOW)])
+    def test_simulate_weighted(self, name, p, stream):
+        grid = TimeGrid(0.5, 16)
+        noise = NoiseMatrix(2024, 3000, grid, stream=stream)
+        old = old_weighted_run(p, grid.dt, noise.increments())
+        assert weighted_digest(*old) == self.OLD_GOLDEN[f"weighted-v{stream}-{name}"]
+        s = simulate_weighted(p, grid, noise, block_size=1024)
+        rate, log_weight, q_integral_sq, truncations = old
+        np.testing.assert_allclose(s.terminal_rate, rate, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(s.log_weight, log_weight, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(s.q_integral_sq, q_integral_sq, rtol=1e-12, atol=0)
+        assert s.truncations == truncations
