@@ -5,9 +5,9 @@
 Each layer is timed on its own, at the sizes of the benchmark workloads:
 noise generation, the Euler-weight kernel on noise drawn beforehand (on
 the HIGH set, whose power r^(gamma-1) is a square root, and on the LOW
-set, whose power is a general one), the unweighted Euler loop at the
-export size, the noncentral chi-square pdf and CDF, and the two path
-writers.  Rounds are
+set, whose power is a general one), the unweighted Euler kernel and its
+value matrix at the export size, the noncentral chi-square pdf and CDF,
+and the two path writers.  Rounds are
 fixed so a full run takes well under a minute.
 """
 
@@ -58,11 +58,12 @@ def test_weighted_kernel(benchmark, p, grid, n_paths, workers):
 
 
 def test_euler_ckls(benchmark):
-    """The Euler loop and Path list of euler_ckls at the export size."""
+    """The Euler kernel and the (values, exits) arrays of euler_ckls at the
+    export size."""
     grid = TimeGrid(0.5, 32)
     dW = NoiseMatrix(5, 5000, grid).increments()
-    paths = benchmark.pedantic(euler_ckls, args=(HIGH, grid, dW), rounds=5, warmup_rounds=1)
-    assert len(paths) == 5000
+    values, exits = benchmark.pedantic(euler_ckls, args=(HIGH, grid, dW), rounds=5, warmup_rounds=1)
+    assert values.shape == (5000, 33) and exits.shape == (5000,)
 
 
 @pytest.mark.parametrize("fn", [noncentral_pdf, noncentral_cdf], ids=["pdf", "cdf"])

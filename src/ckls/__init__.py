@@ -28,7 +28,6 @@ from .distribution import (
 from .engine import (
     AuxiliaryResult,
     NoiseMatrix,
-    Path,
     TimeGrid,
     euler_auxiliary,
     euler_ckls,
@@ -51,13 +50,10 @@ from .errors import (
 from .girsanov import (
     NovikovEstimate,
     WeightedEstimate,
-    WeightedPath,
     WeightedSample,
-    accumulate_weight,
     drift_adjustment,
     novikov_diagnostic,
     simulate_weighted,
-    weighted_expectation,
 )
 from .params import CklsParams, GirsanovBranch, MomentCase, Regime, classify_regime
 from .transform import (
@@ -66,8 +62,6 @@ from .transform import (
     default_c,
     derive_cir,
     make_transform,
-    transform_eval,
-    transform_inverse,
 )
 
 __version__ = "0.1.0"

@@ -11,15 +11,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .engine import (
-    NoiseMatrix,
-    POSITIVITY_FLOOR,
-    TimeGrid,
-    ckls_diffusion,
-    ckls_drift,
-    map_noise_blocks,
-    step_columns,
-)
+from .engine import NoiseMatrix, TimeGrid, ckls_diffusion, ckls_drift, euler_blocks
 from .errors import DomainError, InputError, RegimeError
 from .numerics import affine_exp_convolution, stable_phi
 from .params import CklsParams, MomentCase, classify_regime
@@ -111,6 +103,26 @@ class McMomentResult:
     truncations: int
 
 
+class _Trapezoid:
+    """Euler observer: per path, r^kappa after the last step and the
+    trapezoid time integral of r^kappa."""
+
+    def __init__(self, exponent: float, dt: float, n: int):
+        self.exponent, self.dt = exponent, dt
+        self.integral = np.zeros(n)
+        self.g_prev = None
+
+    def step(self, k, r, s, dW) -> None:
+        g = r**self.exponent
+        if self.g_prev is not None:
+            self.integral += 0.5 * self.dt * (self.g_prev + g)
+        self.g_prev = g
+
+    def end(self, r) -> dict:
+        self.step(None, r, None, None)
+        return {"terminal": self.g_prev, "integral": self.integral}
+
+
 def mc_moment(
     p: CklsParams,
     t: float,
@@ -124,29 +136,11 @@ def mc_moment(
     E integral_0^t r_s^kappa ds (trapezoid in time), with standard errors."""
     grid = TimeGrid(t, n_steps)
     noise = NoiseMatrix(seed=seed, n_paths=n_paths, grid=grid)
-    drift, diffusion = ckls_drift(p), ckls_diffusion(p)
-    dt = grid.dt
-
-    def run_block(lo: int, hi: int, dW: np.ndarray) -> dict:
-        n = hi - lo
-        r = np.full(n, p.r0)
-        g_prev = r**exponent
-        integral = np.zeros(n)
-        trunc = 0
-        for col in step_columns(dW):
-            r = r + drift(r) * dt + diffusion(r) * col
-            hit = r < POSITIVITY_FLOOR
-            if hit.any():
-                trunc += int(hit.sum())
-                r = np.where(hit, POSITIVITY_FLOOR, r)
-            g = r**exponent
-            integral += 0.5 * dt * (g_prev + g)
-            g_prev = g
-        return {"terminal": g_prev, "integral": integral, "trunc": trunc}
-
-    blocks = map_noise_blocks(noise, run_block, workers=workers)
-    terminal = np.concatenate([b["terminal"] for b in blocks])
-    integral = np.concatenate([b["integral"] for b in blocks])
+    run = euler_blocks(
+        ckls_drift(p), ckls_diffusion(p), p.r0, grid.dt, noise,
+        [lambda n: _Trapezoid(exponent, grid.dt, n)], workers=workers,
+    )
+    terminal, integral = run["terminal"], run["integral"]
     root_n = math.sqrt(n_paths)
     return McMomentResult(
         terminal_estimate=float(terminal.mean()),
@@ -154,7 +148,7 @@ def mc_moment(
         time_integral_estimate=float(integral.mean()),
         time_integral_std_error=float(integral.std(ddof=1) / root_n),
         n_paths=n_paths,
-        truncations=sum(b["trunc"] for b in blocks),
+        truncations=int(run["trunc"].sum()),
     )
 
 

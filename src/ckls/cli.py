@@ -34,9 +34,10 @@ from .errors import CklsError, ConfigError, DegenerateTransform, RegimeError, Si
 from .params import classify_regime
 from .pathio import write_paths_binary, write_paths_csv
 from .transform import derive_cir, make_transform
-from .verify import SUITES, run_suite
+from .verify import CHECKS, run_suite
 
 SIM_MODES = ("euler-p", "explicit-q", "cir-exact", "auxiliary")
+SUITE_NAMES = sorted(("default", *CHECKS))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     den.add_argument("--x-points", type=int, default=512)
 
     ver = sub.add_parser("verify", help="run a verification suite and emit a JSON report")
-    ver.add_argument("--suite", default="default", help=f"one of {sorted(SUITES)}")
+    ver.add_argument("--suite", default="default", help=f"one of {SUITE_NAMES}")
     return parser
 
 
@@ -135,16 +136,14 @@ def cmd_simulate(cfg: RunConfig, mode: str) -> int:
     summary: dict = {"mode": mode, "config": cfg.to_dict(), "n_paths": cfg.n_paths}
     if mode == "euler-p":
         noise = NoiseMatrix(cfg.seed, cfg.n_paths, cfg.grid)
-        values, exits = euler_values(
-            ckls_drift(p), ckls_diffusion(p), p.r0, cfg.grid.dt, noise.increments()
-        )
+        values, exits = euler_values(ckls_drift(p), ckls_diffusion(p), p.r0, cfg.grid.dt, noise)
         summary["truncations"] = int(exits.sum())
         rule = noise.rule
         times = cfg.grid.times
     elif mode == "auxiliary":
         noise = NoiseMatrix(cfg.seed, cfg.n_paths, cfg.grid)
         result = euler_auxiliary(p, cfg.grid, noise, variant=cfg.aux_variant)
-        values = np.stack([path.values for path in result.paths])
+        values = result.values
         summary["variant"] = result.variant
         summary["floor_hits"] = result.floor_hits
         summary["floor_fraction"] = result.floor_fraction
@@ -231,8 +230,8 @@ def cmd_density(cfg: RunConfig, x_min: float | None, x_max: float | None, x_poin
 
 
 def cmd_verify(cfg: RunConfig, suite: str, workers: int) -> int:
-    if suite not in SUITES:
-        print(json.dumps({"error": f"unknown suite {suite!r}", "known": sorted(SUITES)}))
+    if suite not in SUITE_NAMES:
+        print(json.dumps({"error": f"unknown suite {suite!r}", "known": SUITE_NAMES}))
         return 1
     started = time.perf_counter()
     reports = run_suite(

@@ -38,12 +38,12 @@ __all__ = [
     "POSITIVITY_FLOOR",
     "TimeGrid",
     "NoiseMatrix",
-    "Path",
     "AuxiliaryResult",
     "ckls_drift",
     "ckls_diffusion",
     "auxiliary_drift",
     "explicit_solution_drift",
+    "euler_blocks",
     "euler_values",
     "euler_ckls",
     "euler_auxiliary",
@@ -54,6 +54,7 @@ __all__ = [
     "sample_cir_exact",
     "map_noise_blocks",
     "step_columns",
+    "Snapshots",
 ]
 
 # Euler paths are clamped here rather than reflected: truncation stays
@@ -289,53 +290,83 @@ class NoiseMatrix:
 
 
 @dataclass(frozen=True)
-class Path:
-    """One discretized trajectory; truncations counts floor-clamped steps."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    truncations: int = 0
-
-    @property
-    def truncated(self) -> bool:
-        return self.truncations > 0
-
-
-@dataclass(frozen=True)
 class AuxiliaryResult:
     """Auxiliary-SDE run with the positivity diagnostic statistics.
 
-    floor_hits and blowups count paths, each path at most once in one of
-    them; see euler_auxiliary for the rule that tells them apart.
+    values is the (n_paths, n_steps + 1) rate matrix and exits the
+    per-path count of steps clamped at the floor (zero for gamma > 1,
+    whose exits are blowups, +inf in values).  floor_hits and blowups
+    count paths, each at most once in one of them (see euler_auxiliary).
     """
 
-    paths: list
+    values: np.ndarray = field(repr=False)
+    exits: np.ndarray = field(repr=False)
     variant: str
-    min_values: np.ndarray = field(repr=False)
     floor_hits: int = 0
     blowups: int = 0
 
     @property
+    def min_values(self) -> np.ndarray:
+        return self.values.min(axis=1)
+
+    @property
     def floor_fraction(self) -> float:
-        return self.floor_hits / len(self.paths)
+        return self.floor_hits / len(self.values)
 
     @property
     def blowup_fraction(self) -> float:
-        return self.blowups / len(self.paths)
+        return self.blowups / len(self.values)
+
+
+@dataclass(frozen=True)
+class _CklsDrift:
+    """a - b x, which euler_blocks evaluates into a buffer of its own."""
+
+    p: CklsParams
+
+    def __call__(self, x):
+        return self.p.a - self.p.b * x
+
+    def into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.multiply(self.p.b, x, out=out)
+        return np.subtract(self.p.a, out, out=out)
+
+
+@dataclass(frozen=True)
+class _CklsDiffusion:
+    """sign sigma x^gamma as s x from the one power s = sign sigma
+    x^(gamma-1), which euler_blocks also hands to its observers."""
+
+    p: CklsParams
+    sign: float = 1.0
+
+    def power(self, x):
+        """s = sign sigma x^(gamma-1), a new array."""
+        # `**`, not np.power: its ** 0.5 fast path is the correctly rounded sqrt
+        s = x ** (self.p.gamma - 1.0)
+        s *= self.sign * self.p.sigma
+        return s
+
+    def times(self, x, s):
+        """The diffusion s x from s = power(x), in place into s."""
+        s *= x
+        return s
+
+    def __call__(self, x):
+        return self.times(x, self.power(x))
 
 
 def ckls_drift(p: CklsParams) -> Callable[[np.ndarray], np.ndarray]:
     """Base-measure drift a - b x."""
-    return lambda x: p.a - p.b * x
+    return _CklsDrift(p)
 
 
 def ckls_diffusion(p: CklsParams) -> Callable[[np.ndarray], np.ndarray]:
     """Diffusion sigma x^gamma, evaluated as (sigma x^(gamma-1)) x: the
     power girsanov.simulate_weighted also derives q from, so its rates
-    equal the Euler loops' bit for bit.  For x > 0; at x = 0 or +inf with
-    gamma < 1 the product is 0 * inf, NaN."""
-    g1 = p.gamma - 1.0
-    return lambda x: p.sigma * x**g1 * x
+    equal the unweighted Euler runs' bit for bit.  For x > 0; at x = 0 or
+    +inf with gamma < 1 the product is 0 * inf, NaN."""
+    return _CklsDiffusion(p)
 
 
 def auxiliary_drift(p: CklsParams, variant: str = "derived") -> Callable:
@@ -403,16 +434,124 @@ def step_columns(dW: np.ndarray):
         yield from cols[:m]
 
 
+class Snapshots:
+    """Euler observer: row j holds the rates at grid index indices[j];
+    every index in order gives the value matrix, transposed."""
+
+    def __init__(self, indices, n_steps: int, n: int):
+        self.rows: dict = {}
+        for j, k in enumerate(indices):
+            if not 0 <= k <= n_steps:
+                raise DomainError(f"grid index {k} is outside 0..{n_steps}")
+            self.rows.setdefault(k, []).append(j)
+        self.n_steps = n_steps
+        self.snapshots = np.empty((len(indices), n))
+
+    def step(self, k, r, s, dW) -> None:
+        for j in self.rows.get(k, ()):
+            self.snapshots[j] = r
+
+    def end(self, r) -> dict:
+        self.step(self.n_steps, r, None, None)
+        return {"snapshots": self.snapshots}
+
+
+def euler_blocks(
+    drift: Callable,
+    diffusion: Callable,
+    r0: float,
+    dt: float,
+    noise,
+    observers=(),
+    exit_to_inf: bool = False,
+    nan_raises: bool = False,
+    workers: int = 1,
+    block_size: int = 8192,
+) -> dict:
+    """The one Euler-Maruyama loop, r <- r + drift(r) dt + diffusion(r) dW,
+    run a thread block of paths at a time.
+
+    noise is a NoiseMatrix, blocked by map_noise_blocks, or increment
+    rows, run as one block.  ckls_drift is formed in a block buffer, and
+    ckls_diffusion (or its signed form) as (s r) dW in the one array a
+    step allocates, s = sign sigma r^(gamma-1); other callables are
+    evaluated as given.  One r.min() a step is the floor test: rates
+    below the floor are clamped to it and counted per path, or with
+    exit_to_inf set to +inf, as paths that ran off (they stay non-finite;
+    their end rate is +inf).  With nan_raises a NaN rate raises
+    DomainError before the next step.
+
+    An observer factory is called with a block's path count; its object
+    gets step(k, r_k, s, dW_k) before step k (s is None with another
+    diffusion) and end(r_n), which returns a dict of per-path arrays.
+    Returns "rate" (r_n), "trunc" (clamped steps) and the observers'
+    arrays, blocks joined along the last axis.
+    """
+    base_drift = isinstance(drift, _CklsDrift)
+    power = isinstance(diffusion, _CklsDiffusion)
+    quiet = {"over": "ignore", "invalid": "ignore"} if exit_to_inf else {}
+
+    def run_block(lo: int, hi: int, dW: np.ndarray) -> dict:
+        n = hi - lo
+        r = np.full(n, float(r0))
+        d = np.empty(n)
+        trunc = np.zeros(n, dtype=np.int64)
+        watch = [make(n) for make in observers]
+        low = r0
+        with np.errstate(**quiet):
+            for k, col in enumerate(step_columns(dW)):
+                if nan_raises and low != low:
+                    raise DomainError(f"NaN rate before step {k}")
+                s = diffusion.power(r) if power else None
+                for obs in watch:
+                    obs.step(k, r, s, col)
+                if base_drift:
+                    drift.into(r, d)
+                    d *= dt
+                else:
+                    d = drift(r) * dt
+                if power:
+                    c = diffusion.times(r, s)
+                    c *= col
+                else:
+                    c = diffusion(r) * col
+                r += d
+                r += c
+                low = r.min(initial=np.inf)  # inf for a block of no paths
+                # also true on NaN: the clamp pass then reaches the others
+                if not low >= POSITIVITY_FLOOR:
+                    hit = r < POSITIVITY_FLOOR
+                    if exit_to_inf:
+                        r[hit] = np.inf
+                    else:
+                        trunc += hit
+                        r[hit] = POSITIVITY_FLOOR
+        if exit_to_inf:
+            r[~np.isfinite(r)] = np.inf
+        out = {"rate": r, "trunc": trunc}
+        for obs in watch:
+            out.update(obs.end(r))
+        return out
+
+    if isinstance(noise, NoiseMatrix):
+        blocks = map_noise_blocks(noise, run_block, block_size=block_size, workers=workers)
+    else:
+        dW = _as_increments(noise)
+        blocks = [run_block(0, dW.shape[0], dW)]
+    if len(blocks) == 1:
+        return blocks[0]
+    return {key: np.concatenate([b[key] for b in blocks], axis=-1) for key in blocks[0]}
+
+
 def euler_values(
     drift: Callable,
     diffusion: Callable,
     r0: float,
     dt: float,
-    dW: np.ndarray,
-    floor: float = POSITIVITY_FLOOR,
+    noise,
     exit_to_inf: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Euler-Maruyama over a block of increment rows.
+    """The paths of euler_blocks as a value matrix.
 
     Returns (values, exits) with values of shape (n_paths, n_steps + 1)
     and per-path counts of steps that landed below the floor, where they
@@ -422,46 +561,24 @@ def euler_values(
     overflows to a non-finite value, is instead read as a path that ran off
     to +inf: its values are +inf from that step on, and it counts one exit.
     """
-    n_paths, n_steps = dW.shape
-    values = np.empty((n_paths, n_steps + 1))
-    values[:, 0] = r0
-    trunc = np.zeros(n_paths, dtype=np.int64)
-    first_exit = np.full(n_paths, n_steps + 1)
-    r = np.full(n_paths, float(r0))
-    quiet = {"over": "ignore", "invalid": "ignore"} if exit_to_inf else {}
-    with np.errstate(**quiet):
-        for k, col in enumerate(step_columns(dW)):
-            r = r + drift(r) * dt + diffusion(r) * col
-            hit = r < floor
-            if hit.any():
-                trunc += hit
-                first_exit = np.where(hit, np.minimum(first_exit, k + 1), first_exit)
-                r = np.where(hit, floor, r)
-            values[:, k + 1] = r
+    n_steps = noise.grid.n_steps if isinstance(noise, NoiseMatrix) else np.shape(noise)[-1]
+    run = euler_blocks(
+        drift, diffusion, r0, dt, noise,
+        [lambda n: Snapshots(range(n_steps + 1), n_steps, n)], exit_to_inf=exit_to_inf,
+    )
+    values = np.ascontiguousarray(run["snapshots"].T)
     if exit_to_inf:
-        bad = ~np.isfinite(values)
-        overflowed = np.where(bad.any(axis=1), bad.argmax(axis=1), n_steps + 1)
-        first_exit = np.minimum(first_exit, overflowed)
-        values[np.arange(n_steps + 1) >= first_exit[:, None]] = np.inf
-        trunc = (first_exit <= n_steps).astype(np.int64)
-    else:
-        trunc += ~np.isfinite(r)
-    return values, trunc
+        values[~np.isfinite(values)] = np.inf
+    return values, run["trunc"] + ~np.isfinite(run["rate"])
 
 
-def _wrap_paths(grid: TimeGrid, values: np.ndarray, trunc: np.ndarray) -> list:
-    return [Path(grid, values[i], int(trunc[i])) for i in range(values.shape[0])]
-
-
-def euler_ckls(p: CklsParams, grid: TimeGrid, noise) -> list:
-    """Euler-Maruyama for the base model, one Path per noise row.
+def euler_ckls(p: CklsParams, grid: TimeGrid, noise) -> tuple[np.ndarray, np.ndarray]:
+    """Euler-Maruyama for the base model: euler_values' (values, exits).
 
     r_(k+1) = r_k + (a - b r_k) dt + sigma r_k^gamma dW_k, clamped at the
     positivity floor with the clamp events counted per path.
     """
-    dW = _as_increments(noise)
-    values, trunc = euler_values(ckls_drift(p), ckls_diffusion(p), p.r0, grid.dt, dW)
-    return _wrap_paths(grid, values, trunc)
+    return euler_values(ckls_drift(p), ckls_diffusion(p), p.r0, grid.dt, noise)
 
 
 def euler_auxiliary(
@@ -481,17 +598,16 @@ def euler_auxiliary(
     blowups, never in floor_hits, and its values are +inf from that step
     on.
     """
-    dW = _as_increments(noise)
     blow_up = p.gamma > 1.0
     values, exits = euler_values(
-        auxiliary_drift(p, variant), ckls_diffusion(p), p.r0, grid.dt, dW,
+        auxiliary_drift(p, variant), ckls_diffusion(p), p.r0, grid.dt, noise,
         exit_to_inf=blow_up,
     )
     n_exited = int(np.count_nonzero(exits))
     return AuxiliaryResult(
-        paths=_wrap_paths(grid, values, np.zeros_like(exits) if blow_up else exits),
+        values=values,
+        exits=np.zeros_like(exits) if blow_up else exits,
         variant=variant,
-        min_values=values.min(axis=1),
         floor_hits=0 if blow_up else n_exited,
         blowups=n_exited if blow_up else 0,
     )
@@ -499,13 +615,11 @@ def euler_auxiliary(
 
 def euler_under_q(p: CklsParams, grid: TimeGrid, noise) -> np.ndarray:
     """Euler-Maruyama for the transformed-measure dynamics consistent with
-    the closed-form solution, sharing the given noise rows.  Returns the
-    raw value matrix (n_paths, n_steps + 1)."""
-    dW = _as_increments(noise)
-    sign = 1.0 if p.gamma < 1.0 else -1.0
-    diffusion = lambda x: sign * p.sigma * x**p.gamma  # noqa: E731
-    values, _ = euler_values(explicit_solution_drift(p), diffusion, p.r0, grid.dt, dW)
-    return values
+    the closed-form solution, sharing the given noise rows: the drift of
+    explicit_solution_drift and the diffusion sign(1-gamma) sigma x^gamma.
+    Returns the raw value matrix (n_paths, n_steps + 1)."""
+    diffusion = _CklsDiffusion(p, sign=1.0 if p.gamma < 1.0 else -1.0)
+    return euler_values(explicit_solution_drift(p), diffusion, p.r0, grid.dt, noise)[0]
 
 
 def _require_transformable(p: CklsParams) -> None:
@@ -608,14 +722,19 @@ def map_noise_blocks(
     """Apply fn(lo, hi, increments) over row blocks, stitched in block order.
 
     increments is the (hi - lo, n_steps) row-major block of noise rows lo
-    to hi; the Euler loops read it a step at a time through step_columns,
-    and keep their working arrays per call, so each thread block has its
+    to hi; euler_blocks reads it a step at a time through step_columns,
+    and keeps its working arrays per call, so each thread block has its
     own.  Blocks may run on a thread pool; the returned list is always in
     block order, so downstream ordered reductions are identical for any
     worker count.  The default 8192 rows are 8 whole v2 stream blocks: a
     block size that cuts a stream block gives the same rows, but the cut
-    stream block is drawn by both thread blocks.
+    stream block is drawn by both thread blocks.  block_size and workers
+    must be integers >= 1.
     """
+    for name, value in (("block_size", block_size), ("workers", workers)):
+        _require_integer(name, value)
+        if not value >= 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
     ranges = [
         (lo, min(lo + block_size, noise.n_paths))
         for lo in range(0, noise.n_paths, block_size)

@@ -19,42 +19,22 @@ large near small rates, where the a/sigma x^(-gamma) term dominates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .engine import (
-    NoiseMatrix,
-    Path,
-    TimeGrid,
-    map_noise_blocks,
-    step_columns,
-    POSITIVITY_FLOOR,
-)
+from .engine import NoiseMatrix, TimeGrid, ckls_diffusion, ckls_drift, euler_blocks
 from .errors import DegenerateTransform, DegenerateWeights, DomainError, InputError
 from .params import CklsParams
 
 __all__ = [
-    "WeightedPath",
     "WeightedEstimate",
     "WeightedSample",
     "NovikovEstimate",
     "drift_adjustment",
-    "accumulate_weight",
-    "weighted_expectation",
     "weighted_expectation_arrays",
     "novikov_diagnostic",
     "simulate_weighted",
 ]
-
-
-@dataclass(frozen=True)
-class WeightedPath:
-    """A base-measure path with its accumulated log weight at t_end."""
-
-    path: Path
-    log_weight: float
-    q_integral_sq: float
 
 
 @dataclass(frozen=True)
@@ -110,49 +90,22 @@ def drift_adjustment(p: CklsParams, x):
     arr = np.array(x, dtype=float, ndmin=1)
     if not np.all(arr > 0):
         raise DomainError(f"x must be positive, got {x}")
-    s = _sigma_power(p, arr)
+    s = ckls_diffusion(p).power(arr)
     out = _drift_adjustment_into(p, arr, s, np.empty_like(arr), np.empty_like(arr))
     return float(out[0]) if np.ndim(x) == 0 else out
-
-
-def _sigma_power(p: CklsParams, x: np.ndarray) -> np.ndarray:
-    """s = sigma x^(gamma-1), a new array, as engine.ckls_diffusion forms it."""
-    # `**`, not np.power: its ** 0.5 fast path is the correctly rounded sqrt
-    s = x ** (p.gamma - 1.0)
-    return np.multiply(p.sigma, s, out=s)
 
 
 def _drift_adjustment_into(
     p: CklsParams, x: np.ndarray, s: np.ndarray, out: np.ndarray, tmp: np.ndarray
 ):
     """drift_adjustment's arithmetic, operation for operation, from
-    s = _sigma_power(p, x) into out; tmp is scratch of x's shape.
+    s = ckls_diffusion(p).power(x) into out; tmp is scratch of x's shape.
     Unchecked: gamma != 1 and x > 0."""
     np.divide(p.a, x, out=out)
     np.subtract(2.0 * p.b, out, out=out)
     np.divide(out, s, out=out)
     np.multiply(0.5 * p.gamma, s, out=tmp)
     return np.add(out, tmp, out=out)
-
-
-def accumulate_weight(p: CklsParams, path: Path, noise_row: np.ndarray) -> WeightedPath:
-    """Left-point accumulation of the log weight along one path.
-
-    log R = sum q(r_k) dW_k - 1/2 sum q(r_k)^2 dt over steps k, with r_k
-    the state *before* each step; the path must have been simulated with
-    exactly this noise row.
-    """
-    dW = np.asarray(noise_row, dtype=float)
-    if dW.shape != (len(path.values) - 1,):
-        raise InputError(
-            f"noise row length {dW.shape} does not match path with "
-            f"{len(path.values)} values"
-        )
-    dt = path.grid.dt
-    q = drift_adjustment(p, path.values[:-1])
-    q_int = float(np.sum(q * q) * dt)
-    log_w = float(np.sum(q * dW) - 0.5 * q_int)
-    return WeightedPath(path=path, log_weight=log_w, q_integral_sq=q_int)
 
 
 def _times_exp(x: float, m: float) -> float:
@@ -165,8 +118,15 @@ def _times_exp(x: float, m: float) -> float:
 
 
 def weighted_expectation_arrays(log_weights: np.ndarray, phi: np.ndarray) -> WeightedEstimate:
+    """Self-normalized and raw importance-sampling estimates of E phi from
+    per-path log weights, with the effective sample size
+    (sum w)^2 / sum w^2."""
     log_weights = np.asarray(log_weights, dtype=float)
     phi = np.asarray(phi, dtype=float)
+    if log_weights.shape != phi.shape:
+        raise InputError(
+            f"log weights of shape {log_weights.shape} do not match phi of shape {phi.shape}"
+        )
     if log_weights.size == 0:
         raise InputError("empty input")
     shift = float(log_weights.max())
@@ -195,25 +155,38 @@ def weighted_expectation_arrays(log_weights: np.ndarray, phi: np.ndarray) -> Wei
     )
 
 
-def weighted_expectation(
-    wpaths: list[WeightedPath], functional: Callable[[Path], float]
-) -> WeightedEstimate:
-    """Self-normalized and raw importance-sampling estimates of a path
-    functional, with the effective sample size (sum w)^2 / sum w^2."""
-    if not wpaths:
-        raise InputError("empty input")
-    logw = np.array([wp.log_weight for wp in wpaths])
-    phi = np.array([float(functional(wp.path)) for wp in wpaths])
-    return weighted_expectation_arrays(logw, phi)
-
-
-def novikov_diagnostic(p: CklsParams, wpaths: list[WeightedPath]) -> NovikovEstimate:
+def novikov_diagnostic(p: CklsParams, q_integral_sq) -> NovikovEstimate:
     """Monte Carlo estimate of E integral_0^t q(r_s)^2 ds with its standard
-    error; finiteness/stability across dt refinement is the usable signal."""
-    q_int = np.array([wp.q_integral_sq for wp in wpaths])
+    error, from the per-path integrals of a WeightedSample;
+    finiteness/stability across dt refinement is the usable signal."""
+    q_int = np.asarray(q_integral_sq, dtype=float)
     n = q_int.size
+    if n == 0:
+        raise InputError("empty input")
     se = float(q_int.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
     return NovikovEstimate(estimate=float(q_int.mean()), std_error=se)
+
+
+class _Weight:
+    """Euler observer: per path, the running sums of q dW and q^2, with q
+    from the step's power s; end forms the log weight and dt sum q^2."""
+
+    def __init__(self, p: CklsParams, dt: float, n: int):
+        self.p, self.dt = p, dt
+        self.q_dw, self.q_sq = np.zeros(n), np.zeros(n)
+        self.q, self.tmp = np.empty(n), np.empty(n)
+
+    def step(self, k, r, s, dW) -> None:
+        q, tmp = self.q, self.tmp
+        _drift_adjustment_into(self.p, r, s, q, tmp)
+        np.multiply(q, dW, out=tmp)
+        self.q_dw += tmp
+        np.multiply(q, q, out=q)
+        self.q_sq += q
+
+    def end(self, r) -> dict:
+        q_int = np.multiply(self.dt, self.q_sq, out=self.q_sq)
+        return {"log_weight": self.q_dw - 0.5 * q_int, "q_integral_sq": q_int}
 
 
 @dataclass(frozen=True)
@@ -240,65 +213,27 @@ def simulate_weighted(
 ) -> WeightedSample:
     """Simulate the base model and accumulate weights in one streaming pass.
 
-    Weight accumulation is per-path and parallelizes with the simulation;
-    blocks are stitched by path index, so statistics do not depend on the
-    worker count.  A thread block reads its noise through
-    engine.step_columns and does each step in buffers allocated once per
-    block.  A step takes one power, s = sigma r^(gamma-1): q comes from it
-    with drift_adjustment's operations and the diffusion is (s r) dW with
-    engine.ckls_diffusion's, so the rates are those of euler_ckls, bit for
-    bit.  Each path keeps the running sums of q dW and q^2; the log weight
-    sum q dW - 1/2 dt sum q^2 and dt sum q^2 are formed once per block.
-    A rate that overflows to +inf gives a NaN rate one step later; that
-    NaN is returned if it comes from the last step, and raises DomainError
-    at the next step otherwise.
+    Blocks are stitched by path index, so statistics do not depend on the
+    worker count.  The rates are engine.euler_blocks' with the base drift
+    and diffusion, those of euler_ckls bit for bit; the weight observer
+    derives q from each step's power s = sigma r^(gamma-1) with
+    drift_adjustment's operations in per-block buffers, and keeps per path
+    the sums of q dW and q^2.  A rate that overflows to +inf gives a NaN
+    rate one step later; that NaN is returned if it comes from the last
+    step, and raises DomainError at the next step otherwise.
     """
     if p.gamma == 1.0:
         raise DegenerateTransform("drift adjustment requires gamma != 1")
-    dt = grid.dt
-
-    def run_block(lo: int, hi: int, dW: np.ndarray) -> dict:
-        n = hi - lo
-        r = np.full(n, p.r0)
-        q_dw, q_sq = np.zeros(n), np.zeros(n)
-        q, tmp = np.empty(n), np.empty(n)
-        trunc = 0
-        # the least rate after the last step, before its clamp: NaN if any
-        # rate is NaN, and the clamp never removes a NaN
-        low = p.r0
-        for k, col in enumerate(step_columns(dW)):
-            if low != low:
-                raise DomainError(f"NaN rate before step {k}")
-            s = _sigma_power(p, r)
-            _drift_adjustment_into(p, r, s, q, tmp)
-            np.multiply(q, col, out=tmp)
-            q_dw += tmp
-            np.multiply(q, q, out=q)
-            q_sq += q
-            # r + (a - b r) dt + (s r) col
-            np.multiply(p.b, r, out=tmp)
-            np.subtract(p.a, tmp, out=tmp)
-            tmp *= dt
-            s *= r
-            s *= col
-            r += tmp
-            r += s
-            low = r.min()
-            # also true on NaN: the clamp pass then counts the other rates
-            if not low >= POSITIVITY_FLOOR:
-                hit = r < POSITIVITY_FLOOR
-                trunc += int(np.count_nonzero(hit))
-                r[hit] = POSITIVITY_FLOOR
-        q_int = np.multiply(dt, q_sq, out=q_sq)
-        lw = q_dw - 0.5 * q_int
-        return {"rate": r, "log_weight": lw, "q_integral_sq": q_int, "trunc": trunc}
-
-    blocks = map_noise_blocks(noise, run_block, block_size=block_size, workers=workers)
+    run = euler_blocks(
+        ckls_drift(p), ckls_diffusion(p), p.r0, grid.dt, noise,
+        [lambda n: _Weight(p, grid.dt, n)], nan_raises=True, workers=workers,
+        block_size=block_size,
+    )
     return WeightedSample(
-        terminal_rate=np.concatenate([b["rate"] for b in blocks]),
-        log_weight=np.concatenate([b["log_weight"] for b in blocks]),
-        q_integral_sq=np.concatenate([b["q_integral_sq"] for b in blocks]),
-        truncations=sum(b["trunc"] for b in blocks),
+        terminal_rate=run["rate"],
+        log_weight=run["log_weight"],
+        q_integral_sq=run["q_integral_sq"],
+        truncations=int(run["trunc"].sum()),
         seed=noise.seed,
         n_paths=noise.n_paths,
     )

@@ -31,8 +31,6 @@ __all__ = [
     "CirParams",
     "default_c",
     "make_transform",
-    "transform_eval",
-    "transform_inverse",
     "derive_cir",
 ]
 
@@ -132,16 +130,6 @@ def make_transform(p: CklsParams, c: float | None = None) -> Transform:
     if not c > 0:
         raise ValueError(f"C must be positive, got {c}")
     return Transform(c=float(c), gamma=p.gamma)
-
-
-def transform_eval(t: Transform, x):
-    """Evaluate (f, f', f'') at x > 0.  Returns a dict with those keys."""
-    return {"f": t.f(x), "fprime": t.fprime(x), "fsecond": t.fsecond(x)}
-
-
-def transform_inverse(t: Transform, y):
-    """Evaluate the inverse map at y > 0, so that f(result) = y."""
-    return t.inverse(y)
 
 
 def derive_cir(p: CklsParams, t: Transform) -> CirParams:

@@ -2,8 +2,9 @@
 
 Each check runs one statistical experiment at a fixed seed and returns a
 CheckReport with the decision statistic, its threshold and a pass/fail or
-report-only status.  The CLI `verify` command maps suites onto these
-checks; the acceptance test battery calls them directly.
+report-only status.  The CLI `verify` command runs one of CHECKS by
+name, or all of them as suite "default"; the acceptance test battery
+calls the checks directly.
 
 The measure-consistency check closes the loop between the two halves of
 the library: the weighted base-measure pushforward of the transformed
@@ -41,25 +42,24 @@ from .distribution import (
 )
 from .engine import (
     NoiseMatrix,
-    POSITIVITY_FLOOR,
+    Snapshots,
     TimeGrid,
+    auxiliary_drift,
     ckls_diffusion,
     ckls_drift,
-    auxiliary_drift,
+    euler_blocks,
     euler_under_q,
-    euler_values,
     explicit_rate,
     explicit_rate_on_grid,
-    map_noise_blocks,
-    step_columns,
 )
+from .errors import InputError
 from .girsanov import simulate_weighted, weighted_expectation_arrays, weighted_report
 from .params import CklsParams, classify_regime
 from .transform import derive_cir, make_transform
 
 __all__ = [
     "CheckReport",
-    "SUITES",
+    "CHECKS",
     "run_suite",
     "check_transform_identities",
     "check_martingale",
@@ -191,18 +191,6 @@ def check_explicit_law(
     )
 
 
-def _terminal_euler(drift, diffusion, r0, grid, noise, workers=1, exit_to_inf=False):
-    """Terminal Euler states and the total count of floor exits."""
-    def run_block(lo, hi, dW):
-        values, exits = euler_values(
-            drift, diffusion, r0, grid.dt, dW, exit_to_inf=exit_to_inf
-        )
-        return {"r": values[:, -1], "exits": int(exits.sum())}
-
-    blocks = map_noise_blocks(noise, run_block, workers=workers)
-    return np.concatenate([b["r"] for b in blocks]), sum(b["exits"] for b in blocks)
-
-
 @_timed
 def check_measure_consistency(
     p: CklsParams,
@@ -227,12 +215,13 @@ def check_measure_consistency(
     sample = simulate_weighted(p, grid, NoiseMatrix(seed, n_paths, grid), workers=workers)
     est = weighted_expectation_arrays(sample.log_weight, tr.f(sample.terminal_rate))
 
-    aux, aux_exits = _terminal_euler(
-        auxiliary_drift(p, "derived"), ckls_diffusion(p), p.r0, grid,
-        NoiseMatrix(seed + 1, n_paths, grid), workers=workers,
-        exit_to_inf=p.gamma > 1.0,
+    aux = euler_blocks(
+        auxiliary_drift(p, "derived"), ckls_diffusion(p), p.r0, grid.dt,
+        NoiseMatrix(seed + 1, n_paths, grid), exit_to_inf=p.gamma > 1.0, workers=workers,
     )
-    aux_f = tr.f(aux)
+    # counted as engine.euler_values counts exits
+    aux_exits = int(aux["trunc"].sum() + np.count_nonzero(~np.isfinite(aux["rate"])))
+    aux_f = tr.f(aux["rate"])
     aux_mean = float(aux_f.mean())
     aux_se = float(aux_f.std(ddof=1) / math.sqrt(n_paths))
 
@@ -310,30 +299,28 @@ def _snapshot_rates(
     (len(snap_indices), n_paths), and the number of steps clamped at the
     positivity floor."""
     grid = TimeGrid(t_end, n_steps)
-    noise = NoiseMatrix(seed, n_paths, grid)
-    drift, diffusion = ckls_drift(p), ckls_diffusion(p)
-    dt = grid.dt
-    index_set = {k: j for j, k in enumerate(snap_indices)}
+    run = euler_blocks(
+        ckls_drift(p), ckls_diffusion(p), p.r0, grid.dt, NoiseMatrix(seed, n_paths, grid),
+        [lambda n: Snapshots(snap_indices, n_steps, n)], workers=workers,
+    )
+    return run["snapshots"], int(run["trunc"].sum())
 
-    def run_block(lo, hi, dW):
-        r = np.full(hi - lo, p.r0)
-        snaps = np.empty((len(snap_indices), hi - lo))
-        trunc = 0
-        if 0 in index_set:
-            snaps[index_set[0]] = r
-        for k, col in enumerate(step_columns(dW)):
-            r = r + drift(r) * dt + diffusion(r) * col
-            hit = r < POSITIVITY_FLOOR
-            if hit.any():
-                trunc += int(hit.sum())
-                r = np.where(hit, POSITIVITY_FLOOR, r)
-            if k + 1 in index_set:
-                snaps[index_set[k + 1]] = r
-        return {"snaps": snaps, "trunc": trunc}
 
-    blocks = map_noise_blocks(noise, run_block, workers=workers)
-    snaps = np.concatenate([b["snaps"] for b in blocks], axis=1)
-    return snaps, sum(b["trunc"] for b in blocks)
+def _snapshot_grid(ts: tuple, n_steps_per_unit: int) -> tuple[float, int, list[int]]:
+    """(t_end, n_steps, grid indices) of the snapshot times ts, each on a
+    grid index of its own past 0: a repeat or r0 has no spread to test."""
+    ts = tuple(ts)
+    if not ts or not all(math.isfinite(t) and t > 0 for t in ts):
+        raise InputError(f"snapshot times must be finite and positive, got {ts}")
+    t_end = max(ts)
+    n_steps = int(round(n_steps_per_unit * t_end))
+    idx = [int(round(t / t_end * n_steps)) for t in ts]
+    if len(set(idx)) < len(idx) or 0 in idx:
+        raise InputError(
+            f"snapshot times {ts} fall on grid indices {idx} of a {n_steps}-step grid; "
+            "each needs an index of its own past 0"
+        )
+    return t_end, n_steps, idx
 
 
 @_timed
@@ -346,9 +333,7 @@ def check_closed_form_mean(
     workers: int = 1,
 ) -> CheckReport:
     """Euler terminal mean against a/b + (r0 - a/b) e^(-b t), 3 SE."""
-    t_end = max(ts)
-    n_steps = int(round(n_steps_per_unit * t_end))
-    idx = [int(round(t / t_end * n_steps)) for t in ts]
+    t_end, n_steps, idx = _snapshot_grid(ts, n_steps_per_unit)
     snaps, truncations = _snapshot_rates(p, t_end, n_steps, n_paths, seed, idx, workers)
     zs = {}
     for j, t in enumerate(ts):
@@ -378,9 +363,7 @@ def check_moment_bounds(
 ) -> CheckReport:
     """MC moments E r_t^(-2 gamma) and E r_t^(2 (gamma-1)) must not exceed
     the closed-form bounds by more than 3 SE."""
-    t_end = max(ts)
-    n_steps = int(round(n_steps_per_unit * t_end))
-    idx = [int(round(t / t_end * n_steps)) for t in ts]
+    t_end, n_steps, idx = _snapshot_grid(ts, n_steps_per_unit)
     snaps, truncations = _snapshot_rates(p, t_end, n_steps, n_paths, seed, idx, workers)
     details: dict = {"truncations": truncations}
     worst = -math.inf
@@ -571,38 +554,21 @@ def check_determinism(
     )
 
 
-def _suite_checks(name: str) -> list[str]:
-    if name not in SUITES:
-        raise KeyError(name)
-    return SUITES[name]
-
-
-SUITES = {
-    "default": [
-        "transform",
-        "martingale",
-        "explicit-law",
-        "measure-consistency",
-        "delta-arbitration",
-        "mean",
-        "moments",
-        "ladder",
-        "ncx2",
-        "scale",
-        "determinism",
-    ],
-    "transform": ["transform"],
-    "martingale": ["martingale"],
-    "explicit-law": ["explicit-law"],
-    "measure-consistency": ["measure-consistency"],
-    "delta-arbitration": ["delta-arbitration"],
-    "mean": ["mean"],
-    "moments": ["moments"],
-    "ladder": ["ladder"],
-    "ncx2": ["ncx2"],
-    "scale": ["scale"],
-    "determinism": ["determinism"],
-}
+# The checks in run order; `ckls verify --suite NAME` runs the one named
+# NAME, and suite "default" runs them all.
+CHECKS = (
+    "transform",
+    "martingale",
+    "explicit-law",
+    "measure-consistency",
+    "delta-arbitration",
+    "mean",
+    "moments",
+    "ladder",
+    "ncx2",
+    "scale",
+    "determinism",
+)
 
 
 def run_suite(
@@ -613,13 +579,16 @@ def run_suite(
     workers: int = 1,
     scale_variant: str = "paper",
 ) -> list[CheckReport]:
-    """Run a named suite of checks against one parameter set.
+    """Run one check of CHECKS by name, or all of them as suite
+    "default", against one parameter set.
 
     Checks whose hypotheses the parameter set does not satisfy (moment
     bounds outside both cases, scale function outside gamma in [1/2, 1))
     are skipped with a report-only entry.
     """
-    names = _suite_checks(suite)
+    if suite != "default" and suite not in CHECKS:
+        raise KeyError(suite)
+    names = CHECKS if suite == "default" else (suite,)
     regime = classify_regime(p)
     reports: list[CheckReport] = []
     for name in names:

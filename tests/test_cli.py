@@ -100,8 +100,8 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("fmt", ["csv", "binary"])
     def test_euler_mode_writes_the_stacked_euler_ckls_paths(self, tmp_path, capsys, fmt):
         """The bytes and the clamp count of simulate --mode euler-p equal
-        those of euler_ckls' paths, stacked and written by the same writer,
-        on a set that clamps."""
+        those of euler_ckls' value matrix, written by the same writer, on a
+        set that clamps."""
         from ckls import cli, euler_ckls
         from ckls.config import load_config
         from ckls.pathio import write_paths_binary, write_paths_csv
@@ -115,8 +115,9 @@ class TestSimulateCommand:
         assert cli.main(["--config", cfg_path, "simulate", "--mode", "euler-p"]) == 0
         summary = json.loads(capsys.readouterr().out)
         cfg = load_config(cfg_path)
-        paths = euler_ckls(cfg.params, cfg.grid, NoiseMatrix(cfg.seed, cfg.n_paths, cfg.grid))
-        values = np.stack([path.values for path in paths])
+        values, exits = euler_ckls(
+            cfg.params, cfg.grid, NoiseMatrix(cfg.seed, cfg.n_paths, cfg.grid)
+        )
         expected = tmp_path / f"expected.{fmt}"
         if fmt == "csv":
             metadata = {"config": cli._echo_config(cfg)}
@@ -124,8 +125,7 @@ class TestSimulateCommand:
         else:
             write_paths_binary(expected, cfg.grid.times, values)
         assert out.read_bytes() == expected.read_bytes()
-        truncations = sum(path.truncations for path in paths)
-        assert summary["truncations"] == truncations > 0
+        assert summary["truncations"] == exits.sum() > 0
 
     def test_small_vol_terminal_mean_near_closed_form(self, tmp_path):
         from ckls import CklsParams, mean_rate
@@ -225,6 +225,14 @@ class TestVerifyCommand:
         cfg = write_config(tmp_path)
         res = run_cli("--config", cfg, "verify", "--suite", "everything")
         assert res.returncode == 1
+        assert json.loads(res.stdout) == {
+            "error": "unknown suite 'everything'",
+            "known": [
+                "default", "delta-arbitration", "determinism", "explicit-law", "ladder",
+                "martingale", "mean", "measure-consistency", "moments", "ncx2", "scale",
+                "transform",
+            ],
+        }
 
     def test_transform_suite_passes(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -22,9 +22,10 @@ from ckls import (
     explicit_rate,
     explicit_rate_on_grid,
     make_transform,
+    mc_moment,
     mean_rate,
     sample_cir_exact,
-    transform_inverse,
+    simulate_weighted,
 )
 from ckls.engine import NOISE_BLOCK, NOISE_RULES, NOISE_STREAM, map_noise_blocks, step_columns
 
@@ -151,6 +152,21 @@ class TestNoiseOracle:
         nm = NoiseMatrix(2**63 + 5, 1000, grid, stream=1)
         blocks = map_noise_blocks(nm, lambda lo, hi, dW: dW, block_size=333, workers=2)
         assert np.array_equal(np.concatenate(blocks), numpy_rows(2**63 + 5, 0, 1000, grid))
+
+
+@pytest.mark.parametrize("bad", [0, -2, 1.5, True, np.float64(2.0)])
+@pytest.mark.parametrize("run,name", [
+    ("simulate_weighted", "workers"), ("simulate_weighted", "block_size"), ("mc_moment", "workers"),
+])
+def test_block_counts_are_integers_from_one(run, name, bad):
+    """workers and block_size are rejected unless integers >= 1, before
+    any path is run, by the block runner every Euler run goes through."""
+    grid = TimeGrid(0.5, 4)
+    with pytest.raises(ValueError, match=name):
+        if run == "mc_moment":
+            mc_moment(HIGH, 0.5, 1.0, 100, 4, seed=1, workers=bad)
+        else:
+            simulate_weighted(HIGH, grid, NoiseMatrix(1, 100, grid), **{name: bad})
 
 
 def v2_rows(seed, lo, hi, grid):
@@ -287,8 +303,8 @@ class TestEulerCkls:
         """Zero noise, b = 0: one step gives exactly r0 + a dt."""
         p = CklsParams(a=1.0, b=0.0, sigma=0.5, gamma=1.5, r0=1.0)
         grid = TimeGrid(0.25, 1)
-        paths = euler_ckls(p, grid, np.zeros((1, 1)))
-        assert paths[0].values[1] == 1.0 + 1.0 * 0.25
+        values, _ = euler_ckls(p, grid, np.zeros((1, 1)))
+        assert values[0, 1] == 1.0 + 1.0 * 0.25
 
     def test_zero_noise_tends_to_ode_solution(self):
         """Oracle: the mean ODE r' = a - b r has the explicit solution
@@ -298,16 +314,16 @@ class TestEulerCkls:
         errors = []
         for n in (64, 256, 1024):
             grid = TimeGrid(t, n)
-            paths = euler_ckls(HIGH, grid, np.zeros((1, n)))
-            errors.append(abs(paths[0].values[-1] - exact))
+            values, _ = euler_ckls(HIGH, grid, np.zeros((1, n)))
+            errors.append(abs(values[0, -1] - exact))
         assert errors[0] > errors[1] > errors[2]
         assert errors[-1] < 1e-3 * abs(exact)
 
     def test_terminal_mean_matches_closed_form(self):
         grid = TimeGrid(0.5, 256)
         noise = NoiseMatrix(21, 20_000, grid)
-        paths = euler_ckls(HIGH, grid, noise)
-        terminal = np.array([path.values[-1] for path in paths])
+        values, _ = euler_ckls(HIGH, grid, noise)
+        terminal = values[:, -1]
         se = terminal.std(ddof=1) / math.sqrt(terminal.size)
         assert abs(terminal.mean() - mean_rate(HIGH, 0.5)) <= 3.0 * se
 
@@ -316,11 +332,11 @@ class TestEulerCkls:
         # negative; the scheme must clamp and count
         p = CklsParams(a=0.01, b=0.0, sigma=3.0, gamma=0.5, r0=0.05)
         grid = TimeGrid(1.0, 64)
-        paths = euler_ckls(p, grid, NoiseMatrix(5, 200, grid))
-        total = sum(path.truncations for path in paths)
+        values, exits = euler_ckls(p, grid, NoiseMatrix(5, 200, grid))
+        total = exits.sum()
         assert total > 0
-        assert all(path.values.min() >= 1e-12 for path in paths)
-        assert any(path.truncated for path in paths)
+        assert values.min() >= 1e-12
+        assert (exits > 0).any()
 
     def test_overflow_counted_in_clamp_mode(self):
         """A path that overflows is never below the floor, so the clamp
@@ -342,15 +358,15 @@ class TestEulerAuxiliary:
         p = CklsParams(a=1.0, b=1.0, sigma=1.0, gamma=1.5, r0=1.0)
         grid = TimeGrid(0.5, 1)
         res = euler_auxiliary(p, grid, np.zeros((1, 1)))
-        assert res.paths[0].values[1] == pytest.approx(1.0 + 1.75 * 0.5, rel=1e-15)
+        assert res.values[0, 1] == pytest.approx(1.0 + 1.75 * 0.5, rel=1e-15)
 
     def test_low_gamma_variant_drifts(self):
         grid = TimeGrid(0.5, 1)
         derived = euler_auxiliary(LOW, grid, np.zeros((1, 1)), variant="derived")
         paper = euler_auxiliary(LOW, grid, np.zeros((1, 1)), variant="paper")
         # derived: 0.2 + 0.75*0.25/2 = 0.29375 ; paper: 0.75*0.5/2 - 0.2 = -0.0125
-        assert derived.paths[0].values[1] == pytest.approx(1.0 + 0.29375 * 0.5, rel=1e-14)
-        assert paper.paths[0].values[1] == pytest.approx(1.0 - 0.0125 * 0.5, rel=1e-14)
+        assert derived.values[0, 1] == pytest.approx(1.0 + 0.29375 * 0.5, rel=1e-14)
+        assert paper.values[0, 1] == pytest.approx(1.0 - 0.0125 * 0.5, rel=1e-14)
 
     def test_variant_ignored_for_high_gamma(self):
         """For gamma > 1 the printed drift 2a - b x - gamma sigma^2/2
@@ -369,7 +385,7 @@ class TestEulerAuxiliary:
             x = np.full(16, HIGH.r0)
             for k in range(8):
                 x = x + drift(x) * grid.dt + s * x**g * noise[:, k]
-            terminal[variant] = np.array([path.values[-1] for path in res.paths])
+            terminal[variant] = res.values[:, -1]
             np.testing.assert_allclose(terminal[variant], x, rtol=1e-12)
         assert not np.allclose(terminal["paper"], terminal["derived"])
 
@@ -452,7 +468,7 @@ class TestExplicitRate:
             cir = derive_cir(p, tr)
             level = exact_sqrt_level(cir, p, t, z) ** 2
             np.testing.assert_allclose(
-                transform_inverse(tr, level), direct, rtol=1e-10
+                tr.inverse(level), direct, rtol=1e-10
             )
 
     def test_singular_sample_raised(self):

@@ -18,9 +18,7 @@ from ckls import (
     DomainError,
     InputError,
     NoiseMatrix,
-    Path,
     TimeGrid,
-    accumulate_weight,
     derive_cir,
     drift_adjustment,
     euler_ckls,
@@ -28,7 +26,6 @@ from ckls import (
     novikov_diagnostic,
     simulate_weighted,
     transition_spec,
-    weighted_expectation,
 )
 from ckls.analysis import ks_statistic
 from ckls.engine import auxiliary_drift, ckls_diffusion, ckls_drift
@@ -125,38 +122,58 @@ class TestOnePowerAccuracy:
             assert abs(got - exact) <= 4 * EPS * scale
 
 
+@dataclass(frozen=True)
+class ConstantNoise(NoiseMatrix):
+    """Every increment 0.0; with width=0, rows of no increments at all."""
+
+    width: int | None = None
+
+    def increments(self, lo=0, hi=None):
+        hi = self.n_paths if hi is None else hi
+        width = self.grid.n_steps if self.width is None else self.width
+        return np.zeros((hi - lo, width))
+
+
+def left_point_weight(p, values, dW, dt):
+    """The log weight and dt sum q^2 of one path, summed along its
+    stored values: q(r_k) at the state before each step."""
+    q = drift_adjustment(p, values[:-1])
+    q_int = float(np.sum(q * q) * dt)
+    return float(np.sum(q * dW) - 0.5 * q_int), q_int
+
+
 class TestAccumulateWeight:
+    """The per-path weight simulate_weighted accumulates, on edge inputs
+    and along the paths of euler_ckls."""
+
     def test_empty_integral_gives_unit_weight(self):
-        path = Path(TimeGrid(1.0, 1), np.array([HIGH.r0]))
-        wp = accumulate_weight(HIGH, path, np.array([]))
-        assert wp.log_weight == 0.0 and wp.q_integral_sq == 0.0
+        grid = TimeGrid(1.0, 1)
+        s = simulate_weighted(HIGH, grid, ConstantNoise(1, 1, grid, width=0))
+        assert s.log_weight[0] == 0.0 and s.q_integral_sq[0] == 0.0
 
     def test_zero_noise_gives_negative_log_weight(self):
         grid = TimeGrid(0.5, 32)
-        path = euler_ckls(HIGH, grid, np.zeros((1, 32)))[0]
-        wp = accumulate_weight(HIGH, path, np.zeros(32))
-        assert wp.log_weight == pytest.approx(-0.5 * wp.q_integral_sq, rel=1e-15)
-        assert wp.log_weight < 0.0
+        s = simulate_weighted(HIGH, grid, ConstantNoise(1, 1, grid))
+        assert s.log_weight[0] == pytest.approx(-0.5 * s.q_integral_sq[0], rel=1e-15)
+        assert s.log_weight[0] < 0.0
 
     def test_length_mismatch(self):
-        grid = TimeGrid(0.5, 8)
-        path = euler_ckls(HIGH, grid, np.zeros((1, 8)))[0]
         with pytest.raises(InputError):
-            accumulate_weight(HIGH, path, np.zeros(7))
+            weighted_expectation_arrays(np.zeros(8), np.zeros(7))
 
     def test_matches_fused_streaming_run(self):
-        """Dual route: per-path accumulation against the fused block
-        runner, bit-for-bit on the same noise."""
+        """Dual route: accumulation along euler_ckls' stored paths against
+        the fused block runner on the same noise."""
         grid = TimeGrid(0.5, 64)
         noise = NoiseMatrix(61, 50, grid)
         fused = simulate_weighted(LOW, grid, noise)
         dW = noise.increments()
-        paths = euler_ckls(LOW, grid, dW)
+        values, _ = euler_ckls(LOW, grid, dW)
         for i in (0, 17, 49):
-            wp = accumulate_weight(LOW, paths[i], dW[i])
-            assert wp.log_weight == pytest.approx(fused.log_weight[i], rel=1e-12)
-            assert wp.q_integral_sq == pytest.approx(fused.q_integral_sq[i], rel=1e-12)
-            assert paths[i].values[-1] == pytest.approx(fused.terminal_rate[i], rel=1e-14)
+            log_weight, q_int = left_point_weight(LOW, values[i], dW[i], grid.dt)
+            assert log_weight == pytest.approx(fused.log_weight[i], rel=1e-12)
+            assert q_int == pytest.approx(fused.q_integral_sq[i], rel=1e-12)
+            assert values[i, -1] == pytest.approx(fused.terminal_rate[i], rel=1e-14)
 
 
 class TestWeightedExpectation:
@@ -175,11 +192,8 @@ class TestWeightedExpectation:
 
     def test_path_functional_interface(self):
         grid = TimeGrid(0.5, 16)
-        noise = NoiseMatrix(3, 20, grid)
-        dW = noise.increments()
-        paths = euler_ckls(HIGH, grid, dW)
-        wpaths = [accumulate_weight(HIGH, paths[i], dW[i]) for i in range(20)]
-        est = weighted_expectation(wpaths, lambda path: path.values[-1])
+        s = simulate_weighted(HIGH, grid, NoiseMatrix(3, 20, grid))
+        est = weighted_expectation_arrays(s.log_weight, s.terminal_rate)
         assert est.n_paths == 20 and math.isfinite(est.estimate)
 
     @given(
@@ -211,15 +225,23 @@ class TestWeightedExpectation:
 
     def test_empty_input(self):
         with pytest.raises(InputError):
-            weighted_expectation([], lambda path: 1.0)
+            weighted_expectation_arrays([], [])
+
+    def test_shape_mismatch(self):
+        with pytest.raises(InputError, match="do not match"):
+            weighted_expectation_arrays(np.zeros(5), np.ones((5, 1)))
 
 
 class TestNovikovDiagnostic:
     def test_zero_horizon_estimate_is_zero(self):
-        path = Path(TimeGrid(1.0, 1), np.array([HIGH.r0]))
-        wp = accumulate_weight(HIGH, path, np.array([]))
-        est = novikov_diagnostic(HIGH, [wp, wp])
+        grid = TimeGrid(1.0, 1)
+        s = simulate_weighted(HIGH, grid, ConstantNoise(1, 2, grid, width=0))
+        est = novikov_diagnostic(HIGH, s.q_integral_sq)
         assert est.estimate == 0.0
+
+    def test_empty_input(self):
+        with pytest.raises(InputError):
+            novikov_diagnostic(HIGH, [])
 
     def test_stable_across_dt_refinement_case_ii(self):
         """E int q^2 ds agrees between dt = 2^-9 and 2^-10 within combined
@@ -242,10 +264,7 @@ class TestNovikovDiagnostic:
         p = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=2.5, r0=1.0)
         grid = TimeGrid(0.25, 64)
         s = simulate_weighted(p, grid, NoiseMatrix(73, 2000, grid))
-        dW = NoiseMatrix(73, 2000, grid).increments()
-        paths = euler_ckls(p, grid, dW[:50])
-        wpaths = [accumulate_weight(p, paths[i], dW[i]) for i in range(50)]
-        est = novikov_diagnostic(p, wpaths)
+        est = novikov_diagnostic(p, s.q_integral_sq[:50])
         assert math.isfinite(est.estimate) and est.estimate >= 0.0
         assert math.isfinite(s.q_integral_sq.mean())
 
@@ -424,9 +443,9 @@ class TestNonFiniteWeightedPaths:
         grid = TimeGrid(0.5, 16)
         noise = NoiseMatrix(3, 3000, grid)
         s = simulate_weighted(p, grid, noise, workers=2, block_size=1000)
-        paths = euler_ckls(p, grid, noise)
-        assert s.truncations == sum(path.truncations for path in paths) == 69
-        np.testing.assert_array_equal(s.terminal_rate, [path.values[-1] for path in paths])
+        values, exits = euler_ckls(p, grid, noise)
+        assert s.truncations == exits.sum() == 69
+        np.testing.assert_array_equal(s.terminal_rate, values[:, -1])
 
 
 class TestPushforwardLaw:

@@ -1,10 +1,13 @@
-"""Golden outputs of the Euler loops: SHA-256 of fixed-seed arrays.
+"""Golden outputs of the Euler runs: SHA-256 of fixed-seed arrays.
 
 Recorded when the step came to take one power, sigma r^(gamma-1), for
 the diffusion (sigma r^(gamma-1)) r and for q, after
 TestOneEulerPowerAgainstOldStep had held the new step to the old one; any
 change to the noise bits, the arithmetic of a step or its order, the
-clamp rule or the block stitching changes a digest.
+clamp rule or the block stitching changes a digest.  Since every loop
+became the one kernel engine.euler_blocks, the digests are read through
+it: the kernel blocks the noise with engine.map_noise_blocks and forms
+sigma r^gamma in engine._CklsDiffusion.
 """
 
 import contextlib
@@ -17,12 +20,11 @@ from ckls import (
     CklsParams,
     NoiseMatrix,
     TimeGrid,
-    analysis,
     engine,
     euler_auxiliary,
     euler_ckls,
+    euler_under_q,
     simulate_weighted,
-    verify,
 )
 from ckls.analysis import mc_moment
 from ckls.engine import (
@@ -51,16 +53,20 @@ def digest(*parts) -> str:
     return h.hexdigest()
 
 
-def path_digest(paths) -> str:
-    return digest(
-        np.stack([path.values for path in paths]),
-        np.array([path.truncations for path in paths], dtype=float),
-    )
+def path_digest(values, truncations) -> str:
+    """The digest of a value matrix and its per-path clamp counts, as it
+    was taken of a list of Path objects: their stacked values and
+    truncations."""
+    return digest(values, np.asarray(truncations, dtype=float))
+
+
+def aux_digest(res) -> str:
+    return digest(path_digest(res.values, res.exits), res.min_values, res.floor_hits, res.blowups)
 
 
 def mc_moment_with_blocks(p, exponent, workers=1):
     """mc_moment's result on 10 000 paths, and the per-path terminal and
-    integral arrays of its blocks, read through analysis.map_noise_blocks."""
+    integral arrays of its blocks, read through engine.map_noise_blocks."""
     blocks = []
 
     def recording(*args, **kwargs):
@@ -69,7 +75,7 @@ def mc_moment_with_blocks(p, exponent, workers=1):
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "map_noise_blocks", recording)
+        mp.setattr(engine, "map_noise_blocks", recording)
         res = mc_moment(p, 0.5, exponent, 10_000, 16, seed=5, workers=workers)
     return res, [b[key] for b in blocks for key in ("terminal", "integral")]
 
@@ -93,21 +99,19 @@ class TestGoldenEulerValues:
 
     @pytest.mark.parametrize("name,p", [("high", HIGH), ("low", LOW), ("clamping", CLAMPING)])
     def test_euler_ckls(self, name, p):
-        paths = euler_ckls(p, self.GRID, NoiseMatrix(3, 3000, self.GRID))
-        assert path_digest(paths) == self.GOLDEN[f"ckls-{name}"]
+        values, exits = euler_ckls(p, self.GRID, NoiseMatrix(3, 3000, self.GRID))
+        assert path_digest(values, exits) == self.GOLDEN[f"ckls-{name}"]
 
     @pytest.mark.parametrize("variant", ["derived", "paper"])
     def test_euler_auxiliary_exit_to_inf(self, variant):
         res = euler_auxiliary(HIGH, self.LONG, NoiseMatrix(2024, 3000, self.LONG), variant)
         assert res.blowups > 0
-        got = digest(path_digest(res.paths), res.min_values, res.floor_hits, res.blowups)
-        assert got == self.GOLDEN[f"aux-high-{variant}"]
+        assert aux_digest(res) == self.GOLDEN[f"aux-high-{variant}"]
 
     @pytest.mark.parametrize("variant", ["derived", "paper"])
     def test_euler_auxiliary_clamp(self, variant):
         res = euler_auxiliary(CLAMPING, self.GRID, NoiseMatrix(3, 3000, self.GRID), variant)
-        got = digest(path_digest(res.paths), res.min_values, res.floor_hits, res.blowups)
-        assert got == self.GOLDEN[f"aux-clamping-{variant}"]
+        assert aux_digest(res) == self.GOLDEN[f"aux-clamping-{variant}"]
 
     @pytest.mark.parametrize("mode,exit_to_inf", [("clamp", False), ("exit-to-inf", True)])
     def test_euler_values(self, mode, exit_to_inf):
@@ -151,18 +155,18 @@ class TestGoldenBlockLoops:
         assert digest(snaps, trunc) == self.GOLDEN[f"snapshot-{name}"]
 
 
-def old_ckls_diffusion(p):
-    """The diffusion before the Euler step shared its power with q."""
-    return lambda x: p.sigma * x**p.gamma
+def old_times(diffusion, x, s):
+    """The diffusion before the Euler step shared its power with q: sign
+    sigma x^gamma from a power of its own, s unused."""
+    return diffusion.sign * diffusion.p.sigma * x**diffusion.p.gamma
 
 
 @contextlib.contextmanager
 def old_diffusion():
-    """Run the Euler loops with old_ckls_diffusion in place of
-    ckls_diffusion."""
+    """Run the Euler kernel with old_times in place of the s x that
+    engine._CklsDiffusion forms."""
     with pytest.MonkeyPatch.context() as mp:
-        for module in (engine, analysis, verify):
-            mp.setattr(module, "ckls_diffusion", old_ckls_diffusion)
+        mp.setattr(engine._CklsDiffusion, "times", old_times)
         yield
 
 
@@ -201,29 +205,26 @@ def first_exits(values) -> np.ndarray:
 
 def euler_golden_runs():
     """Every golden Euler input, by TestGoldenEulerValues/TestGoldenBlockLoops
-    key: a function giving (digest, rate arrays, exact counts).  The
-    diffusion is looked up at call time, so old_diffusion reaches it."""
+    key: a function giving (digest, rate arrays, exact counts)."""
     grid, long = TestGoldenEulerValues.GRID, TestGoldenEulerValues.LONG
 
-    def paths_run(paths, *extra):
-        values = np.stack([path.values for path in paths])
-        trunc = np.array([path.truncations for path in paths])
+    def paths_run(values, trunc, *extra):
         return [values], {"trunc": trunc, "first": first_exits(values), "extra": extra}
 
     def ckls(p):
-        paths = euler_ckls(p, grid, NoiseMatrix(3, 3000, grid))
-        return (path_digest(paths), *paths_run(paths))
+        values, exits = euler_ckls(p, grid, NoiseMatrix(3, 3000, grid))
+        return (path_digest(values, exits), *paths_run(values, exits))
 
     def aux(p, g, seed, variant):
         res = euler_auxiliary(p, g, NoiseMatrix(seed, 3000, g), variant)
-        got = digest(path_digest(res.paths), res.min_values, res.floor_hits, res.blowups)
-        arrays, counts = paths_run(res.paths, res.floor_hits, res.blowups)
+        got = aux_digest(res)
+        arrays, counts = paths_run(res.values, res.exits, res.floor_hits, res.blowups)
         return got, arrays + [res.min_values], counts
 
     def values(exit_to_inf):
         dW = np.asfortranarray(NoiseMatrix(3, 3000, grid).increments())
         vals, exits = euler_values(
-            ckls_drift(CLAMPING), engine.ckls_diffusion(CLAMPING), CLAMPING.r0, grid.dt, dW,
+            ckls_drift(CLAMPING), ckls_diffusion(CLAMPING), CLAMPING.r0, grid.dt, dW,
             exit_to_inf=exit_to_inf,
         )
         return digest(vals, exits.astype(float)), [vals], {"trunc": exits, "first": first_exits(vals)}
@@ -307,3 +308,31 @@ class TestOneEulerPowerAgainstOldStep:
         np.testing.assert_allclose(s.log_weight, log_weight, rtol=0, atol=1e-12)
         np.testing.assert_allclose(s.q_integral_sq, q_integral_sq, rtol=1e-12, atol=0)
         assert s.truncations == truncations
+
+
+class TestGoldenEulerUnderQ:
+    """euler_under_q on the golden noise.  Its diffusion sign(1-gamma)
+    sigma x^gamma was sign sigma x^gamma until it came to be formed in the
+    one kernel, as (sign sigma x^(gamma-1)) x; the old step reproduces the
+    digest recorded before that change, and the new one keeps every rate
+    within 1e-12 relative of it (the largest gap measured was 1.1e-15)."""
+
+    GRID = TimeGrid(0.5, 16)
+    OLD_GOLDEN = {
+        "high": "a4777cfd35af2cbac570b5f4cb7cf607d9460f7504283b2e7304e0e70ce26b77",
+        "low": "e80805394a8622c6dec291c3abf95e857dbb2ff95b2aa97d781a61ba922635e3",
+    }
+    GOLDEN = {
+        "high": "7b55667abfceac24584f33f5fa9839e036769f1ae61e6c87cc20e4513ce2eedd",
+        "low": "3094a7a0fcca944baedb5bda54413473ed5e45e6b4b032f48179abe5402a3bbc",
+    }
+
+    @pytest.mark.parametrize("name,p", [("high", HIGH), ("low", LOW)])
+    def test_digest_and_old_step(self, name, p):
+        noise = NoiseMatrix(3, 3000, self.GRID)
+        with old_diffusion():
+            old = euler_under_q(p, self.GRID, noise)
+        assert digest(old) == self.OLD_GOLDEN[name]
+        new = euler_under_q(p, self.GRID, noise)
+        np.testing.assert_allclose(new, old, rtol=1e-12, atol=0)
+        assert digest(new) == self.GOLDEN[name]

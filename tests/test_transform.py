@@ -15,8 +15,6 @@ from ckls import (
     default_c,
     derive_cir,
     make_transform,
-    transform_eval,
-    transform_inverse,
 )
 
 HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
@@ -53,21 +51,21 @@ class TestMakeTransform:
     @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
     def test_inverse_identity(self, x):
         tr = make_transform(HIGH, 1.0)
-        assert transform_inverse(tr, tr.f(x)) == pytest.approx(x, rel=1e-12)
+        assert tr.inverse(tr.f(x)) == pytest.approx(x, rel=1e-12)
 
 
 class TestTransformEval:
     def test_reciprocal_derivatives(self):
         # f(x) = 1/x at x = 1: f = 1, f' = -1, f'' = 2
-        out = transform_eval(make_transform(HIGH, 1.0), 1.0)
-        assert (out["f"], out["fprime"], out["fsecond"]) == (1.0, -1.0, 2.0)
+        tr = make_transform(HIGH, 1.0)
+        assert (tr.f(1.0), tr.fprime(1.0), tr.fsecond(1.0)) == (1.0, -1.0, 2.0)
 
     def test_sqrt_derivatives(self):
         # f(x) = sqrt(x) at x = 4: f = 2, f' = 1/4, f'' = -1/32
-        out = transform_eval(make_transform(LOW, 0.5), 4.0)
-        assert out["f"] == pytest.approx(2.0, rel=1e-15)
-        assert out["fprime"] == pytest.approx(0.25, rel=1e-15)
-        assert out["fsecond"] == pytest.approx(-1.0 / 32.0, rel=1e-15)
+        tr = make_transform(LOW, 0.5)
+        assert tr.f(4.0) == pytest.approx(2.0, rel=1e-15)
+        assert tr.fprime(4.0) == pytest.approx(0.25, rel=1e-15)
+        assert tr.fsecond(4.0) == pytest.approx(-1.0 / 32.0, rel=1e-15)
 
     def test_gamma_125_against_finite_differences(self):
         # Oracle first: the closed forms must match central differences.
@@ -78,17 +76,17 @@ class TestTransformEval:
         d1, d2 = finite_difference(tr.f, 1.0)
         assert d1 == pytest.approx(-2.0, rel=1e-8)
         assert d2 == pytest.approx(3.0, rel=1e-3)  # fd2 roundoff ~ f eps/h^2
-        out = transform_eval(tr, 1.0)
-        assert out["f"] == pytest.approx(4.0, rel=1e-15)
-        assert out["fprime"] == pytest.approx(d1, rel=1e-8)
-        assert out["fsecond"] == pytest.approx(d2, rel=1e-3)
+        assert tr.f(1.0) == pytest.approx(4.0, rel=1e-15)
+        assert tr.fprime(1.0) == pytest.approx(d1, rel=1e-8)
+        assert tr.fsecond(1.0) == pytest.approx(d2, rel=1e-3)
 
     def test_domain_error(self):
         tr = make_transform(HIGH, 1.0)
+        for method in (tr.f, tr.fprime, tr.fsecond):
+            with pytest.raises(DomainError):
+                method(0.0)
         with pytest.raises(DomainError):
-            transform_eval(tr, 0.0)
-        with pytest.raises(DomainError):
-            transform_inverse(tr, -1.0)
+            tr.inverse(-1.0)
 
     def test_second_derivative_matches_fd_of_fprime_on_grid(self):
         # analytic f'' vs central differences of f' within 1e-6 relative

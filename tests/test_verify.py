@@ -2,12 +2,14 @@
 timings every report carries."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
-from ckls import CklsParams, NoiseMatrix, TimeGrid, euler_ckls
+from ckls import CklsParams, DomainError, InputError, NoiseMatrix, TimeGrid, euler_ckls
 from ckls.cli import main
-from ckls.verify import check_closed_form_mean, check_moment_bounds, run_suite
+from ckls.verify import _snapshot_rates, check_closed_form_mean, check_moment_bounds, run_suite
 
 # near the floor, with a coarse grid: Euler steps overshoot below zero
 CLAMPING = CklsParams(a=0.5, b=5.0, sigma=0.5, gamma=0.5, r0=0.01)
@@ -19,10 +21,39 @@ def test_snapshot_checks_count_clamped_steps(check):
     scheme counts on the same noise rows."""
     report = check(CLAMPING, ts=(0.25, 0.5), n_paths=3000, n_steps_per_unit=32, seed=3)
     grid = TimeGrid(0.5, 16)
-    paths = euler_ckls(CLAMPING, grid, NoiseMatrix(3, 3000, grid))
-    expected = sum(path.truncations for path in paths)
+    _, exits = euler_ckls(CLAMPING, grid, NoiseMatrix(3, 3000, grid))
+    expected = exits.sum()
     assert expected > 0
     assert report.details["truncations"] == expected
+
+
+HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
+
+
+@pytest.mark.parametrize("check", [check_closed_form_mean, check_moment_bounds])
+@pytest.mark.parametrize("ts", [
+    (-0.25, 0.5), (0.5, 0.5, 1.0), (0.0, 0.5), (math.nan, 0.5), (math.inf,),
+    (0.0001, 0.5),  # index 0 of the grid: the constant r0
+    (),
+])
+def test_snapshot_checks_reject_times_without_a_grid_index_of_their_own(check, ts):
+    """A time that is not finite and positive, or that shares a grid index
+    with another or with t = 0, has no spread to test; it is rejected
+    before any path is run, naming the times."""
+    with pytest.raises(InputError, match=r"snapshot times"):
+        check(HIGH, ts=ts, n_paths=200, n_steps_per_unit=32, seed=3)
+
+
+def test_snapshot_rates_fill_every_index_they_are_given():
+    """A repeated grid index fills each of its rows; an index past the end
+    of the grid is rejected, not left as an unwritten row."""
+    snaps, _ = _snapshot_rates(HIGH, 0.5, 32, 2000, 1, [16, 16, 32])
+    np.testing.assert_array_equal(snaps[0], snaps[1])
+    full, _ = _snapshot_rates(HIGH, 0.5, 32, 2000, 1, [16, 32])
+    np.testing.assert_array_equal(snaps[1:], full)
+    for bad in ([33], [-1, 16]):
+        with pytest.raises(DomainError, match="outside 0..32"):
+            _snapshot_rates(HIGH, 0.5, 32, 2000, 1, bad)
 
 
 
