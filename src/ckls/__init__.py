@@ -46,6 +46,7 @@ from .errors import (
     InputError,
     RegimeError,
     SingularSample,
+    UnknownSuite,
 )
 from .girsanov import (
     NovikovEstimate,

@@ -19,8 +19,7 @@ import numpy as np
 from .config import RunConfig, load_config
 from .distribution import rate_cdf, rate_density, transition_spec
 from .engine import (
-    NOISE_RULES,
-    NOISE_STREAM,
+    NOISE_RULE,
     NoiseMatrix,
     ckls_diffusion,
     ckls_drift,
@@ -34,10 +33,9 @@ from .errors import CklsError, ConfigError, DegenerateTransform, RegimeError, Si
 from .params import classify_regime
 from .pathio import write_paths_binary, write_paths_csv
 from .transform import derive_cir, make_transform
-from .verify import CHECKS, run_suite
+from .verify import SUITE_NAMES, run_suite
 
 SIM_MODES = ("euler-p", "explicit-q", "cir-exact", "auxiliary")
-SUITE_NAMES = sorted(("default", *CHECKS))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -246,8 +244,8 @@ def cmd_verify(cfg: RunConfig, suite: str, workers: int) -> int:
         "suite": suite,
         "config": cfg.to_dict(),
         "checks": [r.to_dict() for r in reports],
-        # every check draws its paths from NoiseMatrix's default rule
-        "noise_stream": NOISE_RULES[NOISE_STREAM],
+        # every check draws its paths under NoiseMatrix's one rule
+        "noise_stream": NOISE_RULE,
         "numpy_version": np.__version__,
         "elapsed_seconds": round(time.perf_counter() - started, 6),
     }

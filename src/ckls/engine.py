@@ -6,14 +6,11 @@ Everything is reproducible: the Gaussian increments of path i depend on
 never reshuffles earlier paths, and results are bit-identical across runs
 and across worker counts (reductions are stitched in path order).
 
-Two noise-stream rules exist (NOISE_RULES).  Rule v2, the default, cuts
-the rows into stream blocks of NOISE_BLOCK rows; block k is one
-standard_normal draw, filled row-major, of the generator keyed by
+The noise-stream rule (NOISE_RULE, version NOISE_STREAM) cuts the rows
+into stream blocks of NOISE_BLOCK rows; block k is one standard_normal
+draw, filled row-major, of the generator keyed by
 SeedSequence(seed, spawn_key=(k,)), so one generator serves a thousand
-rows and its draw runs without the GIL.  Rule v1 (stream=1) makes row i
-exactly the normals of numpy's default_rng([seed, i]); its generator
-states are computed in bulk with numpy's own SeedSequence hash and PCG64
-seeding step, but each row is still a state load and a draw of its own.
+rows and its draw runs without the GIL.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from .transform import CirParams
 
 __all__ = [
     "NOISE_BLOCK",
-    "NOISE_RULES",
+    "NOISE_RULE",
     "NOISE_STREAM",
     "POSITIVITY_FLOOR",
     "TimeGrid",
@@ -65,36 +62,17 @@ POSITIVITY_FLOOR = 1e-12
 # float64 noise row.
 STEP_CHUNK = 8
 
-# Rows per v2 stream block.  Part of the rule: changing it changes every
+# Rows per stream block.  Part of the rule: changing it changes every
 # row past the first block, so it is not a setting.
 NOISE_BLOCK = 1024
 
-# The rules that turn (seed, path index) into a noise row, by version;
-# NoiseMatrix.rule echoes the one in use into every output.
-NOISE_RULES = {
-    1: "v1: per-path numpy default_rng([seed, i]): PCG64, ziggurat standard_normal",
-    2: (
-        f"v2: per-block numpy Generator(PCG64(SeedSequence(seed, spawn_key=(k,)))) "
-        f"for rows [{NOISE_BLOCK}k, {NOISE_BLOCK}(k+1)): ziggurat standard_normal, row-major"
-    ),
-}
-# the rule NoiseMatrix uses unless told otherwise
+# The rule that turns (seed, path index) into a noise row, and its version;
+# NoiseMatrix.rule echoes it into every output.
+NOISE_RULE = (
+    f"v2: per-block numpy Generator(PCG64(SeedSequence(seed, spawn_key=(k,)))) "
+    f"for rows [{NOISE_BLOCK}k, {NOISE_BLOCK}(k+1)): ziggurat standard_normal, row-major"
+)
 NOISE_STREAM = 2
-
-# numpy.random.SeedSequence (numpy/random/bit_generator.pyx): pool size and
-# hash constants, and the PCG64 128-bit LCG multiplier.  _bulk_pcg64_states
-# reproduces default_rng([seed, i]) seeding with them for rule v1, whose
-# every call is checked against numpy, so a change on numpy's side raises.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_SHIFT = np.uint32(16)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-# rows whose states are turned into Python ints at once; a whole block's
-# worth of ints costs resident memory for no speed
-_SEED_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -119,71 +97,6 @@ class TimeGrid:
         return np.linspace(0.0, self.t_end, self.n_steps + 1)
 
 
-def _hash_constants(init: int, mult: int, n: int) -> list:
-    """(xor, multiplier) pairs of n successive SeedSequence hash calls: the
-    hash constant starts at init and is multiplied by mult on every call."""
-    pairs, h = [], init
-    for _ in range(n):
-        pairs.append((np.uint32(h), np.uint32(h * mult & _MASK32)))
-        h = h * mult & _MASK32
-    return pairs
-
-
-# mix_entropy hashes each pool word once, then once per ordered pair of
-# distinct words; generate_state hashes 8 output words (4 uint64)
-_MIX_CONSTANTS = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE**2)
-_OUT_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-
-
-def _uint32_words(n: int) -> list:
-    """Little-endian 32-bit words of a nonnegative int, [0] for 0, as
-    SeedSequence splits its entropy."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _hash(value: np.ndarray, constants: tuple) -> np.ndarray:
-    xor, mult = constants
-    value = (value ^ xor) * mult
-    return value ^ value >> _SHIFT
-
-
-def _bulk_pcg64_states(seed: int, lo: int, hi: int):
-    """Yield the PCG64 (state, inc) of default_rng([seed, i]) for lo <= i < hi.
-
-    Runs SeedSequence([seed, i]).generate_state(4, uint64) for all i at
-    once in uint32 arithmetic (i < 2**32, so i is one entropy word), then
-    PCG64's seeding step in Python ints, chunk by chunk.
-    """
-    for c_lo in range(lo, hi, _SEED_CHUNK):
-        idx = np.arange(c_lo, min(c_lo + _SEED_CHUNK, hi), dtype=np.uint32)
-        # full arrays, not scalars: numpy warns on scalar uint32 wraparound
-        entropy = [np.full_like(idx, w) for w in _uint32_words(seed)] + [idx]
-        entropy += [np.zeros_like(idx)] * (_POOL_SIZE - len(entropy))
-        mix = iter(_MIX_CONSTANTS)
-        pool = [_hash(e, next(mix)) for e in entropy]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hash(pool[src], next(mix))
-                    pool[dst] = mixed ^ mixed >> _SHIFT
-        words = [
-            _hash(pool[k % _POOL_SIZE], c).astype(np.uint64)
-            for k, c in enumerate(_OUT_CONSTANTS)
-        ]
-        # generate_state(4, uint64) pairs the words little-endian; PCG64
-        # reads the four as (initstate high, low, initseq high, low)
-        s_hi, s_lo, q_hi, q_lo = (
-            (words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)
-        )
-        for sh, sl, qh, ql in zip(s_hi, s_lo, q_hi, q_lo):
-            inc = ((qh << 64 | ql) << 1 | 1) & _MASK128
-            yield ((inc + (sh << 64 | sl)) * _PCG64_MULT + inc) & _MASK128, inc
-
-
 def _require_integer(name: str, value) -> None:
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -194,25 +107,20 @@ class NoiseMatrix:
     """Per-path Gaussian increments with variance dt per step.
 
     Row i is standard normals scaled by sqrt(dt), drawn under the
-    noise-stream rule NOISE_RULES[stream]; rows are realized lazily in
-    blocks so large runs never materialize the full matrix.
+    noise-stream rule NOISE_RULE; rows are realized lazily in blocks so
+    large runs never materialize the full matrix.
 
-    v2 (default): block k holds rows [NOISE_BLOCK k, NOISE_BLOCK (k+1))
-    and is one standard_normal((rows, n_steps)) draw of
+    Block k holds rows [NOISE_BLOCK k, NOISE_BLOCK (k+1)) and is one
+    standard_normal((rows, n_steps)) draw of
     Generator(PCG64(SeedSequence(seed, spawn_key=(k,)))).  The first j rows
     of a block equal a j-row draw, so a range that starts inside a block
     draws from the block start and drops the prefix, and the rows do not
     depend on how the range is cut into calls.
-
-    v1: row i is the normals of np.random.default_rng([seed, i]), bit for
-    bit; the generator states of a call's rows are computed in bulk and
-    loaded one by one into a generator of the call's own.
     """
 
     seed: int
     n_paths: int
     grid: TimeGrid
-    stream: int = NOISE_STREAM
 
     def __post_init__(self) -> None:
         _require_integer("seed", self.seed)
@@ -221,20 +129,13 @@ class NoiseMatrix:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not self.n_paths >= 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
-        _require_integer("stream", self.stream)
-        if self.stream not in NOISE_RULES:
-            raise ValueError(f"stream must be one of {sorted(NOISE_RULES)}, got {self.stream!r}")
 
     @property
     def rule(self) -> str:
-        return NOISE_RULES[self.stream]
+        return NOISE_RULE
 
     def increments(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Realize rows lo..hi (exclusive) as an array of shape (hi-lo, n_steps).
-
-        Under v1, raises RuntimeError if the first row differs from numpy's
-        own default_rng([seed, lo]), i.e. if numpy changed its seeding.
-        """
+        """Realize rows lo..hi (exclusive) as an array of shape (hi-lo, n_steps)."""
         # Python ints: block arithmetic on numpy unsigned counts wraps
         n_paths = int(self.n_paths)
         lo = operator.index(lo)
@@ -244,14 +145,6 @@ class NoiseMatrix:
         out = np.empty((hi - lo, self.grid.n_steps))
         if hi == lo:
             return out
-        if self.stream == 1:
-            self._fill_v1(lo, hi, out)
-        else:
-            self._fill_v2(lo, hi, out)
-        out *= math.sqrt(self.grid.dt)
-        return out
-
-    def _fill_v2(self, lo: int, hi: int, out: np.ndarray) -> None:
         seed, n_steps = int(self.seed), self.grid.n_steps
         for k in range(lo // NOISE_BLOCK, -(-hi // NOISE_BLOCK)):
             start = k * NOISE_BLOCK
@@ -263,27 +156,8 @@ class NoiseMatrix:
                 # the normals of the rows before lo, drawn and dropped
                 gen.standard_normal((first - start) * n_steps)
             gen.standard_normal(out=out[first - lo : last - lo])
-
-    def _fill_v1(self, lo: int, hi: int, out: np.ndarray) -> None:
-        seed = int(self.seed)
-        gen = np.random.default_rng([seed, lo])
-        expected = gen.standard_normal(self.grid.n_steps)
-        bitgen = gen.bit_generator
-        words = {}
-        state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
-        # the bulk hash takes the path index as one 32-bit word
-        split = min(max(lo, 2**32), hi)
-        for row, (s, inc) in zip(out, _bulk_pcg64_states(seed, lo, split)):
-            words["state"], words["inc"] = s, inc
-            bitgen.state = state
-            gen.standard_normal(out=row)
-        for i in range(split, hi):
-            np.random.default_rng([seed, i]).standard_normal(out=out[i - lo])
-        if not np.array_equal(out[0], expected):
-            raise RuntimeError(
-                f"bulk-seeded noise row {lo} differs from default_rng([{seed}, {lo}]) "
-                f"under numpy {np.__version__}; its SeedSequence or PCG64 seeding changed"
-            )
+        out *= math.sqrt(self.grid.dt)
+        return out
 
     def row(self, i: int) -> np.ndarray:
         return self.increments(i, i + 1)[0]
@@ -726,7 +600,7 @@ def map_noise_blocks(
     and keeps its working arrays per call, so each thread block has its
     own.  Blocks may run on a thread pool; the returned list is always in
     block order, so downstream ordered reductions are identical for any
-    worker count.  The default 8192 rows are 8 whole v2 stream blocks: a
+    worker count.  The default 8192 rows are 8 whole stream blocks: a
     block size that cuts a stream block gives the same rows, but the cut
     stream block is drawn by both thread blocks.  block_size and workers
     must be integers >= 1.

@@ -34,3 +34,11 @@ class SingularSample(CklsError, ArithmeticError):
 
 class ConfigError(CklsError, ValueError):
     """Malformed run configuration (bad JSON, unknown keys, bad values)."""
+
+
+class UnknownSuite(CklsError, KeyError):
+    """A verify suite name that is neither "default" nor a check name."""
+
+    def __str__(self) -> str:
+        # KeyError's own str is the repr of its argument, quotes and all
+        return str(self.args[0])

@@ -155,7 +155,7 @@ def weighted_expectation_arrays(log_weights: np.ndarray, phi: np.ndarray) -> Wei
     )
 
 
-def novikov_diagnostic(p: CklsParams, q_integral_sq) -> NovikovEstimate:
+def novikov_diagnostic(q_integral_sq) -> NovikovEstimate:
     """Monte Carlo estimate of E integral_0^t q(r_s)^2 ds with its standard
     error, from the per-path integrals of a WeightedSample;
     finiteness/stability across dt refinement is the usable signal."""

@@ -52,7 +52,7 @@ from .engine import (
     explicit_rate,
     explicit_rate_on_grid,
 )
-from .errors import InputError
+from .errors import InputError, UnknownSuite
 from .girsanov import simulate_weighted, weighted_expectation_arrays, weighted_report
 from .params import CklsParams, classify_regime
 from .transform import derive_cir, make_transform
@@ -60,6 +60,7 @@ from .transform import derive_cir, make_transform
 __all__ = [
     "CheckReport",
     "CHECKS",
+    "SUITE_NAMES",
     "run_suite",
     "check_transform_identities",
     "check_martingale",
@@ -569,6 +570,8 @@ CHECKS = (
     "scale",
     "determinism",
 )
+# every name run_suite takes, sorted
+SUITE_NAMES = sorted(("default", *CHECKS))
 
 
 def run_suite(
@@ -586,8 +589,8 @@ def run_suite(
     bounds outside both cases, scale function outside gamma in [1/2, 1))
     are skipped with a report-only entry.
     """
-    if suite != "default" and suite not in CHECKS:
-        raise KeyError(suite)
+    if suite not in SUITE_NAMES:
+        raise UnknownSuite(f"unknown suite {suite!r}; known: {', '.join(SUITE_NAMES)}")
     names = CHECKS if suite == "default" else (suite,)
     regime = classify_regime(p)
     reports: list[CheckReport] = []

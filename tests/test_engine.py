@@ -27,7 +27,8 @@ from ckls import (
     sample_cir_exact,
     simulate_weighted,
 )
-from ckls.engine import NOISE_BLOCK, NOISE_RULES, NOISE_STREAM, map_noise_blocks, step_columns
+from ckls.engine import NOISE_BLOCK, NOISE_RULE, NOISE_STREAM, map_noise_blocks, step_columns
+from noise_v1 import NoiseV1
 
 HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
 LOW = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=0.75, r0=1.0)
@@ -104,21 +105,26 @@ class TestNoiseMatrix:
 
 
 def numpy_rows(seed, lo, hi, grid):
-    """Oracle: row i is numpy's default_rng([seed, i]) normals times sqrt(dt)."""
+    """Oracle: row i is the normals of numpy's PCG64 generator seeded by
+    SeedSequence([seed, i]), what default_rng([seed, i]) builds, times
+    sqrt(dt)."""
     return np.array([
-        np.random.default_rng([seed, i]).standard_normal(grid.n_steps) * math.sqrt(grid.dt)
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
+        .standard_normal(grid.n_steps) * math.sqrt(grid.dt)
         for i in range(lo, hi)
     ]).reshape(hi - lo, grid.n_steps)
 
 
 class TestNoiseOracle:
-    """Rule v1 rows against numpy itself, bit for bit."""
+    """The test-built rule v1 rows (NoiseV1), which the v1 goldens read,
+    against numpy's own seeding, bit for bit, over the ranges, seeds and
+    thread blocks that the library's blocking asks for."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
     @pytest.mark.parametrize("lo,hi", [(0, 1), (0, 37), (5, 1029), (1023, 2050)])
     def test_rows_equal_default_rng(self, seed, lo, hi):
         grid = TimeGrid(0.5, 3)
-        nm = NoiseMatrix(seed, 2100, grid, stream=1)
+        nm = NoiseV1(seed, 2100, grid)
         assert np.array_equal(nm.increments(lo, hi), numpy_rows(seed, lo, hi, grid))
 
     @settings(max_examples=40, deadline=None)
@@ -131,25 +137,25 @@ class TestNoiseOracle:
     def test_drawn_seeds_and_ranges(self, seed, n_steps, a, b):
         grid = TimeGrid(1.0, n_steps)
         lo, hi = sorted((a, b))
-        nm = NoiseMatrix(seed, 301, grid, stream=1)
+        nm = NoiseV1(seed, 301, grid)
         assert np.array_equal(nm.increments(lo, hi), numpy_rows(seed, lo, hi, grid))
 
     def test_single_step_and_row_zero(self):
         grid = TimeGrid(2.0, 1)
-        nm = NoiseMatrix(11, 5, grid, stream=1)
+        nm = NoiseV1(11, 5, grid)
         assert np.array_equal(nm.row(0), numpy_rows(11, 0, 1, grid)[0])
         assert nm.increments(3, 3).shape == (0, 1)
 
     def test_rows_past_32_bit_index(self):
-        """Path indices of two 32-bit words take numpy's own seeding."""
+        """Path indices of two 32-bit words."""
         grid = TimeGrid(1.0, 4)
-        nm = NoiseMatrix(2**40 + 9, 2**32 + 3, grid, stream=1)
+        nm = NoiseV1(2**40 + 9, 2**32 + 3, grid)
         lo, hi = 2**32 - 2, 2**32 + 3
         assert np.array_equal(nm.increments(lo, hi), numpy_rows(2**40 + 9, lo, hi, grid))
 
     def test_map_noise_blocks_two_workers(self):
         grid = TimeGrid(1.0, 6)
-        nm = NoiseMatrix(2**63 + 5, 1000, grid, stream=1)
+        nm = NoiseV1(2**63 + 5, 1000, grid)
         blocks = map_noise_blocks(nm, lambda lo, hi, dW: dW, block_size=333, workers=2)
         assert np.array_equal(np.concatenate(blocks), numpy_rows(2**63 + 5, 0, 1000, grid))
 
@@ -187,14 +193,14 @@ class TestNoiseStreamV2:
 
     def test_is_default_and_echoed(self):
         nm = NoiseMatrix(3, 10, TimeGrid(1.0, 4))
-        assert nm.stream == NOISE_STREAM == 2
-        assert nm.rule == NOISE_RULES[2]
+        assert NOISE_STREAM == 2
+        assert nm.rule == NOISE_RULE
         assert nm.rule.startswith("v2") and f"{NOISE_BLOCK}k" in nm.rule
-        assert NoiseMatrix(3, 10, TimeGrid(1.0, 4), stream=1).rule.startswith("v1")
 
-    @pytest.mark.parametrize("stream", [0, 3, True, 2.0, "2"])
+    @pytest.mark.parametrize("stream", [0, 1, 3, True, 2.0, "2"])
     def test_rejects_unknown_stream(self, stream):
-        with pytest.raises(ValueError):
+        """There is one rule: NoiseMatrix takes no stream argument at all."""
+        with pytest.raises(TypeError):
             NoiseMatrix(3, 10, TimeGrid(1.0, 4), stream=stream)
 
     def test_growing_path_count_keeps_rows(self):
@@ -251,7 +257,7 @@ class TestNoiseStreamV2:
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**32, 2**64 - 1])
     def test_keys_differ_from_v1(self, seed):
         grid = TimeGrid(1.0, 8)
-        v1 = NoiseMatrix(seed, 1, grid, stream=1).row(0)
+        v1 = NoiseV1(seed, 1, grid).row(0)
         v2 = NoiseMatrix(seed, 1, grid).row(0)
         assert not np.array_equal(v1, v2)
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -31,6 +32,7 @@ from ckls.analysis import ks_statistic
 from ckls.engine import auxiliary_drift, ckls_diffusion, ckls_drift
 from ckls.girsanov import weighted_expectation_arrays
 from ckls.numerics import stable_phi
+from noise_v1 import NoiseV1
 
 HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
 LOW = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=0.75, r0=1.0)
@@ -236,12 +238,12 @@ class TestNovikovDiagnostic:
     def test_zero_horizon_estimate_is_zero(self):
         grid = TimeGrid(1.0, 1)
         s = simulate_weighted(HIGH, grid, ConstantNoise(1, 2, grid, width=0))
-        est = novikov_diagnostic(HIGH, s.q_integral_sq)
+        est = novikov_diagnostic(s.q_integral_sq)
         assert est.estimate == 0.0
 
     def test_empty_input(self):
         with pytest.raises(InputError):
-            novikov_diagnostic(HIGH, [])
+            novikov_diagnostic([])
 
     def test_stable_across_dt_refinement_case_ii(self):
         """E int q^2 ds agrees between dt = 2^-9 and 2^-10 within combined
@@ -264,7 +266,7 @@ class TestNovikovDiagnostic:
         p = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=2.5, r0=1.0)
         grid = TimeGrid(0.25, 64)
         s = simulate_weighted(p, grid, NoiseMatrix(73, 2000, grid))
-        est = novikov_diagnostic(p, s.q_integral_sq[:50])
+        est = novikov_diagnostic(s.q_integral_sq[:50])
         assert math.isfinite(est.estimate) and est.estimate >= 0.0
         assert math.isfinite(s.q_integral_sq.mean())
 
@@ -293,7 +295,8 @@ class TestGoldenWeightedSample:
     first recorded before the noise rows were seeded in bulk, re-recorded
     when the step came to take one power (see tests/test_golden.py,
     TestOneEulerPowerAgainstOldStep): any change to the noise bits, the
-    kernel or the block stitching changes the digest."""
+    kernel or the block stitching changes the digest.  The v1 rows are
+    built in the tests (NoiseV1), as the README's recipe builds them."""
 
     GOLDEN = {
         "high": "54c48b2d7019e993ba4ebd47b16b89fdbac04da9a4d09b43dc814a6ec5127eff",
@@ -305,10 +308,20 @@ class TestGoldenWeightedSample:
     def test_digest(self, name, p, workers):
         grid = TimeGrid(0.5, 16)
         s = simulate_weighted(
-            p, grid, NoiseMatrix(2024, 3000, grid, stream=1), workers=workers,
-            block_size=1024,
+            p, grid, NoiseV1(2024, 3000, grid), workers=workers, block_size=1024,
         )
         assert weighted_sample_digest(s) == self.GOLDEN[name]
+
+    def test_readme_recipe(self):
+        """The README's v1 recipe, run as printed, gives the HIGH digest."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = [b.split("```")[0] for b in readme.split("```python\n")[1:]]
+        (recipe,) = [b for b in blocks if "class NoiseV1(" in b]
+        scope: dict = {}
+        exec(recipe, scope)
+        grid = TimeGrid(0.5, 16)
+        s = simulate_weighted(HIGH, grid, scope["NoiseV1"](2024, 3000, grid), block_size=1024)
+        assert weighted_sample_digest(s) == self.GOLDEN["high"]
 
 
 class TestGoldenWeightedSampleV2:

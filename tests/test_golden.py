@@ -35,6 +35,7 @@ from ckls.engine import (
     map_noise_blocks,
 )
 from ckls.verify import _snapshot_rates
+from noise_v1 import NoiseV1
 
 HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
 LOW = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=0.75, r0=1.0)
@@ -299,7 +300,7 @@ class TestOneEulerPowerAgainstOldStep:
     @pytest.mark.parametrize("name,p", [("high", HIGH), ("low", LOW)])
     def test_simulate_weighted(self, name, p, stream):
         grid = TimeGrid(0.5, 16)
-        noise = NoiseMatrix(2024, 3000, grid, stream=stream)
+        noise = (NoiseV1 if stream == 1 else NoiseMatrix)(2024, 3000, grid)
         old = old_weighted_run(p, grid.dt, noise.increments())
         assert weighted_digest(*old) == self.OLD_GOLDEN[f"weighted-v{stream}-{name}"]
         s = simulate_weighted(p, grid, noise, block_size=1024)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ckls import CklsParams, DomainError, InputError, NoiseMatrix, TimeGrid, euler_ckls
+from ckls import CklsError, CklsParams, DomainError, InputError, NoiseMatrix, TimeGrid, euler_ckls
 from ckls.cli import main
 from ckls.verify import _snapshot_rates, check_closed_form_mean, check_moment_bounds, run_suite
 
@@ -66,6 +66,19 @@ def test_every_report_carries_its_elapsed_time():
     assert report.to_dict()["elapsed_seconds"] == report.elapsed_seconds
     (skipped,) = run_suite("moments", CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=2.0, r0=1.0))
     assert skipped.status == "report" and skipped.elapsed_seconds == 0.0
+
+
+def test_unknown_suite_names_the_known_ones():
+    """A library caller gets a CklsError that names every suite, and one
+    that is still the KeyError it was."""
+    for kind in (KeyError, CklsError):
+        with pytest.raises(kind) as info:
+            run_suite("everything", HIGH)
+    assert str(info.value) == (
+        "unknown suite 'everything'; known: default, delta-arbitration, determinism, "
+        "explicit-law, ladder, martingale, mean, measure-consistency, moments, ncx2, "
+        "scale, transform"
+    )
 
 
 def test_verify_json_carries_elapsed_times(tmp_path, capsys):
