@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .engine import NoiseMatrix, TimeGrid, ckls_diffusion, ckls_drift, euler_blocks
 from .errors import DomainError, InputError, RegimeError
@@ -33,6 +32,7 @@ __all__ = [
 # Asymptotic Kolmogorov quantiles: P(sup|F_n - F| > c/sqrt(n)) = alpha.
 KS_CRITICAL_5PCT = 1.3581
 KS_CRITICAL_1PCT = 1.6276
+_SCALE_PANELS = 400  # geometric quadrature panels between x and 1
 
 
 def mean_rate(p: CklsParams, t: float) -> float:
@@ -175,7 +175,8 @@ def _scale_exponents(p: CklsParams, variant: str) -> tuple[float, float]:
 
 
 def scale_function(p: CklsParams, x: float, variant: str = "paper") -> float:
-    """Boundary-classification scale function, by adaptive quadrature:
+    """Boundary-classification scale function, the exponential of
+    scale_function_log_magnitude:
 
         p(x) = e^(-kappa) integral_1^x y^(-e) exp(kappa y^(2 (1-gamma))) dy,
 
@@ -186,34 +187,17 @@ def scale_function(p: CklsParams, x: float, variant: str = "paper") -> float:
     sigma x^gamma, whose density x^(-gamma) exp(kappa (x^(2 (1-gamma)) - 1))
     is exp(-integral_1^x 2 mu / sigma^2).  p(1) = 0 and p is
     strictly increasing; divergence at the boundaries is exhibited by
-    evaluation, never asserted.
+    evaluation, never asserted.  OverflowError only where |p| itself
+    leaves the float range.
     """
-    if not x > 0:
-        raise DomainError(f"x must be positive, got {x}")
-    kappa, e = _scale_exponents(p, variant)
-    two_1mg = 2.0 * (1.0 - p.gamma)
-
-    def integrand(y: float) -> float:
-        return y ** (-e) * math.exp(kappa * y**two_1mg)
-
-    if x == 1.0:
-        return 0.0
-    # geometric panels keep the power-law integrand tame per panel; a
-    # single adaptive pass silently mis-converges over many decades
-    lo, hi, sign = (x, 1.0, -1.0) if x < 1.0 else (1.0, x, 1.0)
-    n_panels = max(1, math.ceil(4.0 * math.log10(hi / lo)))
-    edges = np.geomspace(lo, hi, n_panels + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, _err = integrate.quad(integrand, a, b, limit=200)
-        total += val
-    return sign * math.exp(-kappa) * total
+    sign, log_magnitude = scale_function_log_magnitude(p, x, variant)
+    return sign * math.exp(log_magnitude)
 
 
 def scale_function_log_magnitude(
-    p: CklsParams, x: float, variant: str = "paper", panels: int = 400
+    p: CklsParams, x: float, variant: str = "paper"
 ) -> tuple[float, float]:
-    """(sign, log|p(x)|), overflow-safe for extreme x.
+    """(sign, log|p(x)|), overflow-safe for extreme x; (0.0, -inf) at x = 1.
 
     The integrand is summed in log space over geometric panels with
     Gauss-Legendre nodes, so divergence trends can be reported at points
@@ -227,7 +211,7 @@ def scale_function_log_magnitude(
         return 0.0, -math.inf
     lo, hi, sign = (x, 1.0, -1.0) if x < 1.0 else (1.0, x, 1.0)
     nodes, weights = np.polynomial.legendre.leggauss(16)
-    edges = np.geomspace(lo, hi, panels + 1)
+    edges = np.geomspace(lo, hi, _SCALE_PANELS + 1)
     a, b = edges[:-1], edges[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)

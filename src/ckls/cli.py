@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .distribution import rate_cdf, rate_density, transition_spec
 from .engine import (
     NOISE_RULE,
     NoiseMatrix,
+    TimeGrid,
     ckls_diffusion,
     ckls_drift,
     euler_auxiliary,
@@ -29,7 +31,14 @@ from .engine import (
     explicit_rate,
     sample_cir_exact,
 )
-from .errors import CklsError, ConfigError, DegenerateTransform, RegimeError, SingularSample
+from .errors import (
+    CklsError,
+    ConfigError,
+    DegenerateTransform,
+    RegimeError,
+    SingularSample,
+    UnknownSuite,
+)
 from .params import classify_regime
 from .pathio import write_paths_binary, write_paths_csv
 from .transform import derive_cir, make_transform
@@ -78,8 +87,6 @@ def _resolve(args) -> RunConfig:
     if args.out is not None:
         updates["output_path"] = args.out
     if getattr(args, "t_end", None) is not None or getattr(args, "n_steps", None) is not None:
-        from .engine import TimeGrid
-
         updates["grid"] = TimeGrid(
             t_end=args.t_end if args.t_end is not None else cfg.grid.t_end,
             n_steps=args.n_steps if args.n_steps is not None else cfg.grid.n_steps,
@@ -87,8 +94,6 @@ def _resolve(args) -> RunConfig:
     if getattr(args, "n_paths", None) is not None:
         updates["n_paths"] = int(args.n_paths)
     if updates:
-        from dataclasses import replace
-
         cfg = replace(cfg, **updates)
     return cfg
 
@@ -228,18 +233,19 @@ def cmd_density(cfg: RunConfig, x_min: float | None, x_max: float | None, x_poin
 
 
 def cmd_verify(cfg: RunConfig, suite: str, workers: int) -> int:
-    if suite not in SUITE_NAMES:
+    started = time.perf_counter()
+    try:
+        reports = run_suite(
+            suite,
+            cfg.params,
+            c=cfg.c,
+            seed=cfg.seed,
+            workers=workers,
+            scale_variant=cfg.scale_variant,
+        )
+    except UnknownSuite:
         print(json.dumps({"error": f"unknown suite {suite!r}", "known": SUITE_NAMES}))
         return 1
-    started = time.perf_counter()
-    reports = run_suite(
-        suite,
-        cfg.params,
-        c=cfg.c,
-        seed=cfg.seed,
-        workers=workers,
-        scale_variant=cfg.scale_variant,
-    )
     payload = {
         "suite": suite,
         "config": cfg.to_dict(),

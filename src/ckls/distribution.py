@@ -26,8 +26,7 @@ and the density the Bessel form
              ive(df/2 - 1, sqrt(nonc x)),
 
 with the exponentially scaled Bessel function, so nothing overflows at
-large nonc.  Only scipy.special is imported: scipy.stats would add about
-half a second to every process that imports ckls.
+large nonc.
 """
 
 from __future__ import annotations
@@ -38,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, RegimeError
+from .errors import DomainError
 from .numerics import stable_phi
-from .params import CklsParams, classify_regime
+from .params import CklsParams, require_transformable
 from .transform import CirParams, Transform
 
 __all__ = [
@@ -109,9 +108,7 @@ def transition_spec(
     """
     if not t > 0:
         raise DomainError(f"t must be positive, got {t}")
-    regime = classify_regime(p)
-    if not regime.girsanov_valid:
-        raise RegimeError("transition law requires a change-of-measure-valid regime")
+    require_transformable(p)
     scale = cir.vol**2 / 4.0 * stable_phi(cir.drift_lin, t)
     nonc = cir.y0 * math.exp(cir.drift_lin * t) / scale
     if delta_rule == "derived":

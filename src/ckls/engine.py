@@ -23,9 +23,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, RegimeError, SingularSample
+from .distribution import NoncentralChiSq, noncentral_sample, transition_spec
+from .errors import DomainError, SingularSample
 from .numerics import stable_phi
-from .params import CklsParams, classify_regime
+from .params import CklsParams, require_transformable
 from .transform import CirParams
 
 __all__ = [
@@ -496,11 +497,6 @@ def euler_under_q(p: CklsParams, grid: TimeGrid, noise) -> np.ndarray:
     return euler_values(explicit_solution_drift(p), diffusion, p.r0, grid.dt, noise)[0]
 
 
-def _require_transformable(p: CklsParams) -> None:
-    if not classify_regime(p).girsanov_valid:
-        raise RegimeError("operation requires a change-of-measure-valid regime")
-
-
 def exact_sqrt_level(cir: CirParams, p: CklsParams, t: float, z):
     """Exact draw of the Gaussian sqrt(Y_t) (a signed real).
 
@@ -508,7 +504,7 @@ def exact_sqrt_level(cir: CirParams, p: CklsParams, t: float, z):
     rate = drift_lin / 2 and phi the stable exponential integral; the
     rate -> 0 limit is sqrt(Y_0) + (vol/2) sqrt(t) Z.
     """
-    _require_transformable(p)
+    require_transformable(p)
     if t < 0:
         raise DomainError(f"t must be nonnegative, got {t}")
     mean = math.sqrt(cir.y0) * math.exp(0.5 * cir.drift_lin * t)
@@ -526,9 +522,7 @@ def explicit_rate(p: CklsParams, t: float, z):
     exactly zero (a probability-zero event hit numerically) raises
     SingularSample; callers report and resample.
     """
-    _require_transformable(p)
-    if p.gamma == 1.0:
-        raise DomainError("explicit solution requires gamma != 1")
+    require_transformable(p)
     if t < 0:
         raise DomainError(f"t must be nonnegative, got {t}")
     g = p.gamma
@@ -550,7 +544,7 @@ def explicit_rate_on_grid(p: CklsParams, grid: TimeGrid, noise) -> np.ndarray:
     error is O(dt) -- below the Euler scheme's O(sqrt(dt)), which is what
     the convergence ladder measures.
     """
-    _require_transformable(p)
+    require_transformable(p)
     dW = _as_increments(noise)
     n_paths, n_steps = dW.shape
     g = p.gamma
@@ -579,9 +573,7 @@ def sample_cir_exact(
     """Exact draw of the transformed level Y_t = scale * X with X from the
     noncentral chi-square transition law; independent oracle against
     exact_sqrt_level squared."""
-    from .distribution import NoncentralChiSq, noncentral_sample, transition_spec
-
-    _require_transformable(p)
+    require_transformable(p)
     spec = transition_spec(p, cir, t, delta_rule="derived")
     d = NoncentralChiSq(df=spec.df, nonc=spec.nonc)
     return spec.scale * noncentral_sample(d, rng, size)

@@ -16,12 +16,15 @@ import json
 import math
 from dataclasses import dataclass
 
+from .errors import RegimeError
+
 __all__ = [
     "CklsParams",
     "GirsanovBranch",
     "MomentCase",
     "Regime",
     "classify_regime",
+    "require_transformable",
 ]
 
 
@@ -142,3 +145,20 @@ def classify_regime(p: CklsParams) -> Regime:
         moment_valid=moment_case is not None,
         moment_case=moment_case,
     )
+
+
+def require_transformable(p: CklsParams) -> None:
+    """Raise RegimeError naming the violated inequality unless one of the
+    two change-of-measure branches matches."""
+    if classify_regime(p).girsanov_valid:
+        return
+    if p.gamma == 1.0:
+        raise RegimeError("gamma = 1 is excluded (need gamma > 1 or gamma in (1/2, 1))")
+    if p.gamma <= 0.5:
+        raise RegimeError(f"gamma = {p.gamma} <= 1/2 (need gamma > 1 or gamma in (1/2, 1))")
+    parts = []
+    if p.gamma / p.sigma < 1.0:
+        parts.append(f"gamma/sigma = {p.gamma / p.sigma:g} < 1")
+    if p.b <= 0.0:
+        parts.append(f"b = {p.b:g} <= 0")
+    raise RegimeError("low-gamma branch needs gamma/sigma >= 1 and b > 0: " + ", ".join(parts))

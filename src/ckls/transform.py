@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTransform, DomainError, RegimeError
-from .params import CklsParams, classify_regime
+from .errors import DegenerateTransform, DomainError
+from .params import CklsParams, require_transformable
 
 __all__ = [
     "Transform",
@@ -138,27 +138,10 @@ def derive_cir(p: CklsParams, t: Transform) -> CirParams:
     Requires a change-of-measure-valid parameter set; otherwise raises
     RegimeError naming the violated inequality.
     """
-    regime = classify_regime(p)
-    if not regime.girsanov_valid:
-        raise RegimeError(_violated_inequality(p))
+    require_transformable(p)
     return CirParams(
         drift_const=p.sigma**2 * t.c**2 / 4.0,
         drift_lin=2.0 * p.b * (1.0 - p.gamma),
         vol=p.sigma * t.c,
         y0=t.f(p.r0),
     )
-
-
-def _violated_inequality(p: CklsParams) -> str:
-    if p.gamma == 1.0:
-        return "gamma = 1 is excluded (need gamma > 1 or gamma in (1/2, 1))"
-    if p.gamma <= 0.5:
-        return f"gamma = {p.gamma} <= 1/2 (need gamma > 1 or gamma in (1/2, 1))"
-    if p.gamma < 1.0:
-        parts = []
-        if p.gamma / p.sigma < 1.0:
-            parts.append(f"gamma/sigma = {p.gamma / p.sigma:g} < 1")
-        if p.b <= 0.0:
-            parts.append(f"b = {p.b:g} <= 0")
-        return "low-gamma branch needs gamma/sigma >= 1 and b > 0: " + ", ".join(parts)
-    return "no branch matches"

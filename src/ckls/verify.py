@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .analysis import (
     gronwall_bound,
@@ -439,6 +438,8 @@ def check_ncx2_battery(
     """Unit battery for the noncentral chi-square machinery: density
     normalization (1e-8), pdf/CDF consistency (1e-6 absolute) and sampler
     moment identities (3 SE at 1e6 draws), plus a KS self-test."""
+    from scipy import integrate  # deferred: it loads scipy.optimize, slow to import
+
     details = {}
     ok = True
     rng = np.random.default_rng([seed, 3])
@@ -490,9 +491,10 @@ def check_ncx2_battery(
 @_timed
 def check_scale_trends(p: CklsParams, variant: str = "paper", seed: int = 0) -> CheckReport:
     """Boundary divergence trend of the scale function: |p| strictly
-    increasing along x = 10^-2k and x = 10^+2k, k = 1..4 (log-magnitude
-    evaluation; raw values overflow beyond x ~ 1e3 for the printed
-    variant).  Divergence is exhibited, never asserted as a limit."""
+    increasing along x = 10^-2k and x = 10^+2k, k = 1..4, from the
+    Gauss-Legendre panel sum in log space; the raw values are its
+    exponential (scale_function), which overflows only where |p| leaves
+    the float range.  Divergence is exhibited, never asserted as a limit."""
     small = [10.0 ** (-2 * k) for k in range(1, 5)]
     big = [10.0 ** (2 * k) for k in range(1, 5)]
     low_logs = [scale_function_log_magnitude(p, x, variant)[1] for x in small]

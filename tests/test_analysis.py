@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -199,6 +200,42 @@ class TestScaleFunction:
             scale_function(HIGH, 2.0)
         with pytest.raises(ValueError):
             scale_function(LOW, 2.0, "bogus")
+
+
+def _oracle_scale(p, x, variant):
+    """p(x) = e^(-kappa) integral_1^x y^(-e) exp(kappa y^(2 (1-gamma))) dy,
+    kappa and e per variant as in scale_function, in 30-digit mpmath with
+    breakpoints two to a decade."""
+    with mpmath.workdps(30):
+        g, s, b = (mpmath.mpf(v) for v in (p.gamma, p.sigma, p.b))
+        kappa = b / (s**2 * (1 - g))
+        if variant == "paper":
+            e = g / s
+        else:
+            kappa, e = -kappa, g
+        lo, hi = sorted((mpmath.mpf(x), mpmath.mpf(1)))
+        n = max(1, math.ceil(2 * math.log10(float(hi / lo))))
+        edges = [lo * (hi / lo) ** (mpmath.mpf(k) / n) for k in range(n + 1)]
+        total = mpmath.quad(lambda y: y ** (-e) * mpmath.exp(kappa * y ** (2 * (1 - g))), edges)
+        return float(mpmath.exp(-kappa) * (total if x > 1 else -total))
+
+
+class TestScaleFunctionOracle:
+    """Both evaluations of the scale function against 30-digit quadrature,
+    from 1e-10 to 100 and on both sides of x = 1."""
+
+    XS = (1e-10, 1e-6, 1e-2, 0.3, 0.9999, 1.0001, 2.0, 40.0, 100.0)
+
+    @pytest.mark.parametrize("variant", ["paper", "derived"])
+    @pytest.mark.parametrize(
+        "p", [LOW, CklsParams(a=1.0, b=0.2, sigma=0.9, gamma=0.95, r0=1.0)], ids=["low", "g095"]
+    )
+    def test_within_1e13_of_mpmath(self, p, variant):
+        for x in self.XS:
+            ref = _oracle_scale(p, x, variant)
+            sign, logmag = scale_function_log_magnitude(p, x, variant)
+            assert scale_function(p, x, variant) == pytest.approx(ref, rel=1e-13, abs=0.0), x
+            assert sign * math.exp(logmag) == pytest.approx(ref, rel=1e-13, abs=0.0), x
 
 
 class TestKsStatistic:

@@ -1,6 +1,7 @@
 """Noncentral chi-square machinery and the time-t transition laws."""
 
 import functools
+import json
 import math
 import os
 import subprocess
@@ -246,18 +247,32 @@ class TestMpmathOracle:
 
 
 class TestImportCost:
-    def test_import_does_not_load_scipy_stats(self):
-        # scipy.stats costs about half a second per process to import
+    @staticmethod
+    def _loaded_after(statement: str, modules: tuple) -> list:
+        """Which of modules a fresh interpreter has loaded after statement."""
         import ckls
 
         src = os.path.dirname(os.path.dirname(ckls.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, ckls; print('scipy.stats' in sys.modules)"
+        code = (
+            f"import json, sys; {statement}; "
+            f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        return json.loads(out.stdout)
+
+    def test_import_does_not_load_scipy_stats(self):
+        # scipy.stats costs about half a second per process to import
+        assert self._loaded_after("import ckls", ("scipy.stats",)) == []
+
+    def test_import_with_cli_loads_no_heavy_scipy(self):
+        # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg:
+        # together a few tenths of a second per process
+        heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+        assert self._loaded_after("import ckls, ckls.cli", heavy) == []
 
 
 class TestNoncentralSample:

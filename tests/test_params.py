@@ -2,10 +2,26 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ckls import CklsParams, GirsanovBranch, MomentCase, classify_regime
+from ckls import (
+    CirParams,
+    CklsParams,
+    GirsanovBranch,
+    MomentCase,
+    RegimeError,
+    TimeGrid,
+    Transform,
+    classify_regime,
+    derive_cir,
+    exact_sqrt_level,
+    explicit_rate,
+    explicit_rate_on_grid,
+    sample_cir_exact,
+    transition_spec,
+)
 
 
 HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
@@ -118,3 +134,38 @@ class TestClassifyRegime:
         d = classify_regime(HIGH).to_dict()
         assert d["girsanov_branch"] == "HighGamma"
         assert d["moment_case"] == "CaseII"
+
+
+class TestRequireTransformable:
+    """Every operation that needs the change of measure rejects a set
+    outside both branches with a RegimeError naming the inequality."""
+
+    CIR = CirParams(drift_const=0.25, drift_lin=-0.1, vol=1.0, y0=1.0)
+    ENTRY_POINTS = {
+        "derive_cir": lambda p, cir: derive_cir(p, Transform(c=1.0, gamma=p.gamma)),
+        "transition_spec": lambda p, cir: transition_spec(p, cir, 1.0),
+        "exact_sqrt_level": lambda p, cir: exact_sqrt_level(cir, p, 1.0, 0.5),
+        "explicit_rate": lambda p, cir: explicit_rate(p, 1.0, 0.5),
+        "explicit_rate_on_grid": lambda p, cir: explicit_rate_on_grid(
+            p, TimeGrid(1.0, 4), np.zeros((2, 4))
+        ),
+        "sample_cir_exact": lambda p, cir: sample_cir_exact(
+            cir, p, 1.0, np.random.default_rng(0), 3
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "kwargs,inequality",
+        [
+            ({"gamma": 1.0}, "gamma = 1 is excluded"),
+            ({"gamma": 0.75, "b": -0.2}, "b = -0.2 <= 0"),
+            ({"gamma": 0.75, "sigma": 1.0}, "gamma/sigma = 0.75 < 1"),
+        ],
+        ids=["gamma-one", "b-negative", "sigma-above-gamma"],
+    )
+    def test_message_names_inequality(self, entry, kwargs, inequality):
+        p = CklsParams(**{"a": 1.0, "b": 0.2, "sigma": 0.5, "r0": 1.0, **kwargs})
+        with pytest.raises(RegimeError) as info:
+            self.ENTRY_POINTS[entry](p, self.CIR)
+        assert inequality in str(info.value)
