@@ -29,7 +29,6 @@ from .distribution import (
     transition_spec,
 )
 from .engine import (
-    AuxiliaryResult,
     NoiseMatrix,
     TimeGrid,
     euler_auxiliary,

@@ -229,10 +229,6 @@ class KsResult:
     critical_1pct: float
     ess: float
 
-    @property
-    def below_1pct(self) -> bool:
-        return self.statistic < self.critical_1pct
-
 
 def ks_statistic(
     samples: np.ndarray,

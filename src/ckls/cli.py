@@ -13,16 +13,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, parse_config
 from .distribution import rate_cdf, rate_density, transition_spec
 from .engine import (
     NOISE_RULE,
     NoiseMatrix,
-    TimeGrid,
     ckls_diffusion,
     ckls_drift,
     euler_auxiliary,
@@ -80,22 +78,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args) -> RunConfig:
-    cfg = load_config(args.config)
-    updates = {}
+    """The config file with the command-line overrides applied, validated
+    like the file's own values."""
+    obj = load_config(args.config).to_dict()
     if args.seed is not None:
-        updates["seed"] = int(args.seed)
+        obj["seed"] = args.seed
     if args.out is not None:
-        updates["output_path"] = args.out
-    if getattr(args, "t_end", None) is not None or getattr(args, "n_steps", None) is not None:
-        updates["grid"] = TimeGrid(
-            t_end=args.t_end if args.t_end is not None else cfg.grid.t_end,
-            n_steps=args.n_steps if args.n_steps is not None else cfg.grid.n_steps,
-        )
+        obj["output"]["path"] = args.out
+    if getattr(args, "t_end", None) is not None:
+        obj["grid"]["t_end"] = args.t_end
+    if getattr(args, "n_steps", None) is not None:
+        obj["grid"]["n_steps"] = args.n_steps
     if getattr(args, "n_paths", None) is not None:
-        updates["n_paths"] = int(args.n_paths)
-    if updates:
-        cfg = replace(cfg, **updates)
-    return cfg
+        obj["n_paths"] = args.n_paths
+    return parse_config(obj)
 
 
 def cmd_regime(cfg: RunConfig) -> int:
@@ -145,14 +141,16 @@ def cmd_simulate(cfg: RunConfig, mode: str) -> int:
         times = cfg.grid.times
     elif mode == "auxiliary":
         noise = NoiseMatrix(cfg.seed, cfg.n_paths, cfg.grid)
-        result = euler_auxiliary(p, cfg.grid, noise, variant=cfg.aux_variant)
-        values = result.values
-        summary["variant"] = result.variant
-        summary["floor_hits"] = result.floor_hits
-        summary["floor_fraction"] = result.floor_fraction
-        summary["blowups"] = result.blowups
-        summary["blowup_fraction"] = result.blowup_fraction
-        summary["min_over_paths"] = float(result.min_values.min())
+        values, exits = euler_auxiliary(p, cfg.grid, noise, variant=cfg.aux_variant)
+        # gamma > 1 exits ran off to +inf, gamma < 1 exits hit the floor
+        n_exited = int(np.count_nonzero(exits))
+        floor_hits, blowups = (0, n_exited) if p.gamma > 1.0 else (n_exited, 0)
+        summary["variant"] = cfg.aux_variant
+        summary["floor_hits"] = floor_hits
+        summary["floor_fraction"] = floor_hits / cfg.n_paths
+        summary["blowups"] = blowups
+        summary["blowup_fraction"] = blowups / cfg.n_paths
+        summary["min_over_paths"] = float(values.min())
         rule = noise.rule
         times = cfg.grid.times
     elif mode == "explicit-q":

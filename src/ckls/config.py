@@ -79,9 +79,6 @@ class RunConfig:
             "output": {"format": self.output_format, "path": self.output_path},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
     unknown = set(obj) - allowed

@@ -75,9 +75,6 @@ class TransitionSpec:
         """E[Y_t] = scale * (df + nonc)."""
         return self.scale * (self.df + self.nonc)
 
-    def to_dict(self) -> dict:
-        return {"t": self.t, "scale": self.scale, "df": self.df, "nonc": self.nonc}
-
 
 @dataclass(frozen=True)
 class NoncentralChiSq:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,7 +36,6 @@ __all__ = [
     "POSITIVITY_FLOOR",
     "TimeGrid",
     "NoiseMatrix",
-    "AuxiliaryResult",
     "ckls_drift",
     "ckls_diffusion",
     "auxiliary_drift",
@@ -162,35 +161,6 @@ class NoiseMatrix:
 
     def row(self, i: int) -> np.ndarray:
         return self.increments(i, i + 1)[0]
-
-
-@dataclass(frozen=True)
-class AuxiliaryResult:
-    """Auxiliary-SDE run with the positivity diagnostic statistics.
-
-    values is the (n_paths, n_steps + 1) rate matrix and exits the
-    per-path count of steps clamped at the floor (zero for gamma > 1,
-    whose exits are blowups, +inf in values).  floor_hits and blowups
-    count paths, each at most once in one of them (see euler_auxiliary).
-    """
-
-    values: np.ndarray = field(repr=False)
-    exits: np.ndarray = field(repr=False)
-    variant: str
-    floor_hits: int = 0
-    blowups: int = 0
-
-    @property
-    def min_values(self) -> np.ndarray:
-        return self.values.min(axis=1)
-
-    @property
-    def floor_fraction(self) -> float:
-        return self.floor_hits / len(self.values)
-
-    @property
-    def blowup_fraction(self) -> float:
-        return self.blowups / len(self.values)
 
 
 @dataclass(frozen=True)
@@ -351,10 +321,11 @@ def euler_blocks(
     ckls_diffusion (or its signed form) as (s r) dW in the one array a
     step allocates, s = sign sigma r^(gamma-1); other callables are
     evaluated as given.  One r.min() a step is the floor test: rates
-    below the floor are clamped to it and counted per path, or with
-    exit_to_inf set to +inf, as paths that ran off (they stay non-finite;
-    their end rate is +inf).  With nan_raises a NaN rate raises
-    DomainError before the next step.
+    below the floor are clamped to it and counted per path.  With
+    exit_to_inf every rate that is not >= the floor (below it, -inf or
+    NaN) is set to +inf in the step that left, as a path that ran off, so
+    a run-off reads +inf from that step on.  With nan_raises a NaN rate
+    raises DomainError before the next step.
 
     An observer factory is called with a block's path count; its object
     gets step(k, r_k, s, dW_k) before step k (s is None with another
@@ -393,16 +364,15 @@ def euler_blocks(
                 r += d
                 r += c
                 low = r.min(initial=np.inf)  # inf for a block of no paths
-                # also true on NaN: the clamp pass then reaches the others
+                # also true on NaN: the floor pass then reaches the others
                 if not low >= POSITIVITY_FLOOR:
-                    hit = r < POSITIVITY_FLOOR
                     if exit_to_inf:
-                        r[hit] = np.inf
+                        # below the floor, -inf or NaN: the path ran off
+                        r[~(r >= POSITIVITY_FLOOR)] = np.inf
                     else:
+                        hit = r < POSITIVITY_FLOOR
                         trunc += hit
                         r[hit] = POSITIVITY_FLOOR
-        if exit_to_inf:
-            r[~np.isfinite(r)] = np.inf
         out = {"rate": r, "trunc": trunc}
         for obs in watch:
             out.update(obs.end(r))
@@ -432,19 +402,16 @@ def euler_values(
     and per-path counts of steps that landed below the floor, where they
     are clamped.  A path that overflows stays non-finite (NaN is never
     below the floor), so each path with a non-finite terminal value counts
-    one exit more.  With exit_to_inf a step below the floor, or one that
-    overflows to a non-finite value, is instead read as a path that ran off
-    to +inf: its values are +inf from that step on, and it counts one exit.
+    one exit more.  With exit_to_inf the kernel sets a path that leaves
+    the floor or the finite range to +inf in that step: its values are
+    +inf from there on, and it counts one exit.
     """
     n_steps = noise.grid.n_steps if isinstance(noise, NoiseMatrix) else np.shape(noise)[-1]
     run = euler_blocks(
         drift, diffusion, r0, dt, noise,
         [lambda n: Snapshots(range(n_steps + 1), n_steps, n)], exit_to_inf=exit_to_inf,
     )
-    values = np.ascontiguousarray(run["snapshots"].T)
-    if exit_to_inf:
-        values[~np.isfinite(values)] = np.inf
-    return values, run["trunc"] + ~np.isfinite(run["rate"])
+    return np.ascontiguousarray(run["snapshots"].T), run["trunc"] + ~np.isfinite(run["rate"])
 
 
 def euler_ckls(p: CklsParams, grid: TimeGrid, noise) -> tuple[np.ndarray, np.ndarray]:
@@ -458,33 +425,22 @@ def euler_ckls(p: CklsParams, grid: TimeGrid, noise) -> tuple[np.ndarray, np.nda
 
 def euler_auxiliary(
     p: CklsParams, grid: TimeGrid, noise, variant: str = "derived"
-) -> AuxiliaryResult:
-    """Euler-Maruyama for the auxiliary equation plus positivity statistics.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Euler-Maruyama for the auxiliary equation: euler_values' (values, exits).
 
-    Steps that leave the positive reals are classified by gamma alone.
-    For gamma < 1 a step that lands below the positivity floor is a floor
-    hit: it is clamped at the floor and the path counts in floor_hits
-    (drift and diffusion grow at most linearly, so no step overflows).
-    For gamma > 1 the rate cannot reach 0 (near 0 sigma x^gamma vanishes
-    faster than x and neither drift pulls down faster than linearly),
-    while the derived dynamics reach +inf when the level f(r) hits 0.  A
-    step that lands below the floor is then an overshoot through +inf
-    and, like a step that overflows, a blowup: the path counts in
-    blowups, never in floor_hits, and its values are +inf from that step
-    on.
+    What an exit is depends on gamma alone.  For gamma < 1 a step that
+    lands below the positivity floor is a floor hit: it is clamped at the
+    floor and counted (drift and diffusion grow at most linearly, so no
+    step overflows).  For gamma > 1 the rate cannot reach 0 (near 0
+    sigma x^gamma vanishes faster than x and neither drift pulls down
+    faster than linearly), while the derived dynamics reach +inf when the
+    level f(r) hits 0.  A step that lands below the floor is then an
+    overshoot through +inf and, like a step that overflows, a blowup: the
+    path's values are +inf from that step on, and it counts one exit.
     """
-    blow_up = p.gamma > 1.0
-    values, exits = euler_values(
+    return euler_values(
         auxiliary_drift(p, variant), ckls_diffusion(p), p.r0, grid.dt, noise,
-        exit_to_inf=blow_up,
-    )
-    n_exited = int(np.count_nonzero(exits))
-    return AuxiliaryResult(
-        values=values,
-        exits=np.zeros_like(exits) if blow_up else exits,
-        variant=variant,
-        floor_hits=0 if blow_up else n_exited,
-        blowups=n_exited if blow_up else 0,
+        exit_to_inf=p.gamma > 1.0,
     )
 
 

@@ -12,7 +12,6 @@ sit relative to two sets of hypotheses, captured by `classify_regime`.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
@@ -115,9 +114,6 @@ class Regime:
             "moment_valid": self.moment_valid,
             "moment_case": self.moment_case.value if self.moment_case else None,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def classify_regime(p: CklsParams) -> Regime:

@@ -167,6 +167,61 @@ class TestSimulateCommand:
         assert summary["variant"] == "paper"
         assert "floor_fraction" in summary
 
+    HIGH = {"a": 1.0, "b": 0.2, "sigma": 0.5, "gamma": 1.5, "r0": 1.0}
+    CLAMPING = {"a": 0.5, "b": 5.0, "sigma": 0.5, "gamma": 0.5, "r0": 0.01}
+
+    @pytest.mark.parametrize(
+        "params,variant,t_end,floor_hits,blowups,min_over_paths",
+        [
+            (HIGH, "derived", 2.0, 0, 16, 0.006522466689886208),
+            (HIGH, "paper", 2.0, 0, 46, 0.05246387087103521),
+            (CLAMPING, "derived", 0.5, 887, 0, 1e-12),
+        ],
+        ids=["high-derived", "high-paper", "clamping-derived"],
+    )
+    def test_auxiliary_mode_summary_counts(
+        self, tmp_path, capsys, params, variant, t_end, floor_hits, blowups, min_over_paths
+    ):
+        """The exit counts of simulate --mode auxiliary at seed 2024, 3000
+        paths of 16 steps: gamma > 1 exits are blowups, gamma < 1 exits
+        floor hits, each path counted at most once."""
+        from ckls import cli
+
+        cfg = write_config(
+            tmp_path, params=params, aux_variant=variant, seed=2024, n_paths=3000,
+            grid={"t_end": t_end, "n_steps": 16}, output={"path": str(tmp_path / "aux.csv")},
+        )
+        assert cli.main(["--config", cfg, "simulate", "--mode", "auxiliary"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["variant"] == variant
+        assert summary["floor_hits"] == floor_hits
+        assert summary["floor_fraction"] == floor_hits / 3000
+        assert summary["blowups"] == blowups
+        assert summary["blowup_fraction"] == blowups / 3000
+        assert summary["min_over_paths"] == min_over_paths
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            ["--seed", "-1"],
+            ["--seed", str(2**64)],
+            ["--n-paths", "0"],
+            ["--n-steps", "0"],
+            ["--t-end", "nan"],
+        ],
+        ids=["seed-negative", "seed-2^64", "n-paths-0", "n-steps-0", "t-end-nan"],
+    )
+    def test_invalid_override_is_a_config_error(self, tmp_path, override):
+        """A command-line override is validated like the config value it
+        replaces: a one-line error and exit 1, not a traceback."""
+        global_opts, sim_opts = (override, []) if override[0] == "--seed" else ([], override)
+        cfg = write_config(tmp_path, output={"path": str(tmp_path / "p.csv")})
+        res = run_cli("--config", cfg, *global_opts, "simulate", *sim_opts)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "p.csv").exists()
+
     def test_cir_exact_mode(self, tmp_path):
         cfg = write_config(tmp_path, n_paths=500)
         out = tmp_path / "levels.csv"

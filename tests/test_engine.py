@@ -363,16 +363,16 @@ class TestEulerAuxiliary:
         b x + gamma sigma^2/2 x^(2 gamma - 1) = 1 + 0.75 = 1.75."""
         p = CklsParams(a=1.0, b=1.0, sigma=1.0, gamma=1.5, r0=1.0)
         grid = TimeGrid(0.5, 1)
-        res = euler_auxiliary(p, grid, np.zeros((1, 1)))
-        assert res.values[0, 1] == pytest.approx(1.0 + 1.75 * 0.5, rel=1e-15)
+        values, _ = euler_auxiliary(p, grid, np.zeros((1, 1)))
+        assert values[0, 1] == pytest.approx(1.0 + 1.75 * 0.5, rel=1e-15)
 
     def test_low_gamma_variant_drifts(self):
         grid = TimeGrid(0.5, 1)
-        derived = euler_auxiliary(LOW, grid, np.zeros((1, 1)), variant="derived")
-        paper = euler_auxiliary(LOW, grid, np.zeros((1, 1)), variant="paper")
+        derived, _ = euler_auxiliary(LOW, grid, np.zeros((1, 1)), variant="derived")
+        paper, _ = euler_auxiliary(LOW, grid, np.zeros((1, 1)), variant="paper")
         # derived: 0.2 + 0.75*0.25/2 = 0.29375 ; paper: 0.75*0.5/2 - 0.2 = -0.0125
-        assert derived.values[0, 1] == pytest.approx(1.0 + 0.29375 * 0.5, rel=1e-14)
-        assert paper.values[0, 1] == pytest.approx(1.0 - 0.0125 * 0.5, rel=1e-14)
+        assert derived[0, 1] == pytest.approx(1.0 + 0.29375 * 0.5, rel=1e-14)
+        assert paper[0, 1] == pytest.approx(1.0 - 0.0125 * 0.5, rel=1e-14)
 
     def test_variant_ignored_for_high_gamma(self):
         """For gamma > 1 the printed drift 2a - b x - gamma sigma^2/2
@@ -387,11 +387,11 @@ class TestEulerAuxiliary:
         }
         terminal = {}
         for variant, drift in drifts.items():
-            res = euler_auxiliary(HIGH, grid, noise, variant=variant)
+            values, _ = euler_auxiliary(HIGH, grid, noise, variant=variant)
             x = np.full(16, HIGH.r0)
             for k in range(8):
                 x = x + drift(x) * grid.dt + s * x**g * noise[:, k]
-            terminal[variant] = res.values[:, -1]
+            terminal[variant] = values[:, -1]
             np.testing.assert_allclose(terminal[variant], x, rtol=1e-12)
         assert not np.allclose(terminal["paper"], terminal["derived"])
 
@@ -403,12 +403,14 @@ class TestEulerAuxiliary:
         fracs = []
         for n_steps in (512, 1024):
             grid = TimeGrid(1.0, n_steps)
-            res = euler_auxiliary(p, grid, NoiseMatrix(13, 10_000, grid))
-            fracs.append(res.floor_fraction)
-            assert res.blowup_fraction < 0.01
+            values, exits = euler_auxiliary(p, grid, NoiseMatrix(13, 10_000, grid))
+            exited = np.count_nonzero(exits) / len(exits)
+            floor_fraction, blowup_fraction = (0.0, exited) if p.gamma > 1.0 else (exited, 0.0)
+            fracs.append(floor_fraction)
+            assert blowup_fraction < 0.01
         assert fracs[-1] < 0.01
         assert fracs[1] <= fracs[0]
-        assert res.min_values.shape == (10_000,)
+        assert values.min(axis=1).shape == (10_000,)
 
 
 class TestExactSqrtLevel:

@@ -9,7 +9,13 @@ import pytest
 
 from ckls import CklsError, CklsParams, DomainError, InputError, NoiseMatrix, TimeGrid, euler_ckls
 from ckls.cli import main
-from ckls.verify import _snapshot_rates, check_closed_form_mean, check_moment_bounds, run_suite
+from ckls.verify import (
+    _snapshot_rates,
+    check_closed_form_mean,
+    check_convergence_ladder,
+    check_moment_bounds,
+    run_suite,
+)
 
 # near the floor, with a coarse grid: Euler steps overshoot below zero
 CLAMPING = CklsParams(a=0.5, b=5.0, sigma=0.5, gamma=0.5, r0=0.01)
@@ -28,6 +34,19 @@ def test_snapshot_checks_count_clamped_steps(check):
 
 
 HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
+
+
+def test_convergence_ladder_drops_and_counts_paths_the_euler_scheme_loses():
+    """At gamma = 2 the Euler scheme diverges under the superlinear drift
+    on 98 of 1000 paths at some rung of the ladder seed.  The gaps are
+    averaged over the others, so the statistic is finite, and the lost
+    paths fail the check."""
+    p = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=2.0, r0=1.0)
+    report = check_convergence_ladder(p, n_paths=1000, seed=2030)
+    assert report.status == "fail"
+    assert report.details["nonfinite_paths"] == 98
+    assert math.isfinite(report.statistic)
+    assert all(math.isfinite(e) for e in report.details["errors"])
 
 
 @pytest.mark.parametrize("check", [check_closed_form_mean, check_moment_bounds])
