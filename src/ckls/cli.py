@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="threads for the path blocks of verify (>= 1); simulate runs on one thread",
+        help="threads for the path blocks of simulate's Euler modes and verify (>= 1)",
     )
     parser.add_argument("--out", default=None, help="override the config output path")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -111,37 +111,35 @@ def _echo_config(cfg: RunConfig) -> dict:
 
 
 def _write_output(cfg: RunConfig, times: np.ndarray, values: np.ndarray, summary: dict) -> None:
-    dest = cfg.output_path or f"ckls_out.{ 'bin' if cfg.output_format == 'binary' else cfg.output_format }"
-    if cfg.output_format == "csv":
-        write_paths_csv(dest, times, values, metadata={"config": _echo_config(cfg)})
-    elif cfg.output_format == "binary":
+    binary = cfg.output_format == "binary"
+    dest = cfg.output_path or ("ckls_out.bin" if binary else "ckls_out.csv")
+    if binary:
         write_paths_binary(dest, times, values)
     else:
-        with open(dest, "w") as fh:
-            json.dump(
-                {"config": _echo_config(cfg), "times": times.tolist(), "values": values.tolist()},
-                fh,
-                sort_keys=True,
-            )
+        write_paths_csv(dest, times, values, metadata={"config": _echo_config(cfg)})
     summary["output"] = {"path": str(dest), "format": cfg.output_format}
     with open(f"{dest}.summary.json", "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
     print(json.dumps(summary, sort_keys=True))
 
 
-def cmd_simulate(cfg: RunConfig, mode: str) -> int:
+def cmd_simulate(cfg: RunConfig, mode: str, workers: int) -> int:
     p = cfg.params
     started = time.perf_counter()
     summary: dict = {"mode": mode, "config": cfg.to_dict(), "n_paths": cfg.n_paths}
     if mode == "euler-p":
         noise = NoiseMatrix(cfg.seed, cfg.n_paths, cfg.grid)
-        values, exits = euler_values(ckls_drift(p), ckls_diffusion(p), p.r0, cfg.grid.dt, noise)
+        values, exits = euler_values(
+            ckls_drift(p), ckls_diffusion(p), p.r0, cfg.grid.dt, noise, workers=workers
+        )
         summary["truncations"] = int(exits.sum())
         rule = noise.rule
         times = cfg.grid.times
     elif mode == "auxiliary":
         noise = NoiseMatrix(cfg.seed, cfg.n_paths, cfg.grid)
-        values, exits = euler_auxiliary(p, cfg.grid, noise, variant=cfg.aux_variant)
+        values, exits = euler_auxiliary(
+            p, cfg.grid, noise, variant=cfg.aux_variant, workers=workers
+        )
         # gamma > 1 exits ran off to +inf, gamma < 1 exits hit the floor
         n_exited = int(np.count_nonzero(exits))
         floor_hits, blowups = (0, n_exited) if p.gamma > 1.0 else (n_exited, 0)
@@ -233,14 +231,7 @@ def cmd_density(cfg: RunConfig, x_min: float | None, x_max: float | None, x_poin
 def cmd_verify(cfg: RunConfig, suite: str, workers: int) -> int:
     started = time.perf_counter()
     try:
-        reports = run_suite(
-            suite,
-            cfg.params,
-            c=cfg.c,
-            seed=cfg.seed,
-            workers=workers,
-            scale_variant=cfg.scale_variant,
-        )
+        reports = run_suite(suite, cfg.params, c=cfg.c, seed=cfg.seed, workers=workers)
     except UnknownSuite:
         print(json.dumps({"error": f"unknown suite {suite!r}", "known": SUITE_NAMES}))
         return 1
@@ -272,7 +263,7 @@ def main(argv=None) -> int:
         if args.command == "regime":
             return cmd_regime(cfg)
         if args.command == "simulate":
-            return cmd_simulate(cfg, args.mode)
+            return cmd_simulate(cfg, args.mode, args.workers)
         if args.command == "density":
             return cmd_density(cfg, args.x_min, args.x_max, args.x_points)
         if args.command == "verify":

@@ -10,7 +10,6 @@ A config object looks like
       "seed": 42,
       "delta_rule": "derived",
       "aux_variant": "derived",
-      "scale_variant": "paper",
       "output": {"format": "csv", "path": "paths.csv"}
     }
 
@@ -44,10 +43,9 @@ _TOP_KEYS = {
     "seed",
     "delta_rule",
     "aux_variant",
-    "scale_variant",
     "output",
 }
-_FORMATS = {"csv", "json", "binary"}
+_FORMATS = {"csv", "binary"}
 _VARIANTS = {"paper", "derived"}
 
 
@@ -60,7 +58,6 @@ class RunConfig:
     seed: int
     delta_rule: str = "derived"
     aux_variant: str = "derived"
-    scale_variant: str = "paper"
     output_format: str = "csv"
     output_path: str | None = None
 
@@ -75,7 +72,6 @@ class RunConfig:
             "seed": self.seed,
             "delta_rule": self.delta_rule,
             "aux_variant": self.aux_variant,
-            "scale_variant": self.scale_variant,
             "output": {"format": self.output_format, "path": self.output_path},
         }
 
@@ -124,12 +120,7 @@ def parse_config(obj: dict) -> RunConfig:
 
     delta_rule = obj.get("delta_rule", "derived")
     aux_variant = obj.get("aux_variant", "derived")
-    scale_variant = obj.get("scale_variant", "paper")
-    for name, val in (
-        ("delta_rule", delta_rule),
-        ("aux_variant", aux_variant),
-        ("scale_variant", scale_variant),
-    ):
+    for name, val in (("delta_rule", delta_rule), ("aux_variant", aux_variant)):
         if val not in _VARIANTS:
             raise ConfigError(f"{name} must be one of {sorted(_VARIANTS)}, got {val!r}")
     output_format = raw_output.get("format", "csv")
@@ -162,7 +153,6 @@ def parse_config(obj: dict) -> RunConfig:
         seed=seed,
         delta_rule=delta_rule,
         aux_variant=aux_variant,
-        scale_variant=scale_variant,
         output_format=output_format,
         output_path=raw_output.get("path"),
     )

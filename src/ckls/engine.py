@@ -41,6 +41,7 @@ __all__ = [
     "auxiliary_drift",
     "explicit_solution_drift",
     "euler_blocks",
+    "euler_exits",
     "euler_values",
     "euler_ckls",
     "euler_auxiliary",
@@ -388,6 +389,16 @@ def euler_blocks(
     return {key: np.concatenate([b[key] for b in blocks], axis=-1) for key in blocks[0]}
 
 
+def euler_exits(run: dict) -> np.ndarray:
+    """Per-path exits of an euler_blocks run: the steps that landed below
+    the floor, where they are clamped, and one more for a path whose
+    terminal rate is not finite.  A path that overflows stays non-finite
+    (NaN is never below the floor); with exit_to_inf the kernel sets a
+    path that leaves the floor or the finite range to +inf, so it counts
+    one exit."""
+    return run["trunc"] + ~np.isfinite(run["rate"])
+
+
 def euler_values(
     drift: Callable,
     diffusion: Callable,
@@ -395,23 +406,21 @@ def euler_values(
     dt: float,
     noise,
     exit_to_inf: bool = False,
+    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The paths of euler_blocks as a value matrix.
 
-    Returns (values, exits) with values of shape (n_paths, n_steps + 1)
-    and per-path counts of steps that landed below the floor, where they
-    are clamped.  A path that overflows stays non-finite (NaN is never
-    below the floor), so each path with a non-finite terminal value counts
-    one exit more.  With exit_to_inf the kernel sets a path that leaves
-    the floor or the finite range to +inf in that step: its values are
-    +inf from there on, and it counts one exit.
+    Returns (values, euler_exits) with values of shape
+    (n_paths, n_steps + 1); with exit_to_inf a path's values are +inf from
+    the step that left on.
     """
     n_steps = noise.grid.n_steps if isinstance(noise, NoiseMatrix) else np.shape(noise)[-1]
     run = euler_blocks(
         drift, diffusion, r0, dt, noise,
         [lambda n: Snapshots(range(n_steps + 1), n_steps, n)], exit_to_inf=exit_to_inf,
+        workers=workers,
     )
-    return np.ascontiguousarray(run["snapshots"].T), run["trunc"] + ~np.isfinite(run["rate"])
+    return np.ascontiguousarray(run["snapshots"].T), euler_exits(run)
 
 
 def euler_ckls(p: CklsParams, grid: TimeGrid, noise) -> tuple[np.ndarray, np.ndarray]:
@@ -424,7 +433,7 @@ def euler_ckls(p: CklsParams, grid: TimeGrid, noise) -> tuple[np.ndarray, np.nda
 
 
 def euler_auxiliary(
-    p: CklsParams, grid: TimeGrid, noise, variant: str = "derived"
+    p: CklsParams, grid: TimeGrid, noise, variant: str = "derived", workers: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Euler-Maruyama for the auxiliary equation: euler_values' (values, exits).
 
@@ -440,7 +449,7 @@ def euler_auxiliary(
     """
     return euler_values(
         auxiliary_drift(p, variant), ckls_diffusion(p), p.r0, grid.dt, noise,
-        exit_to_inf=p.gamma > 1.0,
+        exit_to_inf=p.gamma > 1.0, workers=workers,
     )
 
 

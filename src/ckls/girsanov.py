@@ -63,18 +63,6 @@ class NovikovEstimate:
     std_error: float
 
 
-def weighted_report(est: "WeightedEstimate", seed: int, params: CklsParams) -> dict:
-    """Machine-comparable record of a weighted estimate for CI diffing."""
-    return {
-        "estimate": est.estimate,
-        "std_error": est.std_error,
-        "ess": est.ess,
-        "n_paths": est.n_paths,
-        "seed": int(seed),
-        "params": params.to_dict(),
-    }
-
-
 def drift_adjustment(p: CklsParams, x):
     """q(x) = 2b/sigma x^(1-gamma) + gamma sigma/2 x^(gamma-1) - a/sigma x^(-gamma).
 

@@ -47,12 +47,13 @@ from .engine import (
     ckls_diffusion,
     ckls_drift,
     euler_blocks,
+    euler_exits,
     euler_under_q,
     explicit_rate,
     explicit_rate_on_grid,
 )
 from .errors import InputError, UnknownSuite
-from .girsanov import simulate_weighted, weighted_expectation_arrays, weighted_report
+from .girsanov import simulate_weighted, weighted_expectation_arrays
 from .params import CklsParams, classify_regime
 from .transform import derive_cir, make_transform
 
@@ -100,6 +101,11 @@ class CheckReport:
 
 def _status(ok: bool) -> str:
     return "pass" if ok else "fail"
+
+
+def _mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean of x and its standard error."""
+    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))
 
 
 def _timed(check):
@@ -150,9 +156,7 @@ def check_martingale(
     exponential martingale under the base measure)."""
     grid = TimeGrid(t, n_steps)
     sample = simulate_weighted(p, grid, NoiseMatrix(seed, n_paths, grid), workers=workers)
-    w = sample.weights()
-    mean = float(w.mean())
-    se = float(w.std(ddof=1) / math.sqrt(n_paths))
+    mean, se = _mean_se(sample.weights())
     z = abs(mean - 1.0) / se
     return CheckReport(
         name="martingale",
@@ -165,6 +169,21 @@ def check_martingale(
     )
 
 
+def _law_ks(p: CklsParams, c: float | None, t: float, n: int, seed: int, rules) -> dict:
+    """KS test of n sorted closed-form rate draws at time t, from the
+    normals of default_rng([seed, 1]), against the transition-law CDF
+    under each df rule: {rule: (TransitionSpec, KsResult)}."""
+    tr = make_transform(p, c)
+    cir = derive_cir(p, tr)
+    z = np.random.default_rng([seed, 1]).standard_normal(n)
+    draws = np.sort(explicit_rate(p, t, z))
+    out = {}
+    for rule in rules:
+        spec = transition_spec(p, cir, t, delta_rule=rule)
+        out[rule] = spec, ks_statistic(draws, lambda x: rate_cdf(p, tr, spec, x))
+    return out
+
+
 @_timed
 def check_explicit_law(
     p: CklsParams,
@@ -175,12 +194,7 @@ def check_explicit_law(
 ) -> CheckReport:
     """KS distance between closed-form rate draws and the transition-law
     CDF (derived df rule) below the 1% asymptotic critical value."""
-    tr = make_transform(p, c)
-    cir = derive_cir(p, tr)
-    spec = transition_spec(p, cir, t, delta_rule="derived")
-    z = np.random.default_rng([seed, 1]).standard_normal(n)
-    draws = np.sort(explicit_rate(p, t, z))
-    res = ks_statistic(draws, lambda x: rate_cdf(p, tr, spec, x))
+    spec, res = _law_ks(p, c, t, n, seed, ("derived",))["derived"]
     return CheckReport(
         name="explicit-law",
         status=_status(res.statistic < res.critical_1pct),
@@ -219,11 +233,7 @@ def check_measure_consistency(
         auxiliary_drift(p, "derived"), ckls_diffusion(p), p.r0, grid.dt,
         NoiseMatrix(seed + 1, n_paths, grid), exit_to_inf=p.gamma > 1.0, workers=workers,
     )
-    # counted as engine.euler_values counts exits
-    aux_exits = int(aux["trunc"].sum() + np.count_nonzero(~np.isfinite(aux["rate"])))
-    aux_f = tr.f(aux["rate"])
-    aux_mean = float(aux_f.mean())
-    aux_se = float(aux_f.std(ddof=1) / math.sqrt(n_paths))
+    aux_mean, aux_se = _mean_se(tr.f(aux["rate"]))
 
     z_spec = abs(est.estimate - target) / est.std_error
     z_aux = abs(est.estimate - aux_mean) / math.hypot(est.std_error, aux_se)
@@ -237,11 +247,11 @@ def check_measure_consistency(
             "weighted_estimate": est.estimate,
             "std_error": est.std_error,
             "ess": est.ess,
-            "report": weighted_report(est, seed, p),
+            "n_paths": n_paths,
             "target_closed_form": target,
             "auxiliary_estimate": aux_mean,
             "auxiliary_std_error": aux_se,
-            "auxiliary_floor_exits": aux_exits,
+            "auxiliary_floor_exits": int(euler_exits(aux).sum()),
             "z_vs_closed_form": z_spec,
             "z_vs_auxiliary": z_aux,
             "passes_closed_form_target": bool(z_spec <= 3.0),
@@ -260,20 +270,15 @@ def check_delta_arbitration(
     """With C != 1 the two degrees-of-freedom rules disagree (derived
     df = 1 vs df = C^2); the KS test against closed-form draws must accept
     exactly one of them at the 1% level, and it should be the derived one."""
-    tr = make_transform(p, c)
-    cir = derive_cir(p, tr)
-    z = np.random.default_rng([seed, 1]).standard_normal(n)
-    draws = np.sort(explicit_rate(p, t, z))
-    results = {}
-    for rule in ("derived", "paper"):
-        spec = transition_spec(p, cir, t, delta_rule=rule)
-        res = ks_statistic(draws, lambda x: rate_cdf(p, tr, spec, x))
-        results[rule] = {
+    results = {
+        rule: {
             "df": spec.df,
             "ks": res.statistic,
             "critical_1pct": res.critical_1pct,
             "accepted": bool(res.statistic < res.critical_1pct),
         }
+        for rule, (spec, res) in _law_ks(p, c, t, n, seed, ("derived", "paper")).items()
+    }
     ok = results["derived"]["accepted"] and not results["paper"]["accepted"]
     better = min(results, key=lambda r: results[r]["ks"])
     return CheckReport(
@@ -337,8 +342,7 @@ def check_closed_form_mean(
     snaps, truncations = _snapshot_rates(p, t_end, n_steps, n_paths, seed, idx, workers)
     zs = {}
     for j, t in enumerate(ts):
-        m = float(snaps[j].mean())
-        se = float(snaps[j].std(ddof=1) / math.sqrt(n_paths))
+        m, se = _mean_se(snaps[j])
         zs[t] = {"mc": m, "closed_form": mean_rate(p, t), "std_error": se,
                  "z": abs(m - mean_rate(p, t)) / se}
     worst = max(v["z"] for v in zs.values())
@@ -372,9 +376,7 @@ def check_moment_bounds(
         ("frac_moment", 2.0 * (p.gamma - 1.0)),
     ):
         for j, t in enumerate(ts):
-            g = snaps[j] ** expo
-            m = float(g.mean())
-            se = float(g.std(ddof=1) / math.sqrt(n_paths))
+            m, se = _mean_se(snaps[j] ** expo)
             bound = gronwall_bound(p, t, kind).bound
             excess = (m - bound) / se
             worst = max(worst, excess)
@@ -466,9 +468,10 @@ def check_ncx2_battery(
         pdf_vals = noncentral_pdf(d, grid)
         cons_err = float(np.max(np.abs(fd - pdf_vals)))
         draws = noncentral_sample(d, rng, n_moment)
-        mean_z = abs(draws.mean() - (df + nonc)) / (draws.std(ddof=1) / math.sqrt(n_moment))
+        mean, mean_se = _mean_se(draws)
+        mean_z = abs(mean - (df + nonc)) / mean_se
         var_sample = draws.var(ddof=1)
-        centered_sq = (draws - draws.mean()) ** 2
+        centered_sq = (draws - mean) ** 2
         var_se = centered_sq.std(ddof=1) / math.sqrt(n_moment)
         var_z = abs(var_sample - 2.0 * (df + 2.0 * nonc)) / var_se
         ks = ks_statistic(np.sort(draws[:n_ks]), lambda x: noncentral_cdf(d, x))
@@ -480,7 +483,7 @@ def check_ncx2_battery(
         details[f"df={df},nonc={nonc}"] = {
             "normalization_err": norm_err,
             "pdf_cdf_consistency_err": cons_err,
-            "mean_z": float(mean_z),
+            "mean_z": mean_z,
             "var_z": float(var_z),
             "ks": ks.statistic,
             "ks_critical_1pct": ks.critical_1pct,
@@ -566,21 +569,39 @@ def check_determinism(
     )
 
 
-# The checks in run order; `ckls verify --suite NAME` runs the one named
+def _skipped(name: str, threshold: float, seed: int, why: str) -> list[CheckReport]:
+    """The report-only entry of a check whose hypotheses the parameter set
+    does not satisfy."""
+    return [CheckReport(name=name, status="report", statistic=math.nan, threshold=threshold,
+                        seed=seed, details={"skipped": why})]
+
+
+# Every check in run order, as a call on (params, C, suite seed, workers)
+# that returns its reports; `ckls verify --suite NAME` runs the one named
 # NAME, and suite "default" runs them all.
-CHECKS = (
-    "transform",
-    "martingale",
-    "explicit-law",
-    "measure-consistency",
-    "delta-arbitration",
-    "mean",
-    "moments",
-    "ladder",
-    "ncx2",
-    "scale",
-    "determinism",
-)
+_SUITE = {
+    "transform": lambda p, c, s, w: [check_transform_identities(p, c, s)],
+    "martingale": lambda p, c, s, w: [check_martingale(p, seed=s, workers=w)],
+    "explicit-law": lambda p, c, s, w: [check_explicit_law(p, c, seed=s + 1)],
+    "measure-consistency": lambda p, c, s, w: [
+        check_measure_consistency(p, c, seed=s + 2, workers=w)
+    ],
+    "delta-arbitration": lambda p, c, s, w: [check_delta_arbitration(p, seed=s + 3)],
+    "mean": lambda p, c, s, w: [check_closed_form_mean(p, seed=s + 4, workers=w)],
+    "moments": lambda p, c, s, w: (
+        [check_moment_bounds(p, seed=s + 5, workers=w)] if classify_regime(p).moment_valid
+        else _skipped("moment-bounds", 3.0, s + 5, "parameters satisfy neither moment-bound case")
+    ),
+    "ladder": lambda p, c, s, w: [check_convergence_ladder(p, seed=s + 6)],
+    "ncx2": lambda p, c, s, w: [check_ncx2_battery(seed=s + 7)],
+    "scale": lambda p, c, s, w: (
+        [check_scale_trends(p, "paper", s), check_scale_trends(p, "derived", s)]
+        if 0.5 <= p.gamma < 1.0
+        else _skipped("scale-trends", math.inf, s, "scale function requires gamma in [1/2, 1)")
+    ),
+    "determinism": lambda p, c, s, w: [check_determinism(p, seed=s + 8)],
+}
+CHECKS = tuple(_SUITE)
 # every name run_suite takes, sorted
 SUITE_NAMES = sorted(("default", *CHECKS))
 
@@ -591,7 +612,6 @@ def run_suite(
     c: float | None = None,
     seed: int = 2024,
     workers: int = 1,
-    scale_variant: str = "paper",
 ) -> list[CheckReport]:
     """Run one check of CHECKS by name, or all of them as suite
     "default", against one parameter set.
@@ -603,45 +623,4 @@ def run_suite(
     if suite not in SUITE_NAMES:
         raise UnknownSuite(f"unknown suite {suite!r}; known: {', '.join(SUITE_NAMES)}")
     names = CHECKS if suite == "default" else (suite,)
-    regime = classify_regime(p)
-    reports: list[CheckReport] = []
-    for name in names:
-        if name == "transform":
-            reports.append(check_transform_identities(p, c, seed))
-        elif name == "martingale":
-            reports.append(check_martingale(p, seed=seed, workers=workers))
-        elif name == "explicit-law":
-            reports.append(check_explicit_law(p, c, seed=seed + 1))
-        elif name == "measure-consistency":
-            reports.append(check_measure_consistency(p, c, seed=seed + 2, workers=workers))
-        elif name == "delta-arbitration":
-            reports.append(check_delta_arbitration(p, seed=seed + 3))
-        elif name == "mean":
-            reports.append(check_closed_form_mean(p, seed=seed + 4, workers=workers))
-        elif name == "moments":
-            if regime.moment_valid:
-                reports.append(check_moment_bounds(p, seed=seed + 5, workers=workers))
-            else:
-                reports.append(CheckReport(
-                    name="moment-bounds", status="report", statistic=math.nan,
-                    threshold=3.0, seed=seed + 5,
-                    details={"skipped": "parameters satisfy neither moment-bound case"},
-                ))
-        elif name == "ladder":
-            reports.append(check_convergence_ladder(p, seed=seed + 6))
-        elif name == "ncx2":
-            reports.append(check_ncx2_battery(seed=seed + 7))
-        elif name == "scale":
-            if 0.5 <= p.gamma < 1.0:
-                reports.append(check_scale_trends(p, scale_variant, seed))
-                other = "derived" if scale_variant == "paper" else "paper"
-                reports.append(check_scale_trends(p, other, seed))
-            else:
-                reports.append(CheckReport(
-                    name="scale-trends", status="report", statistic=math.nan,
-                    threshold=math.inf, seed=seed,
-                    details={"skipped": "scale function requires gamma in [1/2, 1)"},
-                ))
-        elif name == "determinism":
-            reports.append(check_determinism(p, seed=seed + 8))
-    return reports
+    return [report for name in names for report in _SUITE[name](p, c, seed, workers)]

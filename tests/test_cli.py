@@ -200,6 +200,24 @@ class TestSimulateCommand:
         assert summary["blowup_fraction"] == blowups / 3000
         assert summary["min_over_paths"] == min_over_paths
 
+    @pytest.mark.parametrize("mode", ["euler-p", "auxiliary"])
+    def test_workers_reach_the_euler_blocks(self, tmp_path, capsys, monkeypatch, mode):
+        """--workers is the thread count of simulate's Euler run, as of
+        verify's."""
+        from ckls import cli, engine
+
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["workers"])
+            return map_noise_blocks(*args, **kwargs)
+
+        map_noise_blocks = engine.map_noise_blocks
+        monkeypatch.setattr(engine, "map_noise_blocks", spy)
+        cfg = write_config(tmp_path, output={"path": str(tmp_path / "p.csv")})
+        assert cli.main(["--config", cfg, "--workers", "3", "simulate", "--mode", mode]) == 0
+        assert seen == [3]
+
     @pytest.mark.parametrize(
         "override",
         [

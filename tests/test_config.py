@@ -25,7 +25,6 @@ class TestParse:
         assert cfg.c == 1.0
         assert cfg.delta_rule == "derived"
         assert cfg.aux_variant == "derived"
-        assert cfg.scale_variant == "paper"
         assert cfg.output_format == "csv"
 
     def test_c_optional(self):
@@ -48,6 +47,7 @@ class TestParse:
             lambda o: o["params"].update(kappa=0.5),
             lambda o: o["grid"].update(dt=0.1),
             lambda o: o.update(output={"format": "csv", "compression": "gz"}),
+            lambda o: o.update(scale_variant="paper"),
         ],
     )
     def test_unknown_keys_rejected(self, mutate):
@@ -81,6 +81,7 @@ class TestParse:
             lambda o: o.update(seed=-1),
             lambda o: o.update(delta_rule="guessed"),
             lambda o: o.update(output={"format": "parquet"}),
+            lambda o: o.update(output={"format": "json"}),
         ],
     )
     def test_bad_values_rejected(self, mutate):

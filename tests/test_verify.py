@@ -1,6 +1,7 @@
 """Verification-check details that are not acceptance criteria, and the
 timings every report carries."""
 
+import inspect
 import json
 import math
 
@@ -8,8 +9,11 @@ import numpy as np
 import pytest
 
 from ckls import CklsError, CklsParams, DomainError, InputError, NoiseMatrix, TimeGrid, euler_ckls
+from ckls import verify
 from ckls.cli import main
 from ckls.verify import (
+    CHECKS,
+    CheckReport,
     _snapshot_rates,
     check_closed_form_mean,
     check_convergence_ladder,
@@ -112,3 +116,81 @@ def test_verify_json_carries_elapsed_times(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     (check,) = payload["checks"]
     assert 0 < check["elapsed_seconds"] <= payload["elapsed_seconds"]
+
+
+def _stub_checks(monkeypatch) -> list:
+    """Swap every check_* of verify for a stub that records the check, and
+    the seed, c, workers and scale variant it was called with (None where
+    the check takes no such argument), and returns a passing report named
+    after the call."""
+    calls = []
+    for fn_name, check in list(vars(verify).items()):
+        if not fn_name.startswith("check_"):
+            continue
+
+        def stub(*args, _name=fn_name, _sig=inspect.signature(check), **kwargs):
+            bound = _sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            got = bound.arguments
+            call = (_name, got["seed"], got.get("c"), got.get("workers"), got.get("variant"))
+            calls.append(call)
+            return CheckReport(name=":".join(map(str, call)), status="pass",
+                               statistic=0.0, threshold=0.0, seed=got["seed"])
+
+        monkeypatch.setattr(verify, fn_name, stub)
+    return calls
+
+
+GAMMA_2 = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=2.0, r0=1.0)
+
+
+@pytest.mark.parametrize(
+    "p,moments,scale",
+    [
+        (HIGH, True, False),
+        (CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=0.75, r0=1.0), True, True),
+        (GAMMA_2, False, False),
+    ],
+    ids=["high", "low", "gamma-2"],
+)
+def test_default_suite_call_and_report_sequence(monkeypatch, p, moments, scale):
+    """Suite "default" calls every check in CHECKS order with its seed
+    offset, c and worker count, and skips the moment bounds outside both
+    moment cases and the scale trends outside gamma in [1/2, 1) with a
+    report-only entry; each single-check suite runs its own slice."""
+    calls = _stub_checks(monkeypatch)
+    s, c, w = 100, 0.7, 3
+    expected_calls = [
+        ("check_transform_identities", s, c, None, None),
+        ("check_martingale", s, None, w, None),
+        ("check_explicit_law", s + 1, c, None, None),
+        ("check_measure_consistency", s + 2, c, w, None),
+        ("check_delta_arbitration", s + 3, 2.0, None, None),
+        ("check_closed_form_mean", s + 4, None, w, None),
+        *([("check_moment_bounds", s + 5, None, w, None)] if moments else []),
+        ("check_convergence_ladder", s + 6, None, None, None),
+        ("check_ncx2_battery", s + 7, None, None, None),
+        *([("check_scale_trends", s, None, None, "paper"),
+           ("check_scale_trends", s, None, None, "derived")] if scale else []),
+        ("check_determinism", s + 8, None, None, None),
+    ]
+    expected_reports = [(":".join(map(str, call)), "pass", 0.0, call[1]) for call in expected_calls]
+    if not moments:
+        expected_reports.insert(6, ("moment-bounds", "report", 3.0, s + 5))
+    if not scale:
+        expected_reports.insert(-1, ("scale-trends", "report", math.inf, s))
+
+    reports = verify.run_suite("default", p, c=c, seed=s, workers=w)
+    assert calls == expected_calls
+    assert [(r.name, r.status, r.threshold, r.seed) for r in reports] == expected_reports
+    assert [math.isnan(r.statistic) for r in reports] == [r.status == "report" for r in reports]
+    skipped = [r for r in reports if r.status == "report"]
+    assert [r.details for r in skipped] == (
+        ([] if moments else [{"skipped": "parameters satisfy neither moment-bound case"}])
+        + ([] if scale else [{"skipped": "scale function requires gamma in [1/2, 1)"}])
+    )
+    assert all(r.elapsed_seconds == 0.0 for r in skipped)
+
+    singles = [r for name in CHECKS for r in verify.run_suite(name, p, c=c, seed=s, workers=w)]
+    assert [r.name for r in singles] == [r.name for r in reports]
+    assert calls == 2 * expected_calls
