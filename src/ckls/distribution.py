@@ -38,7 +38,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError
-from .numerics import stable_phi
+from .numerics import like_argument, stable_phi
 from .params import CklsParams, require_transformable
 from .transform import CirParams, Transform
 
@@ -122,15 +122,16 @@ def noncentral_pdf(d: NoncentralChiSq, x):
 
     df = 1 is the squared-Gaussian closed form; other df use the Bessel
     form with the exponentially scaled scipy.special.ive, and nonc = 0 the
-    central chi-square.  x < 0 gives 0.  At x = 0 the continuous limit is
-    returned for df >= 2 (e^(-nonc/2)/2 at df = 2, 0 above); for df < 2 the
-    density diverges at 0+ and x = 0 raises DomainError.
+    central chi-square.  x < 0 and x = +inf give 0, a NaN x NaN.  At x = 0
+    the continuous limit is returned for df >= 2 (e^(-nonc/2)/2 at df = 2,
+    0 above); for df < 2 the density diverges at 0+ and x = 0 raises
+    DomainError.
     """
     arr = np.asarray(x, dtype=float)
     if d.df < 2.0 and np.any(arr == 0.0):
         raise DomainError("density diverges at 0+ for df < 2")
     half_df = 0.5 * d.df
-    # x <= 0 is overwritten below; NaN propagates
+    # x <= 0 and x = +inf are overwritten below; NaN propagates
     with np.errstate(divide="ignore", invalid="ignore"):
         if d.nonc == 0.0:
             dens = np.exp(
@@ -160,8 +161,8 @@ def noncentral_pdf(d: NoncentralChiSq, x):
                     (0.5 * half_df - 0.5) * np.log(arr / d.nonc) - 0.5 * gap**2
                 )
     at_zero = 0.5 * math.exp(-0.5 * d.nonc) if d.df == 2.0 else 0.0
-    out = np.where(arr < 0.0, 0.0, np.where(arr == 0.0, at_zero, dens))
-    return float(out) if out.ndim == 0 else out
+    out = np.where((arr < 0.0) | (arr == math.inf), 0.0, np.where(arr == 0.0, at_zero, dens))
+    return like_argument(out, x)
 
 
 def noncentral_cdf(d: NoncentralChiSq, x):
@@ -180,7 +181,7 @@ def noncentral_cdf(d: NoncentralChiSq, x):
             raise DomainError(
                 f"scipy.special.chndtr returned NaN at df={d.df}, nonc={d.nonc}"
             )
-    return float(out) if out.ndim == 0 else out
+    return like_argument(out, x)
 
 
 def noncentral_sample(d: NoncentralChiSq, rng: np.random.Generator, size=None):
@@ -203,23 +204,20 @@ def noncentral_sample(d: NoncentralChiSq, rng: np.random.Generator, size=None):
 def rate_density(p: CklsParams, tr: Transform, spec: TransitionSpec, x):
     """Density of the rate at time t under the transformed measure:
     g(x) = pdf(f(x)/scale) |f'(x)| / scale via change of variables."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(arr > 0):
-        raise DomainError(f"x must be positive, got {x}")
     d = NoncentralChiSq(df=spec.df, nonc=spec.nonc)
-    y = tr.f(x)
-    return noncentral_pdf(d, np.asarray(y) / spec.scale) * np.abs(tr.fprime(x)) / spec.scale
+    out = noncentral_pdf(d, tr.f(x) / spec.scale) * np.abs(tr.fprime(x)) / spec.scale
+    return like_argument(out, x)
 
 
 def rate_cdf(p: CklsParams, tr: Transform, spec: TransitionSpec, x):
     """Distribution function of the rate, orientation-corrected for the
-    decreasing transform when gamma > 1 (P(r <= x) = P(Y >= f(x)))."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros(arr.shape, dtype=float)
+    decreasing transform when gamma > 1 (P(r <= x) = P(Y >= f(x))).  0 for
+    x <= 0, NaN at a NaN x."""
+    arr = np.asarray(x, dtype=float)
+    out = np.where(np.isnan(arr), np.nan, 0.0)
     pos = arr > 0.0
     if np.any(pos):
         d = NoncentralChiSq(df=spec.df, nonc=spec.nonc)
         inner = noncentral_cdf(d, tr.f(arr[pos]) / spec.scale)
         out[pos] = 1.0 - inner if tr.gamma > 1.0 else inner
-    return float(out[0]) if scalar else out
+    return like_argument(out, x)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .distribution import NoncentralChiSq, noncentral_sample, transition_spec
 from .errors import DomainError, SingularSample
-from .numerics import stable_phi
+from .numerics import like_argument, require_horizon, stable_phi
 from .params import CklsParams, require_transformable
 from .transform import CirParams
 
@@ -86,8 +86,7 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not 0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if not self.n_steps >= 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        _require_integer("n_steps", self.n_steps)
 
     @property
     def dt(self) -> float:
@@ -98,9 +97,12 @@ class TimeGrid:
         return np.linspace(0.0, self.t_end, self.n_steps + 1)
 
 
-def _require_integer(name: str, value) -> None:
+def _require_integer(name: str, value, low: int = 1) -> None:
+    """The count rule: an integer >= low, never a bool or a float."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not value >= low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -124,12 +126,10 @@ class NoiseMatrix:
     grid: TimeGrid
 
     def __post_init__(self) -> None:
-        _require_integer("seed", self.seed)
+        _require_integer("seed", self.seed, 0)
         _require_integer("n_paths", self.n_paths)
-        if not 0 <= int(self.seed) < 2**64:
+        if not int(self.seed) < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not self.n_paths >= 1:
-            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
 
     @property
     def rule(self) -> str:
@@ -470,11 +470,10 @@ def exact_sqrt_level(cir: CirParams, p: CklsParams, t: float, z):
     rate -> 0 limit is sqrt(Y_0) + (vol/2) sqrt(t) Z.
     """
     require_transformable(p)
-    if t < 0:
-        raise DomainError(f"t must be nonnegative, got {t}")
+    require_horizon(t)
     mean = math.sqrt(cir.y0) * math.exp(0.5 * cir.drift_lin * t)
     std = 0.5 * cir.vol * math.sqrt(stable_phi(cir.drift_lin, t))
-    return mean + std * np.asarray(z, dtype=float)
+    return like_argument(mean + std * np.asarray(z, dtype=float), z)
 
 
 def explicit_rate(p: CklsParams, t: float, z):
@@ -488,8 +487,7 @@ def explicit_rate(p: CklsParams, t: float, z):
     SingularSample; callers report and resample.
     """
     require_transformable(p)
-    if t < 0:
-        raise DomainError(f"t must be nonnegative, got {t}")
+    require_horizon(t)
     g = p.gamma
     c = p.b * (1.0 - g)
     base = p.r0 ** (1.0 - g) * math.exp(c * t) + p.sigma * abs(g - 1.0) * math.sqrt(
@@ -497,8 +495,7 @@ def explicit_rate(p: CklsParams, t: float, z):
     ) * np.asarray(z, dtype=float)
     if np.any(base == 0.0):
         raise SingularSample("explicit solution hit a zero base; resample")
-    out = np.abs(base) ** (1.0 / (1.0 - g))
-    return float(out) if np.ndim(z) == 0 else out
+    return like_argument(np.abs(base) ** (1.0 / (1.0 - g)), z)
 
 
 def explicit_rate_on_grid(p: CklsParams, grid: TimeGrid, noise) -> np.ndarray:
@@ -538,7 +535,6 @@ def sample_cir_exact(
     """Exact draw of the transformed level Y_t = scale * X with X from the
     noncentral chi-square transition law; independent oracle against
     exact_sqrt_level squared."""
-    require_transformable(p)
     spec = transition_spec(p, cir, t, delta_rule="derived")
     d = NoncentralChiSq(df=spec.df, nonc=spec.nonc)
     return spec.scale * noncentral_sample(d, rng, size)
@@ -562,10 +558,8 @@ def map_noise_blocks(
     stream block is drawn by both thread blocks.  block_size and workers
     must be integers >= 1.
     """
-    for name, value in (("block_size", block_size), ("workers", workers)):
-        _require_integer(name, value)
-        if not value >= 1:
-            raise ValueError(f"{name} must be >= 1, got {value!r}")
+    _require_integer("block_size", block_size)
+    _require_integer("workers", workers)
     ranges = [
         (lo, min(lo + block_size, noise.n_paths))
         for lo in range(0, noise.n_paths, block_size)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import NoiseMatrix, TimeGrid, ckls_diffusion, ckls_drift, euler_blocks
-from .errors import DegenerateTransform, DegenerateWeights, DomainError, InputError
+from .errors import DegenerateTransform, DegenerateWeights, InputError
+from .numerics import like_argument, positive_points
 from .params import CklsParams
 
 __all__ = [
@@ -75,12 +76,10 @@ def drift_adjustment(p: CklsParams, x):
     """
     if p.gamma == 1.0:
         raise DegenerateTransform("drift adjustment requires gamma != 1")
-    arr = np.array(x, dtype=float, ndmin=1)
-    if not np.all(arr > 0):
-        raise DomainError(f"x must be positive, got {x}")
+    arr = positive_points(x)
     s = ckls_diffusion(p).power(arr)
     out = _drift_adjustment_into(p, arr, s, np.empty_like(arr), np.empty_like(arr))
-    return float(out[0]) if np.ndim(x) == 0 else out
+    return like_argument(out, x)
 
 
 def _drift_adjustment_into(
@@ -108,7 +107,8 @@ def _times_exp(x: float, m: float) -> float:
 def weighted_expectation_arrays(log_weights: np.ndarray, phi: np.ndarray) -> WeightedEstimate:
     """Self-normalized and raw importance-sampling estimates of E phi from
     per-path log weights, with the effective sample size
-    (sum w)^2 / sum w^2."""
+    (sum w)^2 / sum w^2.  A log weight of -inf is a zero weight; one of
+    +inf or NaN raises InputError."""
     log_weights = np.asarray(log_weights, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if log_weights.shape != phi.shape:
@@ -117,6 +117,8 @@ def weighted_expectation_arrays(log_weights: np.ndarray, phi: np.ndarray) -> Wei
         )
     if log_weights.size == 0:
         raise InputError("empty input")
+    if not np.all(log_weights < np.inf):
+        raise InputError("log weights must be below +inf and not NaN")
     shift = float(log_weights.max())
     if shift == -np.inf:
         raise DegenerateWeights("all weights are zero")
@@ -185,8 +187,6 @@ class WeightedSample:
     log_weight: np.ndarray
     q_integral_sq: np.ndarray
     truncations: int
-    seed: int
-    n_paths: int
 
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weight)
@@ -222,6 +222,4 @@ def simulate_weighted(
         log_weight=run["log_weight"],
         q_integral_sq=run["q_integral_sq"],
         truncations=int(run["trunc"].sum()),
-        seed=noise.seed,
-        n_paths=noise.n_paths,
     )

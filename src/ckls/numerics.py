@@ -1,10 +1,42 @@
-"""Small numerically-stable kernels shared across modules."""
+"""Small numerically-stable kernels shared across modules, and the three
+argument rules of the closed-form layer, whose element-wise functions take
+a float, a 0-d array, a list or an array:
+
+- point (positive_points): a float array, DomainError unless every value
+  is > 0, so NaN fails;
+- horizon (require_horizon): DomainError unless t >= 0, so NaN fails;
+- return (like_argument): a float for a scalar or 0-d argument.
+"""
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["stable_phi", "affine_exp_convolution"]
+import numpy as np
+
+from .errors import DomainError
+
+__all__ = ["stable_phi", "affine_exp_convolution",
+           "positive_points", "require_horizon", "like_argument"]
+
+
+def positive_points(x, name: str = "x") -> np.ndarray:
+    """x as a float array; DomainError unless every value is > 0."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all(arr > 0):
+        raise DomainError(f"{name} must be positive, got {x}")
+    return arr
+
+
+def require_horizon(t) -> None:
+    """DomainError unless the time t is >= 0."""
+    if not t >= 0:
+        raise DomainError(f"t must be nonnegative, got {t}")
+
+
+def like_argument(out, x):
+    """out as a float when x is a scalar or a 0-d array, as it is otherwise."""
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def stable_phi(c: float, t: float) -> float:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTransform, DomainError
+from .errors import DegenerateTransform
+from .numerics import like_argument, positive_points
 from .params import CklsParams, require_transformable
 
 __all__ = [
@@ -35,19 +36,6 @@ __all__ = [
 ]
 
 
-def _require_positive(x, name: str = "x") -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if not np.all(arr > 0):
-        raise DomainError(f"{name} must be positive, got {x}")
-    return arr
-
-
-def _maybe_scalar(arr: np.ndarray, like) -> "float | np.ndarray":
-    if np.isscalar(like) or (isinstance(like, np.ndarray) and like.ndim == 0):
-        return float(arr)
-    return arr
-
-
 @dataclass(frozen=True)
 class Transform:
     """Frozen power map: the constant C > 0 and the exponent gamma != 1."""
@@ -55,35 +43,32 @@ class Transform:
     c: float
     gamma: float
 
-    def __call__(self, x):
-        return self.f(x)
-
     def f(self, x):
-        arr = _require_positive(x)
+        arr = positive_points(x)
         g = self.gamma
         out = self.c**2 / (4.0 * (1.0 - g) ** 2) * arr ** (2.0 * (1.0 - g))
-        return _maybe_scalar(out, x)
+        return like_argument(out, x)
 
     def fprime(self, x):
-        arr = _require_positive(x)
+        arr = positive_points(x)
         g = self.gamma
         out = self.c**2 / (2.0 * (1.0 - g)) * arr ** (1.0 - 2.0 * g)
-        return _maybe_scalar(out, x)
+        return like_argument(out, x)
 
     def fsecond(self, x):
-        arr = _require_positive(x)
+        arr = positive_points(x)
         g = self.gamma
         out = self.c**2 * (1.0 - 2.0 * g) / (2.0 * (1.0 - g)) * arr ** (-2.0 * g)
-        return _maybe_scalar(out, x)
+        return like_argument(out, x)
 
     def inverse(self, y):
-        arr = _require_positive(y, "y")
+        arr = positive_points(y, "y")
         g = self.gamma
         # one power of a base of order x^(1-gamma): the two separate powers
         # |2(gamma-1)/C|^(1/(1-gamma)) and y^(1/(2(1-gamma))) underflow and
         # overflow near gamma = 1, and their product is NaN
         out = (abs(2.0 * (g - 1.0) / self.c) * np.sqrt(arr)) ** (1.0 / (1.0 - g))
-        return _maybe_scalar(out, y)
+        return like_argument(out, y)
 
 
 @dataclass(frozen=True)
@@ -127,8 +112,8 @@ def make_transform(p: CklsParams, c: float | None = None) -> Transform:
         raise DegenerateTransform("gamma = 1: the power transform is undefined")
     if c is None:
         c = default_c(p.gamma)
-    if not c > 0:
-        raise ValueError(f"C must be positive, got {c}")
+    if not 0 < c < np.inf:
+        raise ValueError(f"C must be positive and finite, got {c}")
     return Transform(c=float(c), gamma=p.gamma)
 
 

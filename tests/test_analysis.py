@@ -251,6 +251,13 @@ class TestKsStatistic:
         with pytest.raises(InputError):
             ks_statistic(np.array([0.3, 0.1]), lambda x: np.asarray(x))
 
+    @pytest.mark.parametrize("samples", [[0.1, math.nan], [math.nan], [math.nan, 0.1]])
+    def test_nan_sample_rejected(self, samples):
+        """np.diff is never < 0 next to a NaN, so the sort check alone
+        would pass it and return a NaN statistic."""
+        with pytest.raises(InputError, match="NaN"):
+            ks_statistic(np.array(samples), lambda x: np.asarray(x))
+
     def test_distributional_self_test_over_seed_battery(self):
         """Samples drawn from the hypothesized law itself: D below the 1%
         critical value across the frozen 20-seed battery."""

@@ -102,6 +102,16 @@ class TestNoncentralPdf:
         with pytest.raises(DomainError):
             noncentral_pdf(NoncentralChiSq(1.0, 1.0), 0.0)
 
+    @pytest.mark.parametrize("df,nonc", [(1.0, 2.0), (4.0, 2.0), (1.0, 0.0), (4.0, 0.0)])
+    def test_zero_at_infinity(self, df, nonc):
+        """df = 1, the Bessel form and the central law each give 0 at
+        +inf, where the cdf reaches 1."""
+        d = NoncentralChiSq(df, nonc)
+        assert noncentral_pdf(d, math.inf) == 0.0
+        got = noncentral_pdf(d, np.array([1.0, math.inf]))
+        assert got[0] > 0.0 and got[1] == 0.0
+        assert noncentral_cdf(d, math.inf) == 1.0
+
     @pytest.mark.parametrize("df,nonc", SPECS)
     def test_normalization_by_quadrature(self, df, nonc):
         d = NoncentralChiSq(df=df, nonc=nonc)

@@ -229,6 +229,16 @@ class TestWeightedExpectation:
         with pytest.raises(InputError):
             weighted_expectation_arrays([], [])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_or_infinite_log_weight_rejected(self, bad):
+        with pytest.raises(InputError, match="log weights"):
+            weighted_expectation_arrays(np.array([0.0, bad, 0.5]), np.ones(3))
+
+    def test_minus_infinite_log_weight_is_a_zero_weight(self):
+        phi = np.array([1.0, 5.0, 3.0])
+        got = weighted_expectation_arrays(np.array([0.0, -math.inf, 0.0]), phi)
+        assert got.estimate == 2.0 and got.ess == 2.0 and got.n_paths == 3
+
     def test_shape_mismatch(self):
         with pytest.raises(InputError, match="do not match"):
             weighted_expectation_arrays(np.zeros(5), np.ones((5, 1)))

@@ -48,6 +48,11 @@ class TestMakeTransform:
         with pytest.raises(ValueError):
             make_transform(HIGH, 0.0)
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_nonfinite_c_rejected(self, c):
+        with pytest.raises(ValueError, match="C must be positive and finite"):
+            make_transform(HIGH, c)
+
     @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
     def test_inverse_identity(self, x):
         tr = make_transform(HIGH, 1.0)
