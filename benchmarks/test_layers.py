@@ -7,11 +7,18 @@ noise generation, the Euler-weight kernel on noise drawn beforehand (on
 the HIGH set, whose power r^(gamma-1) is a square root, and on the LOW
 set, whose power is a general one), the unweighted Euler kernel and its
 value matrix at the export size, the noncentral chi-square pdf and CDF,
-and the two path writers.  Rounds are
+and the two path writers.  Two cold-start timings launch a fresh
+interpreter per round: `import ckls, ckls.cli`, and the whole user-visible
+job `ckls simulate --mode euler-p` at 200 paths x 16 steps.  Rounds are
 fixed so a full run takes well under a minute.
 """
 
 import functools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +27,7 @@ from ckls import CklsParams, NoiseMatrix, TimeGrid, euler_ckls, simulate_weighte
 from ckls.distribution import NoncentralChiSq, noncentral_cdf, noncentral_pdf
 from ckls.pathio import write_paths_binary, write_paths_csv
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
 LOW = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=0.75, r0=1.0)
 LONG = TimeGrid(0.5, 512)
@@ -82,3 +90,27 @@ def test_path_writer(benchmark, writer, tmp_path):
     values = np.hstack([np.ones((5000, 1)), values])
     benchmark.pedantic(writer, args=(tmp_path / "paths", grid.times, values), rounds=5, warmup_rounds=1)
     assert (tmp_path / "paths").stat().st_size > 0
+
+
+def _fresh_python(*args):
+    """Run python with ckls on its path in a new process; fail on a nonzero exit."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True)
+
+
+def test_cold_import(benchmark):
+    benchmark.pedantic(_fresh_python, args=("-c", "import ckls, ckls.cli"), rounds=5, warmup_rounds=1)
+
+
+def test_cold_simulate(benchmark, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "params": {"a": 1.0, "b": 0.2, "sigma": 0.5, "gamma": 1.5, "r0": 1.0},
+        "grid": {"t_end": 0.5, "n_steps": 16},
+        "n_paths": 200,
+        "seed": 5,
+    }))
+    argv = ("-m", "ckls.cli", "--config", str(cfg), "--out", str(tmp_path / "paths.csv"),
+            "simulate", "--mode", "euler-p")
+    benchmark.pedantic(_fresh_python, args=argv, rounds=5, warmup_rounds=1)
+    assert (tmp_path / "paths.csv").stat().st_size > 0

@@ -2,8 +2,9 @@
 diffusion, exact transition laws under the transformed measure, and a
 statistical verification harness.
 
-Importing it loads only scipy.special of scipy: scipy.stats, scipy.integrate
-and the scipy.optimize behind it would add tenths of a second to every process.
+Importing it loads no scipy module: scipy.special, which takes tenths of a
+second to import, loads on the first density or CDF call, and the Monte Carlo
+paths never make one.
 """
 
 from .analysis import (

@@ -237,6 +237,8 @@ def ks_statistic(
     the 1% critical value uses the effective sample size in place of n
     (asymptotic c(alpha)/sqrt(ESS))."""
     samples = np.asarray(samples, dtype=float)
+    if samples.size == 0:
+        raise InputError("empty input")
     if np.any(np.isnan(samples)) or np.any(np.diff(samples) < 0):
         raise InputError("samples must be sorted ascending, without NaN")
     n = samples.size

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 from .numerics import like_argument, stable_phi
@@ -127,6 +126,8 @@ def noncentral_pdf(d: NoncentralChiSq, x):
     0 above); for df < 2 the density diverges at 0+ and x = 0 raises
     DomainError.
     """
+    from scipy import special  # deferred: scipy.special takes tenths of a second to import
+
     arr = np.asarray(x, dtype=float)
     if d.df < 2.0 and np.any(arr == 0.0):
         raise DomainError("density diverges at 0+ for df < 2")
@@ -171,6 +172,8 @@ def noncentral_cdf(d: NoncentralChiSq, x):
     x <= 0, 1 at infinity; NaN at a NaN x.  chndtr returns NaN at some
     very large nonc (around 1e11 and up); that raises DomainError rather
     than passing the NaN on."""
+    from scipy import special  # deferred, as in noncentral_pdf
+
     arr = np.maximum(np.asarray(x, dtype=float), 0.0)
     if d.df == 1.0:
         s, r = np.sqrt(arr), math.sqrt(d.nonc)
@@ -203,9 +206,18 @@ def noncentral_sample(d: NoncentralChiSq, rng: np.random.Generator, size=None):
 
 def rate_density(p: CklsParams, tr: Transform, spec: TransitionSpec, x):
     """Density of the rate at time t under the transformed measure:
-    g(x) = pdf(f(x)/scale) |f'(x)| / scale via change of variables."""
+    g(x) = pdf(f(x)/scale) |f'(x)| / scale via change of variables.  0
+    wherever the pdf factor is 0, also where f'(x) overflows (near x = 0
+    for gamma > 1/2), and in the right tail for gamma > 1 where f(x) is 0
+    (x = +inf, or f(x) underflowed)."""
+    y = tr.f(x) / spec.scale
+    # the df < 2 pdf raises at 0; those points are overwritten below
+    tail = (y == 0.0) & (tr.gamma > 1.0)
     d = NoncentralChiSq(df=spec.df, nonc=spec.nonc)
-    out = noncentral_pdf(d, tr.f(x) / spec.scale) * np.abs(tr.fprime(x)) / spec.scale
+    dens = noncentral_pdf(d, np.where(tail, 1.0, y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = dens * np.abs(tr.fprime(x)) / spec.scale
+    out = np.where(tail | (dens == 0.0), 0.0, out)
     return like_argument(out, x)
 
 

@@ -108,7 +108,7 @@ def weighted_expectation_arrays(log_weights: np.ndarray, phi: np.ndarray) -> Wei
     """Self-normalized and raw importance-sampling estimates of E phi from
     per-path log weights, with the effective sample size
     (sum w)^2 / sum w^2.  A log weight of -inf is a zero weight; one of
-    +inf or NaN raises InputError."""
+    +inf or NaN raises InputError, as does a NaN phi."""
     log_weights = np.asarray(log_weights, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if log_weights.shape != phi.shape:
@@ -119,6 +119,8 @@ def weighted_expectation_arrays(log_weights: np.ndarray, phi: np.ndarray) -> Wei
         raise InputError("empty input")
     if not np.all(log_weights < np.inf):
         raise InputError("log weights must be below +inf and not NaN")
+    if np.any(np.isnan(phi)):
+        raise InputError("phi must not be NaN")
     shift = float(log_weights.max())
     if shift == -np.inf:
         raise DegenerateWeights("all weights are zero")

@@ -258,6 +258,10 @@ class TestKsStatistic:
         with pytest.raises(InputError, match="NaN"):
             ks_statistic(np.array(samples), lambda x: np.asarray(x))
 
+    def test_empty_rejected(self):
+        with pytest.raises(InputError, match="empty input"):
+            ks_statistic(np.array([]), lambda x: np.asarray(x))
+
     def test_distributional_self_test_over_seed_battery(self):
         """Samples drawn from the hypothesized law itself: D below the 1%
         critical value across the frozen 20-seed battery."""

@@ -234,6 +234,10 @@ class TestWeightedExpectation:
         with pytest.raises(InputError, match="log weights"):
             weighted_expectation_arrays(np.array([0.0, bad, 0.5]), np.ones(3))
 
+    def test_nan_phi_rejected(self):
+        with pytest.raises(InputError, match="phi"):
+            weighted_expectation_arrays(np.zeros(3), np.array([1.0, math.nan, 2.0]))
+
     def test_minus_infinite_log_weight_is_a_zero_weight(self):
         phi = np.array([1.0, 5.0, 3.0])
         got = weighted_expectation_arrays(np.array([0.0, -math.inf, 0.0]), phi)
