@@ -277,6 +277,16 @@ class TestImportCost:
         # the statement may print first; the module list is the last line
         return json.loads(out.stdout.splitlines()[-1])
 
+    def test_import_does_not_load_scipy_stats(self):
+        # scipy.stats costs about half a second per process to import
+        assert self._loaded_after("import ckls", ("scipy.stats",)) == []
+
+    def test_import_with_cli_loads_no_heavy_scipy(self):
+        # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg:
+        # together a few tenths of a second per process
+        heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+        assert self._loaded_after("import ckls, ckls.cli", heavy) == []
+
     def test_import_with_cli_loads_no_scipy(self):
         # scipy.special alone is about 0.3 s of a 0.5 s cold start: its
         # array-API shim imports numpy.f2py and numpy.testing
