@@ -12,6 +12,7 @@ sigma r^gamma in engine._CklsDiffusion.
 
 import contextlib
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from ckls import (
     CklsParams,
     NoiseMatrix,
     TimeGrid,
+    cli,
     engine,
     euler_auxiliary,
     euler_ckls,
@@ -348,3 +350,33 @@ class TestGoldenEulerUnderQ:
         new = euler_under_q(p, self.GRID, noise)
         np.testing.assert_allclose(new, old, rtol=1e-12, atol=0)
         assert digest(new) == self.GOLDEN[name]
+
+
+class TestGoldenCliOutput:
+    """The files simulate --mode euler-p writes, as the SHA-256 of their
+    bytes: HIGH at C = 1, seed 11, 300 paths x 40 steps.  The CSV writer
+    formats 1024 // 41 = 24 whole paths a write, so the run is split into
+    twelve full blocks and a part block of 12 paths.  Recorded before the
+    CSV writer came to build each block from a list of pieces, four to a
+    line.  The echoed config leaves out the output path, so the digest does
+    not depend on where the file is written."""
+
+    GOLDEN = {
+        "csv": "e341f17e0aadae28f5eb669dab7c353eab1ac228776be1a744bd85c0276dd012",
+        "binary": "f5234e4067aed27b7aa6bba6834053789c2ad9ebae127fc37aabfe0ad36ecdf6",
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_simulate_euler_p(self, fmt, tmp_path, capsys):
+        out = tmp_path / f"paths.{fmt}"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "params": {**HIGH.to_dict(), "C": 1.0},
+            "grid": {"t_end": 0.5, "n_steps": 40},
+            "n_paths": 300,
+            "seed": 11,
+            "output": {"format": fmt, "path": str(out)},
+        }))
+        assert cli.main(["--config", str(cfg), "simulate", "--mode", "euler-p"]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN[fmt]

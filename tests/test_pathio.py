@@ -64,7 +64,7 @@ class TestCsv:
 
     @pytest.mark.parametrize(
         "n_paths,n_points",
-        [(1, 1), (3, 5), (1023, 1), (1025, 1), (2050, 2), (40, 33), (31, 33), (32, 33), (3, 2000)],
+        [(0, 5), (2, 0), (1, 1), (3, 5), (1023, 1), (1025, 1), (2050, 2), (40, 33), (31, 33), (32, 33), (3, 2000)],
     )
     def test_bytes_equal_per_value_format(self, n_paths, n_points, tmp_path):
         """Writes cut into blocks of paths: path ids carry on across the
