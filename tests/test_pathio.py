@@ -90,10 +90,22 @@ class TestCsv:
         assert dest.read_bytes() == expected
         assert expected.decode().splitlines()[1:] == ["0,0.0,nan", "0,0.25,-0.0", "0,1e-300,inf", "0,5e-324,1e+300"]
 
-    def test_shape_mismatch(self, sample, tmp_path):
-        times, values = sample
-        with pytest.raises(InputError):
-            write_paths_csv(tmp_path / "x.csv", times[:3], values)
+
+@pytest.mark.parametrize("writer", [write_paths_csv, write_paths_binary], ids=["csv", "binary"])
+@pytest.mark.parametrize(
+    "bad_times,match",
+    [
+        (np.linspace(0.0, 1.0, 3), "5 columns but 3 times"),
+        # one row of the right length: not a 1-D time grid
+        (np.linspace(0.0, 1.0, 5)[None, :], r"times must be 1-dimensional, got shape \(1, 5\)"),
+    ],
+    ids=["short", "2d"],
+)
+def test_shape_mismatch(writer, bad_times, match, sample, tmp_path):
+    dest = tmp_path / "x"
+    with pytest.raises(InputError, match=match):
+        writer(dest, bad_times, sample[1])
+    assert not dest.exists()
 
 
 class TestBinary:
@@ -125,4 +137,20 @@ class TestBinary:
         dest = tmp_path / "junk.bin"
         dest.write_bytes(b"NOPE" + bytes(20))
         with pytest.raises(InputError):
+            read_paths_binary(dest)
+
+    @pytest.mark.parametrize(
+        "cut,match",
+        [
+            (lambda raw: raw[:8], "expected at least 13 bytes for the header, file has 8"),
+            (lambda raw: raw[:-3], "expected 133 bytes for 2 paths x 5 points, file has 130"),
+            (lambda raw: raw + bytes(8), "expected 133 bytes for 2 paths x 5 points, file has 141"),
+        ],
+        ids=["cut-in-header", "cut-in-values", "trailing-bytes"],
+    )
+    def test_wrong_length_rejected(self, cut, match, sample, tmp_path):
+        dest = tmp_path / "paths.bin"
+        write_paths_binary(dest, *sample)
+        dest.write_bytes(cut(dest.read_bytes()))
+        with pytest.raises(InputError, match=match):
             read_paths_binary(dest)
