@@ -6,8 +6,10 @@ Each layer is timed on its own, at the sizes of the benchmark workloads:
 noise generation, the Euler-weight kernel on noise drawn beforehand (on
 the HIGH set, whose power r^(gamma-1) is a square root, and on the LOW
 set, whose power is a general one), the unweighted Euler kernel and its
-value matrix at the export size, the noncentral chi-square pdf and CDF,
-and the two path writers.  Two cold-start timings launch a fresh
+value matrix at the export size, the gamma > 1 auxiliary run at the same
+size (the kernel's "run-off" boundary rule, beside "raise-nan" in the
+weighted kernel and "clamp" in euler_ckls), the noncentral chi-square
+pdf and CDF, and the two path writers.  Two cold-start timings launch a fresh
 interpreter per round: `import ckls, ckls.cli`, and the whole user-visible
 job `ckls simulate --mode euler-p` at 200 paths x 16 steps.  Rounds are
 fixed so a full run takes well under a minute.
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ckls import CklsParams, NoiseMatrix, TimeGrid, euler_ckls, simulate_weighted
+from ckls import CklsParams, NoiseMatrix, TimeGrid, euler_auxiliary, euler_ckls, simulate_weighted
 from ckls.distribution import NoncentralChiSq, noncentral_cdf, noncentral_pdf
 from ckls.pathio import write_paths_binary, write_paths_csv
 
@@ -71,6 +73,15 @@ def test_euler_ckls(benchmark):
     grid = TimeGrid(0.5, 32)
     dW = NoiseMatrix(5, 5000, grid).increments()
     values, exits = benchmark.pedantic(euler_ckls, args=(HIGH, grid, dW), rounds=5, warmup_rounds=1)
+    assert values.shape == (5000, 33) and exits.shape == (5000,)
+
+
+def test_euler_auxiliary(benchmark):
+    """The gamma > 1 auxiliary run, under the "run-off" boundary rule, and
+    its (values, exits) arrays at the export size."""
+    grid = TimeGrid(0.5, 32)
+    dW = NoiseMatrix(5, 5000, grid).increments()
+    values, exits = benchmark.pedantic(euler_auxiliary, args=(HIGH, grid, dW), rounds=5, warmup_rounds=1)
     assert values.shape == (5000, 33) and exits.shape == (5000,)
 
 

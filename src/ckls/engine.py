@@ -24,12 +24,13 @@ from typing import Callable
 import numpy as np
 
 from .distribution import NoncentralChiSq, noncentral_sample, transition_spec
-from .errors import DomainError, SingularSample
+from .errors import DomainError, InputError, SingularSample
 from .numerics import like_argument, require_horizon, stable_phi
 from .params import CklsParams, require_transformable
 from .transform import CirParams
 
 __all__ = [
+    "BOUNDARY_RULES",
     "NOISE_BLOCK",
     "NOISE_RULE",
     "NOISE_STREAM",
@@ -47,6 +48,7 @@ __all__ = [
     "euler_auxiliary",
     "euler_under_q",
     "exact_sqrt_level",
+    "require_grid_noise",
     "explicit_rate",
     "explicit_rate_on_grid",
     "sample_cir_exact",
@@ -58,6 +60,9 @@ __all__ = [
 # Euler paths are clamped here rather than reflected: truncation stays
 # visible in the reported counts instead of being hidden by the scheme.
 POSITIVITY_FLOOR = 1e-12
+
+# What euler_blocks does with a rate that is not >= the floor.
+BOUNDARY_RULES = ("clamp", "raise-nan", "run-off")
 
 # Steps step_columns copies at a time: one 64-byte cache line of a
 # float64 noise row.
@@ -245,6 +250,16 @@ def explicit_solution_drift(p: CklsParams) -> Callable:
     return lambda x: 0.5 * g * s**2 * x ** (2.0 * g - 1.0) + b * x
 
 
+def require_grid_noise(grid: TimeGrid, noise) -> None:
+    """InputError unless noise is a NoiseMatrix drawn on grid itself or
+    increment rows of grid.n_steps columns."""
+    if isinstance(noise, NoiseMatrix):
+        if noise.grid != grid:
+            raise InputError(f"noise drawn on {noise.grid} does not fit {grid}")
+    elif np.shape(noise)[-1:] != (grid.n_steps,):
+        raise InputError(f"noise of shape {np.shape(noise)} does not fit {grid}")
+
+
 def _as_increments(noise) -> np.ndarray:
     if isinstance(noise, NoiseMatrix):
         return noise.increments()
@@ -309,8 +324,7 @@ def euler_blocks(
     dt: float,
     noise,
     observers=(),
-    exit_to_inf: bool = False,
-    nan_raises: bool = False,
+    boundary: str = "clamp",
     workers: int = 1,
     block_size: int = 8192,
 ) -> dict:
@@ -321,12 +335,12 @@ def euler_blocks(
     rows, run as one block.  ckls_drift is formed in a block buffer, and
     ckls_diffusion (or its signed form) as (s r) dW in the one array a
     step allocates, s = sign sigma r^(gamma-1); other callables are
-    evaluated as given.  One r.min() a step is the floor test: rates
-    below the floor are clamped to it and counted per path.  With
-    exit_to_inf every rate that is not >= the floor (below it, -inf or
-    NaN) is set to +inf in the step that left, as a path that ran off, so
-    a run-off reads +inf from that step on.  With nan_raises a NaN rate
-    raises DomainError before the next step.
+    evaluated as given.  One r.min() a step is the floor test, and the
+    boundary rule, a name in BOUNDARY_RULES, says what a failed test does.
+    "clamp" sets the rates below the floor to it and counts them per path;
+    "raise-nan" also raises DomainError at a NaN rate before the next step;
+    "run-off" sets every rate that is not >= the floor (below it, -inf or
+    NaN) to +inf, as a path that ran off, so it reads +inf from then on.
 
     An observer factory is called with a block's path count; its object
     gets step(k, r_k, s, dW_k) before step k (s is None with another
@@ -334,9 +348,12 @@ def euler_blocks(
     Returns "rate" (r_n), "trunc" (clamped steps) and the observers'
     arrays, blocks joined along the last axis.
     """
+    if boundary not in BOUNDARY_RULES:
+        raise ValueError(f"unknown boundary rule {boundary!r}; one of {BOUNDARY_RULES}")
+    run_off, raise_nan = boundary == "run-off", boundary == "raise-nan"
     base_drift = isinstance(drift, _CklsDrift)
     power = isinstance(diffusion, _CklsDiffusion)
-    quiet = {"over": "ignore", "invalid": "ignore"} if exit_to_inf else {}
+    quiet = {"over": "ignore", "invalid": "ignore"} if run_off else {}
 
     def run_block(lo: int, hi: int, dW: np.ndarray) -> dict:
         n = hi - lo
@@ -347,7 +364,7 @@ def euler_blocks(
         low = r0
         with np.errstate(**quiet):
             for k, col in enumerate(step_columns(dW)):
-                if nan_raises and low != low:
+                if raise_nan and low != low:
                     raise DomainError(f"NaN rate before step {k}")
                 s = diffusion.power(r) if power else None
                 for obs in watch:
@@ -367,7 +384,7 @@ def euler_blocks(
                 low = r.min(initial=np.inf)  # inf for a block of no paths
                 # also true on NaN: the floor pass then reaches the others
                 if not low >= POSITIVITY_FLOOR:
-                    if exit_to_inf:
+                    if run_off:
                         # below the floor, -inf or NaN: the path ran off
                         r[~(r >= POSITIVITY_FLOOR)] = np.inf
                     else:
@@ -393,7 +410,7 @@ def euler_exits(run: dict) -> np.ndarray:
     """Per-path exits of an euler_blocks run: the steps that landed below
     the floor, where they are clamped, and one more for a path whose
     terminal rate is not finite.  A path that overflows stays non-finite
-    (NaN is never below the floor); with exit_to_inf the kernel sets a
+    (NaN is never below the floor); under "run-off" the kernel sets a
     path that leaves the floor or the finite range to +inf, so it counts
     one exit."""
     return run["trunc"] + ~np.isfinite(run["rate"])
@@ -405,19 +422,19 @@ def euler_values(
     r0: float,
     dt: float,
     noise,
-    exit_to_inf: bool = False,
+    boundary: str = "clamp",
     workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The paths of euler_blocks as a value matrix.
 
     Returns (values, euler_exits) with values of shape
-    (n_paths, n_steps + 1); with exit_to_inf a path's values are +inf from
+    (n_paths, n_steps + 1); under "run-off" a path's values are +inf from
     the step that left on.
     """
     n_steps = noise.grid.n_steps if isinstance(noise, NoiseMatrix) else np.shape(noise)[-1]
     run = euler_blocks(
         drift, diffusion, r0, dt, noise,
-        [lambda n: Snapshots(range(n_steps + 1), n_steps, n)], exit_to_inf=exit_to_inf,
+        [lambda n: Snapshots(range(n_steps + 1), n_steps, n)], boundary=boundary,
         workers=workers,
     )
     return np.ascontiguousarray(run["snapshots"].T), euler_exits(run)
@@ -429,6 +446,7 @@ def euler_ckls(p: CklsParams, grid: TimeGrid, noise) -> tuple[np.ndarray, np.nda
     r_(k+1) = r_k + (a - b r_k) dt + sigma r_k^gamma dW_k, clamped at the
     positivity floor with the clamp events counted per path.
     """
+    require_grid_noise(grid, noise)
     return euler_values(ckls_drift(p), ckls_diffusion(p), p.r0, grid.dt, noise)
 
 
@@ -447,19 +465,21 @@ def euler_auxiliary(
     overshoot through +inf and, like a step that overflows, a blowup: the
     path's values are +inf from that step on, and it counts one exit.
     """
+    require_grid_noise(grid, noise)
     return euler_values(
         auxiliary_drift(p, variant), ckls_diffusion(p), p.r0, grid.dt, noise,
-        exit_to_inf=p.gamma > 1.0, workers=workers,
+        boundary="run-off" if p.gamma > 1.0 else "clamp", workers=workers,
     )
 
 
-def euler_under_q(p: CklsParams, grid: TimeGrid, noise) -> np.ndarray:
+def euler_under_q(p: CklsParams, grid: TimeGrid, noise) -> tuple[np.ndarray, np.ndarray]:
     """Euler-Maruyama for the transformed-measure dynamics consistent with
     the closed-form solution, sharing the given noise rows: the drift of
     explicit_solution_drift and the diffusion sign(1-gamma) sigma x^gamma.
-    Returns the raw value matrix (n_paths, n_steps + 1)."""
+    Returns euler_values' (values, exits), clamped at the floor."""
+    require_grid_noise(grid, noise)
     diffusion = _CklsDiffusion(p, sign=1.0 if p.gamma < 1.0 else -1.0)
-    return euler_values(explicit_solution_drift(p), diffusion, p.r0, grid.dt, noise)[0]
+    return euler_values(explicit_solution_drift(p), diffusion, p.r0, grid.dt, noise)
 
 
 def exact_sqrt_level(cir: CirParams, p: CklsParams, t: float, z):
@@ -507,6 +527,7 @@ def explicit_rate_on_grid(p: CklsParams, grid: TimeGrid, noise) -> np.ndarray:
     the convergence ladder measures.
     """
     require_transformable(p)
+    require_grid_noise(grid, noise)
     dW = _as_increments(noise)
     n_paths, n_steps = dW.shape
     g = p.gamma

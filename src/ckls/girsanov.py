@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import NoiseMatrix, TimeGrid, ckls_diffusion, ckls_drift, euler_blocks
+from .engine import (
+    NoiseMatrix, TimeGrid, ckls_diffusion, ckls_drift, euler_blocks, require_grid_noise,
+)
 from .errors import DegenerateTransform, DegenerateWeights, InputError
 from .numerics import like_argument, positive_points
 from .params import CklsParams
@@ -214,9 +216,10 @@ def simulate_weighted(
     """
     if p.gamma == 1.0:
         raise DegenerateTransform("drift adjustment requires gamma != 1")
+    require_grid_noise(grid, noise)
     run = euler_blocks(
         ckls_drift(p), ckls_diffusion(p), p.r0, grid.dt, noise,
-        [lambda n: _Weight(p, grid.dt, n)], nan_raises=True, workers=workers,
+        [lambda n: _Weight(p, grid.dt, n)], boundary="raise-nan", workers=workers,
         block_size=block_size,
     )
     return WeightedSample(

@@ -231,7 +231,8 @@ def check_measure_consistency(
 
     aux = euler_blocks(
         auxiliary_drift(p, "derived"), ckls_diffusion(p), p.r0, grid.dt,
-        NoiseMatrix(seed + 1, n_paths, grid), exit_to_inf=p.gamma > 1.0, workers=workers,
+        NoiseMatrix(seed + 1, n_paths, grid), boundary="run-off" if p.gamma > 1.0 else "clamp",
+        workers=workers,
     )
     aux_mean, aux_se = _mean_se(tr.f(aux["rate"]))
 
@@ -408,21 +409,24 @@ def check_convergence_ladder(
     The gaps are averaged over the paths whose gap is finite at every
     rung.  For gamma > 1 the Euler scheme can itself diverge under the
     superlinear drift; such paths are counted in nonfinite_paths, and any
-    of them fails the check, whatever the ratios of the others.
+    of them fails the check, whatever the ratios of the others.  Each
+    rung's Euler exits (floor clamps and non-finite ends) are reported in
+    exits_per_rung.
     """
     n_fine = int(t_end * 2**fine_exp)
     grid_fine = TimeGrid(t_end, n_fine)
     dW_fine = NoiseMatrix(seed, n_paths, grid_fine).increments()
     ref = explicit_rate_on_grid(p, grid_fine, dW_fine)
-    gaps = []
+    gaps, exits = [], []
     for e in range(coarse_exp, fine_exp + 1):
         stride = 2 ** (fine_exp - e)
         n_steps = n_fine // stride
         dW = dW_fine.reshape(n_paths, n_steps, stride).sum(axis=2)
         grid = TimeGrid(t_end, n_steps)
         with np.errstate(over="ignore", invalid="ignore"):
-            euler = euler_under_q(p, grid, dW)
+            euler, rung_exits = euler_under_q(p, grid, dW)
             gaps.append(np.abs(euler - ref[:, ::stride]).max(axis=1))
+        exits.append(int(rung_exits.sum()))
     finite = np.logical_and.reduce([np.isfinite(gap) for gap in gaps])
     nonfinite = int(np.count_nonzero(~finite))
     errors = [float(gap[finite].mean()) for gap in gaps]
@@ -435,7 +439,8 @@ def check_convergence_ladder(
         threshold=1.0,
         seed=seed,
         details={"dt_exponents": list(range(coarse_exp, fine_exp + 1)),
-                 "errors": errors, "ratios": ratios, "nonfinite_paths": nonfinite},
+                 "errors": errors, "ratios": ratios, "nonfinite_paths": nonfinite,
+                 "exits_per_rung": exits},
     )
 
 

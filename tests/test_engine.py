@@ -10,6 +10,7 @@ from scipy import integrate, stats
 from ckls import (
     CklsParams,
     DomainError,
+    InputError,
     NoiseMatrix,
     RegimeError,
     SingularSample,
@@ -27,7 +28,17 @@ from ckls import (
     sample_cir_exact,
     simulate_weighted,
 )
-from ckls.engine import NOISE_BLOCK, NOISE_RULE, NOISE_STREAM, map_noise_blocks, step_columns
+from ckls.engine import (
+    NOISE_BLOCK,
+    NOISE_RULE,
+    NOISE_STREAM,
+    ckls_diffusion,
+    ckls_drift,
+    euler_blocks,
+    euler_values,
+    map_noise_blocks,
+    step_columns,
+)
 from noise_v1 import NoiseV1
 
 HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
@@ -356,6 +367,38 @@ class TestEulerCkls:
         assert np.isnan(values[1, -1]) and values[2, -1] == 1e100
         assert exits.tolist() == [0, 1, 0]
 
+    @pytest.mark.parametrize("kernel", [euler_blocks, euler_values])
+    @pytest.mark.parametrize("boundary", ["run_off", "none"])
+    def test_unknown_boundary_rule_raises(self, kernel, boundary):
+        with pytest.raises(ValueError, match="unknown boundary rule"):
+            kernel(ckls_drift(HIGH), ckls_diffusion(HIGH), 1.0, 0.1, np.zeros((1, 1)),
+                   boundary=boundary)
+
+
+class TestNoiseFitsGrid:
+    """Every entry point that takes a grid and a noise rejects noise drawn
+    on another grid, or rows of another width, before it runs."""
+
+    GRID = TimeGrid(1.0, 64)
+    ENTRY_POINTS = {
+        "euler_ckls": lambda g, noise: euler_ckls(HIGH, g, noise),
+        "euler_auxiliary": lambda g, noise: euler_auxiliary(HIGH, g, noise),
+        "euler_under_q": lambda g, noise: euler_under_q(HIGH, g, noise),
+        "explicit_rate_on_grid": lambda g, noise: explicit_rate_on_grid(HIGH, g, noise),
+        "simulate_weighted": lambda g, noise: simulate_weighted(HIGH, g, noise),
+    }
+    NOISES = {
+        "more-steps": NoiseMatrix(3, 4, TimeGrid(1.0, 128)),
+        "other-t-end": NoiseMatrix(3, 4, TimeGrid(2.0, 64)),
+        "wrong-width": np.zeros((4, 65)),
+    }
+
+    @pytest.mark.parametrize("noise", sorted(NOISES))
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_mismatched_noise_raises(self, entry, noise):
+        with pytest.raises(InputError, match="does not fit"):
+            self.ENTRY_POINTS[entry](self.GRID, self.NOISES[noise])
+
 
 class TestEulerAuxiliary:
     def test_high_gamma_drift_step(self):
@@ -540,7 +583,7 @@ class TestPathwiseConsistency:
         for stride in (8, 2):
             n = n_fine // stride
             dW_c = dW.reshape(200, n, stride).sum(axis=2)
-            euler = euler_under_q(p, TimeGrid(t, n), dW_c)
+            euler, _ = euler_under_q(p, TimeGrid(t, n), dW_c)
             gaps.append(np.abs(euler - ref[:, ::stride]).max(axis=1).mean())
         assert gaps[1] < gaps[0]
 

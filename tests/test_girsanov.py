@@ -528,7 +528,7 @@ class TestPushforwardLaw:
         dW = NoiseMatrix(97, n, grid).increments()
         vals, _ = euler_values(
             auxiliary_drift(HIGH, "derived"), ckls_diffusion(HIGH), HIGH.r0, grid.dt, dW,
-            exit_to_inf=True,
+            boundary="run-off",
         )
         aux = tr.f(vals[:, -1])
         gap = abs(est.estimate - aux.mean())

@@ -118,7 +118,7 @@ class TestGoldenEulerValues:
         assert path_digest(values, exits) == self.GOLDEN[f"ckls-{name}"]
 
     @pytest.mark.parametrize("variant", ["derived", "paper"])
-    def test_euler_auxiliary_exit_to_inf(self, variant):
+    def test_euler_auxiliary_run_off(self, variant):
         run = aux_run(HIGH, self.LONG, 2024, variant)
         assert run[3] > 0
         assert aux_digest(*run) == self.GOLDEN[f"aux-high-{variant}"]
@@ -128,14 +128,14 @@ class TestGoldenEulerValues:
         run = aux_run(CLAMPING, self.GRID, 3, variant)
         assert aux_digest(*run) == self.GOLDEN[f"aux-clamping-{variant}"]
 
-    @pytest.mark.parametrize("mode,exit_to_inf", [("clamp", False), ("exit-to-inf", True)])
-    def test_euler_values(self, mode, exit_to_inf):
-        """Both modes on a set that leaves the positive reals, with a
+    @pytest.mark.parametrize("mode,boundary", [("clamp", "clamp"), ("exit-to-inf", "run-off")])
+    def test_euler_values(self, mode, boundary):
+        """Both rules on a set that leaves the positive reals, with a
         Fortran-ordered noise block (contiguous columns, strided rows)."""
         dW = np.asfortranarray(NoiseMatrix(3, 3000, self.GRID).increments())
         values, exits = euler_values(
             ckls_drift(CLAMPING), ckls_diffusion(CLAMPING), CLAMPING.r0, self.GRID.dt, dW,
-            exit_to_inf=exit_to_inf,
+            boundary=boundary,
         )
         assert exits.sum() > 0
         assert digest(values, exits.astype(float)) == self.GOLDEN[f"values-{mode}"]
@@ -235,11 +235,11 @@ def euler_golden_runs():
         arrays, counts = paths_run(*run)
         return aux_digest(*run), arrays + [run[0].min(axis=1)], counts
 
-    def values(exit_to_inf):
+    def values(boundary):
         dW = np.asfortranarray(NoiseMatrix(3, 3000, grid).increments())
         vals, exits = euler_values(
             ckls_drift(CLAMPING), ckls_diffusion(CLAMPING), CLAMPING.r0, grid.dt, dW,
-            exit_to_inf=exit_to_inf,
+            boundary=boundary,
         )
         return digest(vals, exits.astype(float)), [vals], {"trunc": exits, "first": first_exits(vals)}
 
@@ -259,8 +259,8 @@ def euler_golden_runs():
         "aux-high-paper": lambda: aux(HIGH, long, 2024, "paper"),
         "aux-clamping-derived": lambda: aux(CLAMPING, grid, 3, "derived"),
         "aux-clamping-paper": lambda: aux(CLAMPING, grid, 3, "paper"),
-        "values-clamp": lambda: values(False),
-        "values-exit-to-inf": lambda: values(True),
+        "values-clamp": lambda: values("clamp"),
+        "values-exit-to-inf": lambda: values("run-off"),
         "moment-high": lambda: moment(HIGH, -3.0),
         "moment-clamping": lambda: moment(CLAMPING, -1.0),
         "snapshot-high": lambda: snapshot(HIGH),
@@ -345,9 +345,9 @@ class TestGoldenEulerUnderQ:
     def test_digest_and_old_step(self, name, p):
         noise = NoiseMatrix(3, 3000, self.GRID)
         with old_diffusion():
-            old = euler_under_q(p, self.GRID, noise)
+            old, _ = euler_under_q(p, self.GRID, noise)
         assert digest(old) == self.OLD_GOLDEN[name]
-        new = euler_under_q(p, self.GRID, noise)
+        new, _ = euler_under_q(p, self.GRID, noise)
         np.testing.assert_allclose(new, old, rtol=1e-12, atol=0)
         assert digest(new) == self.GOLDEN[name]
 

@@ -53,6 +53,15 @@ def test_convergence_ladder_drops_and_counts_paths_the_euler_scheme_loses():
     assert all(math.isfinite(e) for e in report.details["errors"])
 
 
+def test_convergence_ladder_reports_each_rungs_euler_exits():
+    """On HIGH at the acceptance seed one path of the dt = 2^-7 rung is
+    clamped at the floor and stays finite, so it enters that rung's error;
+    the report counts it."""
+    report = check_convergence_ladder(HIGH, n_paths=1000, seed=31)
+    assert report.details["exits_per_rung"] == [0, 1, 0, 0, 0]
+    assert report.details["nonfinite_paths"] == 0
+
+
 @pytest.mark.parametrize("check", [check_closed_form_mean, check_moment_bounds])
 @pytest.mark.parametrize("ts", [
     (-0.25, 0.5), (0.5, 0.5, 1.0), (0.0, 0.5), (math.nan, 0.5), (math.inf,),
