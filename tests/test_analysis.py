@@ -5,7 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings, strategies as st
+from scipy import integrate, special
 
 from ckls import (
     CklsParams,
@@ -20,6 +21,7 @@ from ckls import (
     scale_function,
     scale_function_log_magnitude,
 )
+from ks_oracle import full_ks
 
 HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
 LOW = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=0.75, r0=1.0)
@@ -287,3 +289,47 @@ class TestKsStatistic:
         res = ks_statistic(samples, lambda x: np.asarray(x), w)
         assert res.ess < 400.0
         assert res.critical_1pct > 1.6276 / math.sqrt(400.0)
+
+
+def _step_cdf(x):
+    return np.floor(np.clip(x, 0.0, 1.0) * 4.0) / 4.0
+
+
+# (samples drawn by rng at size n, cdf): each nondecreasing and elementwise
+KS_CASES = {
+    "identity": (lambda rng, n: rng.random(n), lambda x: np.asarray(x)),
+    "ndtr": (lambda rng, n: rng.standard_normal(n), special.ndtr),
+    "step": (lambda rng, n: rng.random(n), _step_cdf),
+    "constant": (lambda rng, n: rng.random(n), lambda x: np.full_like(x, 0.5)),
+    "chndtr": (
+        lambda rng, n: rng.noncentral_chisquare(4.0, 14.4533, n),
+        lambda x: special.chndtr(np.maximum(x, 0.0), 4.0, 14.4533),
+    ),
+}
+
+
+class TestKsAgainstFullEvaluation:
+    """ks_statistic equals the statistic of the CDF at every sample
+    (ks_oracle.full_ks) bit for bit, with and without weights."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=st.sampled_from(sorted(KS_CASES)),
+        n=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.floats(-0.5, 0.5),
+        decimals=st.sampled_from([None, 0, 1, 2, 3]),
+        weighted=st.booleans(),
+    )
+    def test_bit_for_bit(self, case, n, seed, shift, decimals, weighted):
+        """Ties come from rounding the samples; the shift moves them off
+        the law so that the supremum lands anywhere."""
+        draw, cdf = KS_CASES[case]
+        rng = np.random.default_rng(seed)
+        samples = draw(rng, n) + shift
+        if decimals is not None:
+            samples = np.round(samples, decimals)
+        samples = np.sort(samples)
+        weights = rng.lognormal(0.0, 1.0, n) if weighted else None
+        res = ks_statistic(samples, cdf, weights)
+        assert res.statistic == full_ks(samples, cdf, weights)

@@ -1,4 +1,5 @@
-"""Golden outputs of the Euler runs: SHA-256 of fixed-seed arrays.
+"""Golden outputs of the Euler runs: SHA-256 of fixed-seed arrays; and
+the KS statistics of the closed-form law checks, pinned by repr.
 
 Recorded when the step came to take one power, sigma r^(gamma-1), for
 the diffusion (sigma r^(gamma-1)) r and for q, after
@@ -28,15 +29,24 @@ from ckls import (
     euler_under_q,
     simulate_weighted,
 )
-from ckls.analysis import mc_moment
+from ckls.analysis import ks_statistic, mc_moment
+from ckls.distribution import rate_cdf, transition_spec
 from ckls.engine import (
     POSITIVITY_FLOOR,
     ckls_diffusion,
     ckls_drift,
     euler_values,
+    explicit_rate,
     map_noise_blocks,
 )
-from ckls.verify import _snapshot_rates
+from ckls.transform import derive_cir, make_transform
+from ckls.verify import (
+    _snapshot_rates,
+    check_delta_arbitration,
+    check_explicit_law,
+    check_ncx2_battery,
+)
+from ks_oracle import full_ks
 from noise_v1 import NoiseV1
 
 HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
@@ -380,3 +390,59 @@ class TestGoldenCliOutput:
         assert cli.main(["--config", str(cfg), "simulate", "--mode", "euler-p"]) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN[fmt]
+
+
+class TestGoldenKsStatistics:
+    """The KS statistics the verify checks and the law benchmark shape
+    compute, pinned by repr, so the statistic stays the same double.
+    Recorded while ks_statistic evaluated the CDF at every sample; the
+    law shape is also held to that full evaluation (ks_oracle.full_ks)."""
+
+    EXPLICIT_LAW = {"high": "0.0030575627100174474", "low": "0.0030575627099983516"}
+    DELTA_ARBITRATION = {"derived": "0.003208373840617784", "paper": "0.1566892687646655"}
+    NCX2_BATTERY = {
+        "df=1.0,nonc=14.4533": "0.0018254500581445232",
+        "df=1.0,nonc=0.5": "0.0018531466781377404",
+        "df=3.0,nonc=2.0": "0.002330088916470352",
+    }
+    # (seed, set, df rule): HIGH and LOW at C = 2, t = 1, 25 000 sorted
+    # draws from the normals of default_rng([seed, set index])
+    LAW = {
+        (3, "high", "derived"): "0.00560451489203645",
+        (3, "high", "paper"): "0.15255971047238215",
+        (3, "low", "derived"): "0.008448540631741608",
+        (3, "low", "paper"): "0.07082757071020485",
+        (13, "high", "derived"): "0.0047663579569022785",
+        (13, "high", "paper"): "0.15653621135071827",
+        (13, "low", "derived"): "0.005177376287918256",
+        (13, "low", "paper"): "0.07618747089815114",
+    }
+
+    @pytest.mark.parametrize("name,p", [("high", HIGH), ("low", LOW)])
+    def test_explicit_law(self, name, p):
+        check = check_explicit_law(p, n=100_000, seed=515)
+        assert repr(check.statistic) == self.EXPLICIT_LAW[name]
+
+    def test_delta_arbitration(self):
+        results = check_delta_arbitration(HIGH, c=2.0, n=100_000, seed=7713).details["results"]
+        assert {rule: repr(r["ks"]) for rule, r in results.items()} == self.DELTA_ARBITRATION
+
+    def test_ncx2_battery(self):
+        details = check_ncx2_battery(seed=454).details
+        assert {key: repr(v["ks"]) for key, v in details.items()} == self.NCX2_BATTERY
+
+    @pytest.mark.parametrize("rule", ["derived", "paper"])
+    @pytest.mark.parametrize("k,name,p", [(0, "high", HIGH), (1, "low", LOW)])
+    @pytest.mark.parametrize("seed", [3, 13])
+    def test_law_shape(self, seed, k, name, p, rule):
+        tr = make_transform(p, 2.0)
+        spec = transition_spec(p, derive_cir(p, tr), 1.0, delta_rule=rule)
+        z = np.random.default_rng([seed, k]).standard_normal(25_000)
+        draws = np.sort(explicit_rate(p, 1.0, z))
+
+        def cdf(x):
+            return rate_cdf(p, tr, spec, x)
+
+        statistic = ks_statistic(draws, cdf).statistic
+        assert repr(statistic) == self.LAW[seed, name, rule]
+        assert statistic == full_ks(draws, cdf)
