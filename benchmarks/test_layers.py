@@ -9,7 +9,8 @@ set, whose power is a general one), the unweighted Euler kernel and its
 value matrix at the export size, the gamma > 1 auxiliary run at the same
 size (the kernel's "run-off" boundary rule, beside "raise-nan" in the
 weighted kernel and "clamp" in euler_ckls), the noncentral chi-square
-pdf and CDF, and the two path writers.  Two cold-start timings launch a fresh
+pdf and CDF, the KS statistic against the rate law under each df rule,
+and the two path writers.  Two cold-start timings launch a fresh
 interpreter per round: `import ckls, ckls.cli`, and the whole user-visible
 job `ckls simulate --mode euler-p` at 200 paths x 16 steps.  Rounds are
 fixed so a full run takes well under a minute.
@@ -25,8 +26,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ckls import CklsParams, NoiseMatrix, TimeGrid, euler_auxiliary, euler_ckls, simulate_weighted
-from ckls.distribution import NoncentralChiSq, noncentral_cdf, noncentral_pdf
+from ckls import (
+    CklsParams,
+    NoiseMatrix,
+    TimeGrid,
+    derive_cir,
+    euler_auxiliary,
+    euler_ckls,
+    explicit_rate,
+    ks_statistic,
+    make_transform,
+    simulate_weighted,
+)
+from ckls.distribution import NoncentralChiSq, noncentral_cdf, noncentral_pdf, rate_cdf, transition_spec
 from ckls.pathio import write_paths_binary, write_paths_csv
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -92,6 +104,19 @@ def test_ncx2(benchmark, fn, df):
     xs = np.linspace(0.01, 60.0, 10_000)
     out = benchmark.pedantic(fn, args=(d, xs), rounds=20, warmup_rounds=1)
     assert out.shape == xs.shape
+
+
+@pytest.mark.parametrize("rule", ["derived", "paper"])
+def test_ks_statistic(benchmark, rule):
+    """The KS statistic of 25 000 sorted closed-form draws against the rate
+    law, as in the law workload: HIGH at C = 2, t = 1."""
+    tr = make_transform(HIGH, 2.0)
+    spec = transition_spec(HIGH, derive_cir(HIGH, tr), 1.0, delta_rule=rule)
+    draws = np.sort(explicit_rate(HIGH, 1.0, np.random.default_rng([5, 0]).standard_normal(25_000)))
+    res = benchmark.pedantic(
+        ks_statistic, args=(draws, lambda x: rate_cdf(HIGH, tr, spec, x)), rounds=20, warmup_rounds=1,
+    )
+    assert 0 < res.cdf_points <= draws.size
 
 
 @pytest.mark.parametrize("writer", [write_paths_csv, write_paths_binary], ids=["csv", "binary"])

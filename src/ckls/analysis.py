@@ -31,6 +31,12 @@ __all__ = [
 # Asymptotic Kolmogorov quantile: P(sup|F_n - F| > c/sqrt(n)) = 0.01.
 KS_CRITICAL_1PCT = 1.6276
 _SCALE_PANELS = 400  # geometric quadrature panels between x and 1
+# ks_statistic's bracketed search: the spacing of the first evaluated
+# samples, the cuts of a surviving run per round, and the decrease of the
+# CDF between sorted samples (ulp-level non-monotonicity) it tolerates
+_KS_STRIDE = 64
+_KS_SPLIT = 8
+_KS_SLACK = 1e-9
 
 
 def mean_rate(p: CklsParams, t: float) -> float:
@@ -224,6 +230,16 @@ class KsResult:
     statistic: float
     critical_1pct: float
     ess: float
+    cdf_points: int  # samples at which cdf was evaluated
+
+
+def _cdf_at(cdf: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    f = np.asarray(cdf(x), dtype=float)
+    if f.shape != x.shape:
+        raise InputError(f"cdf must return one value per point: shape {f.shape} for {x.shape}")
+    if np.isnan(f).any():
+        raise InputError("cdf returned NaN")
+    return f
 
 
 def ks_statistic(
@@ -235,16 +251,29 @@ def ks_statistic(
 
     With weights, the empirical CDF uses normalized cumulative weights and
     the 1% critical value uses the effective sample size in place of n
-    (asymptotic c(alpha)/sqrt(ESS))."""
+    (asymptotic c(alpha)/sqrt(ESS)).
+
+    cdf must be elementwise and nondecreasing.  It is evaluated only
+    where the supremum can be: first on every _KS_STRIDE-th sample and the
+    last, then in rounds of one cdf call each.  The empirical CDF rises
+    from lower_i to upper_i at sample i; between evaluated samples a < b,
+    F and both steps are nondecreasing, so each unevaluated i has
+    upper_i - F_i <= upper_(b-1) - F_a and F_i - lower_i <= F_b - lower_(a+1).
+    A run whose bound is below the largest distance so far, less
+    _KS_SLACK, is dropped; every other run is cut _KS_SPLIT ways for the
+    next round.  The result is the full-evaluation statistic bit for bit.
+    cdf_points counts the samples evaluated."""
     samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 1:
+        raise InputError(f"samples must be 1-D, got shape {samples.shape}")
     if samples.size == 0:
         raise InputError("empty input")
     if np.any(np.isnan(samples)) or np.any(np.diff(samples) < 0):
         raise InputError("samples must be sorted ascending, without NaN")
     n = samples.size
+    # lower_i = steps[i] / total, upper_i = steps[i + 1] / total
     if weights is None:
-        upper = np.arange(1, n + 1) / n
-        lower = np.arange(0, n) / n
+        steps = np.arange(n + 1)
         ess = float(n)
     else:
         weights = np.asarray(weights, dtype=float)
@@ -252,17 +281,32 @@ def ks_statistic(
             raise InputError("weights must match samples in shape")
         if not np.all(weights > 0):
             raise InputError("weights must be positive")
-        cum = np.cumsum(weights)
-        total = cum[-1]
-        upper = cum / total
-        lower = np.concatenate([[0.0], upper[:-1]])
-        ess = float(total**2 / np.sum(weights**2))
-    f_vals = np.asarray(cdf(samples), dtype=float)
-    d_plus = float(np.max(upper - f_vals))
-    d_minus = float(np.max(f_vals - lower))
-    d = max(d_plus, d_minus)
+        steps = np.concatenate([[0.0], np.cumsum(weights)])
+        ess = float(steps[-1] ** 2 / np.sum(weights**2))
+    total = steps[-1]
+    f = np.empty(n)
+    known = np.zeros(n, dtype=bool)
+    new = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
+    d = -math.inf
+    while new.size:
+        f_new = f[new] = _cdf_at(cdf, samples[new])
+        known[new] = True
+        d = max(d, float(np.max(steps[new + 1] / total - f_new)),
+                float(np.max(f_new - steps[new] / total)))
+        at = np.flatnonzero(known)
+        a, b = at[:-1], at[1:]
+        bound = np.maximum(steps[b] / total - f[a], f[b] - steps[a + 1] / total)
+        open_run = (b - a > 1) & (bound >= d - _KS_SLACK)
+        # cut points of the open runs, ascending, with repeats in runs
+        # narrower than _KS_SPLIT and the known left ends among them
+        a, width = a[open_run, None], (b - a)[open_run, None]
+        cuts = (a + width * np.arange(1, _KS_SPLIT) // _KS_SPLIT).ravel()
+        new = cuts[~known[cuts] & (np.diff(cuts, prepend=-1) > 0)]
+    if np.any(np.diff(f[at]) < -_KS_SLACK):
+        raise InputError("cdf must be nondecreasing along the sorted samples")
     return KsResult(
         statistic=d,
         critical_1pct=KS_CRITICAL_1PCT / math.sqrt(ess),
         ess=ess,
+        cdf_points=int(at.size),
     )

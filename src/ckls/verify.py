@@ -201,7 +201,8 @@ def check_explicit_law(
         statistic=res.statistic,
         threshold=res.critical_1pct,
         seed=seed,
-        details={"n": n, "t": t, "scale": spec.scale, "df": spec.df, "nonc": spec.nonc},
+        details={"n": n, "t": t, "scale": spec.scale, "df": spec.df, "nonc": spec.nonc,
+                 "cdf_points": res.cdf_points},
     )
 
 
@@ -277,6 +278,7 @@ def check_delta_arbitration(
             "ks": res.statistic,
             "critical_1pct": res.critical_1pct,
             "accepted": bool(res.statistic < res.critical_1pct),
+            "cdf_points": res.cdf_points,
         }
         for rule, (spec, res) in _law_ks(p, c, t, n, seed, ("derived", "paper")).items()
     }
@@ -492,6 +494,7 @@ def check_ncx2_battery(
             "var_z": float(var_z),
             "ks": ks.statistic,
             "ks_critical_1pct": ks.critical_1pct,
+            "ks_cdf_points": ks.cdf_points,
             "ok": entry_ok,
         }
     stat = max(v["normalization_err"] for v in details.values())

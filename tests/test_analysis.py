@@ -264,6 +264,62 @@ class TestKsStatistic:
         with pytest.raises(InputError, match="empty input"):
             ks_statistic(np.array([]), lambda x: np.asarray(x))
 
+    @pytest.mark.parametrize("samples", [np.linspace(0.1, 0.4, 4)[:, None], np.float64(0.5)])
+    def test_not_one_dimensional_rejected(self, samples):
+        """A (4, 1) column used to broadcast against the (4,) steps and
+        return 0.9."""
+        with pytest.raises(InputError, match="1-D"):
+            ks_statistic(samples, lambda x: np.asarray(x))
+
+    @pytest.mark.parametrize("cdf", [
+        lambda x: 0.5,
+        lambda x: np.asarray(x)[:, None],
+        lambda x: np.asarray(x)[:1],
+    ], ids=["scalar", "column", "short"])
+    def test_cdf_of_another_shape_rejected(self, cdf):
+        """A scalar cdf used to broadcast silently."""
+        with pytest.raises(InputError, match="one value per point"):
+            ks_statistic(np.linspace(0.1, 0.9, 5), cdf)
+
+    @pytest.mark.parametrize("n", [5, 1000])
+    def test_nan_cdf_rejected(self, n):
+        """NaN at the last sample, which is always evaluated: a NaN bound
+        would otherwise drop its run unseen."""
+        with pytest.raises(InputError, match="NaN"):
+            ks_statistic(np.linspace(0.1, 0.9, n), lambda x: np.where(x > 0.85, np.nan, x))
+
+    @pytest.mark.parametrize("n", [5, 1000])
+    def test_decreasing_cdf_rejected(self, n):
+        with pytest.raises(InputError, match="nondecreasing"):
+            ks_statistic(np.linspace(0.1, 0.9, n), lambda x: 1.0 - np.asarray(x))
+
+    def test_ulp_level_decrease_tolerated(self):
+        """A step CDF that wiggles by 1e-15, as a rounded closed form can,
+        decreases between some samples; it is accepted, with the statistic
+        of full evaluation."""
+        samples = np.sort(np.random.default_rng(8).random(5000))
+
+        def cdf(x):
+            return np.round(x, 2) + 1e-15 * np.sin(x * 1e4)
+
+        assert np.any(np.diff(cdf(samples)) < 0)
+
+        assert ks_statistic(samples, cdf).statistic == full_ks(samples, cdf)
+
+    def test_cdf_points_counts_each_evaluated_sample_once(self):
+        samples = np.sort(np.random.default_rng(9).standard_normal(25_000))
+        seen = []
+
+        def cdf(x):
+            seen.append(np.array(x))
+            return special.ndtr(x)
+
+        res = ks_statistic(samples, cdf)
+        points = np.concatenate(seen)
+        assert res.cdf_points == points.size == np.unique(points).size
+        assert 0 < res.cdf_points < samples.size // 10
+        assert points.max() == samples[-1]
+
     def test_distributional_self_test_over_seed_battery(self):
         """Samples drawn from the hypothesized law itself: D below the 1%
         critical value across the frozen 20-seed battery."""

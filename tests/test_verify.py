@@ -62,6 +62,19 @@ def test_convergence_ladder_reports_each_rungs_euler_exits():
     assert report.details["nonfinite_paths"] == 0
 
 
+def test_law_checks_report_cdf_points():
+    """The KS checks report at how many of their n sorted draws the law's
+    CDF was evaluated: at least one, at most n."""
+    n = 20_000
+    law = verify.check_explicit_law(HIGH, n=n, seed=3).details["cdf_points"]
+    arbitration = verify.check_delta_arbitration(HIGH, n=n, seed=3).details["results"]
+    battery = verify.check_ncx2_battery(seed=3, n_moment=n, n_ks=n).details
+    points = [law, *(r["cdf_points"] for r in arbitration.values()),
+              *(e["ks_cdf_points"] for e in battery.values())]
+    assert len(points) == 6
+    assert all(isinstance(k, int) and 0 < k <= n for k in points)
+
+
 @pytest.mark.parametrize("check", [check_closed_form_mean, check_moment_bounds])
 @pytest.mark.parametrize("ts", [
     (-0.25, 0.5), (0.5, 0.5, 1.0), (0.0, 0.5), (math.nan, 0.5), (math.inf,),
