@@ -9,11 +9,9 @@ paths never make one.
 
 from .analysis import (
     KsResult,
-    McMomentResult,
     MomentBound,
     gronwall_bound,
     ks_statistic,
-    mc_moment,
     mean_rate,
     scale_function,
     scale_function_log_magnitude,
@@ -52,11 +50,9 @@ from .errors import (
     UnknownSuite,
 )
 from .girsanov import (
-    NovikovEstimate,
     WeightedEstimate,
     WeightedSample,
     drift_adjustment,
-    novikov_diagnostic,
     simulate_weighted,
 )
 from .params import CklsParams, GirsanovBranch, MomentCase, Regime, classify_regime

@@ -10,19 +10,16 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import NoiseMatrix, TimeGrid, ckls_diffusion, ckls_drift, euler_blocks
 from .errors import InputError, RegimeError
 from .numerics import affine_exp_convolution, positive_points, require_horizon, stable_phi
 from .params import CklsParams, MomentCase, classify_regime
 
 __all__ = [
     "MomentBound",
-    "McMomentResult",
     "KsResult",
     "KS_CRITICAL_1PCT",
     "mean_rate",
     "gronwall_bound",
-    "mc_moment",
     "scale_function",
     "scale_function_log_magnitude",
     "ks_statistic",
@@ -106,65 +103,6 @@ def gronwall_bound(p: CklsParams, t: float, kind: str) -> MomentBound:
     psi_t = alpha + beta * t
     bound = psi_t + c * affine_exp_convolution(alpha, beta, c, t)
     return MomentBound(kind, t, bound, case)
-
-
-@dataclass(frozen=True)
-class McMomentResult:
-    terminal_estimate: float
-    terminal_std_error: float
-    time_integral_estimate: float
-    time_integral_std_error: float
-    n_paths: int
-    truncations: int
-
-
-class _Trapezoid:
-    """Euler observer: per path, r^kappa after the last step and the
-    trapezoid time integral of r^kappa."""
-
-    def __init__(self, exponent: float, dt: float, n: int):
-        self.exponent, self.dt = exponent, dt
-        self.integral = np.zeros(n)
-        self.g_prev = None
-
-    def step(self, k, r, s, dW) -> None:
-        g = r**self.exponent
-        if self.g_prev is not None:
-            self.integral += 0.5 * self.dt * (self.g_prev + g)
-        self.g_prev = g
-
-    def end(self, r) -> dict:
-        self.step(None, r, None, None)
-        return {"terminal": self.g_prev, "integral": self.integral}
-
-
-def mc_moment(
-    p: CklsParams,
-    t: float,
-    exponent: float,
-    n_paths: int,
-    n_steps: int,
-    seed: int,
-    workers: int = 1,
-) -> McMomentResult:
-    """Euler-path Monte Carlo estimates of E r_t^kappa and of
-    E integral_0^t r_s^kappa ds (trapezoid in time), with standard errors."""
-    grid = TimeGrid(t, n_steps)
-    noise = NoiseMatrix(seed=seed, n_paths=n_paths, grid=grid)
-    run = euler_blocks(
-        ckls_drift(p), ckls_diffusion(p), p.r0, grid.dt, noise,
-        [lambda n: _Trapezoid(exponent, grid.dt, n)], workers=workers,
-    )
-    terminal, integral = run["terminal"], run["integral"]
-    root_n = math.sqrt(n_paths)
-    return McMomentResult(
-        terminal_estimate=float(terminal.mean()),
-        terminal_std_error=float(terminal.std(ddof=1) / root_n),
-        time_integral_estimate=float(integral.mean()),
-        time_integral_std_error=float(integral.std(ddof=1) / root_n),
-        n_paths=n_paths,
-        truncations=int(run["trunc"].sum()),
-    )
 
 
 def _scale_exponents(p: CklsParams, variant: str) -> tuple[float, float]:

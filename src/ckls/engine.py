@@ -61,8 +61,9 @@ __all__ = [
 # visible in the reported counts instead of being hidden by the scheme.
 POSITIVITY_FLOOR = 1e-12
 
-# What euler_blocks does with a rate that is not >= the floor.
-BOUNDARY_RULES = ("clamp", "raise-nan", "run-off")
+# What euler_blocks does with a rate that is not >= the floor; "none"
+# skips the floor test.
+BOUNDARY_RULES = ("clamp", "raise-nan", "run-off", "none")
 
 # Steps step_columns copies at a time: one 64-byte cache line of a
 # float64 noise row.
@@ -89,8 +90,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.t_end < math.inf:
-            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if isinstance(self.t_end, (bool, np.bool_)) or not 0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end!r}")
         _require_integer("n_steps", self.n_steps)
 
     @property
@@ -304,6 +305,7 @@ class Snapshots:
         for j, k in enumerate(indices):
             if not 0 <= k <= n_steps:
                 raise DomainError(f"grid index {k} is outside 0..{n_steps}")
+            _require_integer("grid index", k, low=0)
             self.rows.setdefault(k, []).append(j)
         self.n_steps = n_steps
         self.snapshots = np.empty((len(indices), n))
@@ -340,7 +342,8 @@ def euler_blocks(
     "clamp" sets the rates below the floor to it and counts them per path;
     "raise-nan" also raises DomainError at a NaN rate before the next step;
     "run-off" sets every rate that is not >= the floor (below it, -inf or
-    NaN) to +inf, as a path that ran off, so it reads +inf from then on.
+    NaN) to +inf, as a path that ran off, so it reads +inf from then on;
+    "none" makes no floor test, for a state that may take any sign.
 
     An observer factory is called with a block's path count; its object
     gets step(k, r_k, s, dW_k) before step k (s is None with another
@@ -351,6 +354,7 @@ def euler_blocks(
     if boundary not in BOUNDARY_RULES:
         raise ValueError(f"unknown boundary rule {boundary!r}; one of {BOUNDARY_RULES}")
     run_off, raise_nan = boundary == "run-off", boundary == "raise-nan"
+    floor = boundary != "none"
     base_drift = isinstance(drift, _CklsDrift)
     power = isinstance(diffusion, _CklsDiffusion)
     quiet = {"over": "ignore", "invalid": "ignore"} if run_off else {}
@@ -381,6 +385,8 @@ def euler_blocks(
                     c = diffusion(r) * col
                 r += d
                 r += c
+                if not floor:
+                    continue
                 low = r.min(initial=np.inf)  # inf for a block of no paths
                 # also true on NaN: the floor pass then reaches the others
                 if not low >= POSITIVITY_FLOOR:
@@ -521,29 +527,25 @@ def explicit_rate(p: CklsParams, t: float, z):
 def explicit_rate_on_grid(p: CklsParams, grid: TimeGrid, noise) -> np.ndarray:
     """Pathwise closed-form solution realized on the grid from increments.
 
-    The Gaussian integral is accumulated by the exponential recursion
-    G_(k+1) = e^(c dt) G_k + (phi(c, dt)/dt) dW_k, whose strong coupling
-    error is O(dt) -- below the Euler scheme's O(sqrt(dt)), which is what
-    the convergence ladder measures.
+    The base X = r^(1-gamma) of explicit_rate is the Ornstein-Uhlenbeck
+    process X_0 = r0^(1-gamma), dX = c X dt + sigma |gamma-1| dW with
+    c = b (1-gamma), run by euler_values with no floor test as its exact
+    skeleton: X <- e^(c dt) X + sigma |gamma-1| sqrt(phi(2c, dt)/dt) dW_k,
+    the drift written expm1(c dt)/dt X.  Each step has the Gaussian
+    transition law of X, so the value at every grid time has the law of
+    explicit_rate there, and a one-step grid gives explicit_rate on the
+    same normals.  Returns |X|^(1/(1-gamma)) on the grid.
     """
     require_transformable(p)
     require_grid_noise(grid, noise)
-    dW = _as_increments(noise)
-    n_paths, n_steps = dW.shape
-    g = p.gamma
+    g, dt = p.gamma, grid.dt
     c = p.b * (1.0 - g)
-    dt = grid.dt
-    decay = math.exp(c * dt)
-    kappa = stable_phi(c, dt) / dt
-    out = np.empty((n_paths, n_steps + 1))
-    out[:, 0] = p.r0
-    G = np.zeros(n_paths)
-    r0_pow = p.r0 ** (1.0 - g)
-    for k in range(n_steps):
-        G = decay * G + kappa * dW[:, k]
-        base = r0_pow * math.exp(c * dt * (k + 1)) + p.sigma * abs(g - 1.0) * G
-        out[:, k + 1] = np.abs(base) ** (1.0 / (1.0 - g))
-    return out
+    growth = math.expm1(c * dt) / dt
+    vol = p.sigma * abs(g - 1.0) * math.sqrt(stable_phi(2.0 * c, dt) / dt)
+    x, _ = euler_values(
+        lambda x: growth * x, lambda x: vol, p.r0 ** (1.0 - g), dt, noise, boundary="none"
+    )
+    return np.abs(x) ** (1.0 / (1.0 - g))
 
 
 def sample_cir_exact(

@@ -32,10 +32,8 @@ from .params import CklsParams
 __all__ = [
     "WeightedEstimate",
     "WeightedSample",
-    "NovikovEstimate",
     "drift_adjustment",
     "weighted_expectation_arrays",
-    "novikov_diagnostic",
     "simulate_weighted",
 ]
 
@@ -58,12 +56,6 @@ class WeightedEstimate:
             "ess": self.ess,
             "n_paths": self.n_paths,
         }
-
-
-@dataclass(frozen=True)
-class NovikovEstimate:
-    estimate: float
-    std_error: float
 
 
 def drift_adjustment(p: CklsParams, x):
@@ -147,18 +139,6 @@ def weighted_expectation_arrays(log_weights: np.ndarray, phi: np.ndarray) -> Wei
         ess=ess,
         n_paths=int(n),
     )
-
-
-def novikov_diagnostic(q_integral_sq) -> NovikovEstimate:
-    """Monte Carlo estimate of E integral_0^t q(r_s)^2 ds with its standard
-    error, from the per-path integrals of a WeightedSample;
-    finiteness/stability across dt refinement is the usable signal."""
-    q_int = np.asarray(q_integral_sq, dtype=float)
-    n = q_int.size
-    if n == 0:
-        raise InputError("empty input")
-    se = float(q_int.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
-    return NovikovEstimate(estimate=float(q_int.mean()), std_error=se)
 
 
 class _Weight:

@@ -153,10 +153,14 @@ def check_martingale(
     workers: int = 1,
 ) -> CheckReport:
     """Raw Monte Carlo E[R_t] within 1 +- 3 SE (the weight process is an
-    exponential martingale under the base measure)."""
+    exponential martingale under the base measure).  The Novikov integral
+    integral_0^t q(r_s)^2 ds is reported by its mean and standard error:
+    their stability under dt refinement is the usable signal, never
+    asserted."""
     grid = TimeGrid(t, n_steps)
     sample = simulate_weighted(p, grid, NoiseMatrix(seed, n_paths, grid), workers=workers)
     mean, se = _mean_se(sample.weights())
+    novikov_mean, novikov_se = _mean_se(sample.q_integral_sq)
     z = abs(mean - 1.0) / se
     return CheckReport(
         name="martingale",
@@ -165,7 +169,8 @@ def check_martingale(
         threshold=3.0,
         seed=seed,
         details={"mean_weight": mean, "std_error": se, "n_paths": n_paths,
-                 "truncations": sample.truncations},
+                 "truncations": sample.truncations, "novikov_mean": novikov_mean,
+                 "novikov_std_error": novikov_se},
     )
 
 

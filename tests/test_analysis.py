@@ -16,11 +16,11 @@ from ckls import (
     RegimeError,
     gronwall_bound,
     ks_statistic,
-    mc_moment,
     mean_rate,
     scale_function,
     scale_function_log_magnitude,
 )
+from ckls.verify import _snapshot_rates
 from ks_oracle import full_ks
 
 HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
@@ -113,22 +113,23 @@ class TestGronwallBound:
             gronwall_bound(loud, 1.0, "neg_moment")
 
 
-class TestMcMoment:
-    def test_zero_exponent_integral_is_exact(self):
-        res = mc_moment(HIGH, 0.5, 0.0, n_paths=64, n_steps=256, seed=3)
-        assert res.time_integral_estimate == 0.5
-        assert res.terminal_estimate == 1.0
+def terminal_moment(p, exponent, seed):
+    """Euler Monte Carlo E r_t^exponent at t = 0.5 (20 000 paths, 256
+    steps) from the snapshot run of the mean and moment checks, with its
+    standard error."""
+    snaps, _ = _snapshot_rates(p, 0.5, 256, 20_000, seed, [256])
+    g = snaps[0] ** exponent
+    return g.mean(), g.std(ddof=1) / math.sqrt(g.size)
 
+
+class TestSnapshotMoments:
     def test_unit_exponent_matches_closed_form_mean(self):
-        res = mc_moment(HIGH, 0.5, 1.0, n_paths=20_000, n_steps=256, seed=5)
-        gap = abs(res.terminal_estimate - mean_rate(HIGH, 0.5))
-        assert gap <= 3.0 * res.terminal_std_error
+        est, se = terminal_moment(HIGH, 1.0, seed=5)
+        assert abs(est - mean_rate(HIGH, 0.5)) <= 3.0 * se
 
     def test_neg_moment_below_bound_case_i(self):
-        expo = -2.0 * LOW.gamma
-        res = mc_moment(LOW, 0.5, expo, n_paths=20_000, n_steps=256, seed=7)
-        bound = gronwall_bound(LOW, 0.5, "neg_moment").bound
-        assert res.terminal_estimate <= bound + 3.0 * res.terminal_std_error
+        est, se = terminal_moment(LOW, -2.0 * LOW.gamma, seed=7)
+        assert est <= gronwall_bound(LOW, 0.5, "neg_moment").bound + 3.0 * se
 
 
 class TestScaleFunction:

@@ -23,7 +23,6 @@ from ckls import (
     explicit_rate,
     explicit_rate_on_grid,
     make_transform,
-    mc_moment,
     mean_rate,
     sample_cir_exact,
     simulate_weighted,
@@ -32,6 +31,7 @@ from ckls.engine import (
     NOISE_BLOCK,
     NOISE_RULE,
     NOISE_STREAM,
+    Snapshots,
     ckls_diffusion,
     ckls_drift,
     euler_blocks,
@@ -59,6 +59,12 @@ class TestTimeGrid:
         for t_end in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 TimeGrid(t_end, 4)
+
+    @pytest.mark.parametrize("t_end", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_bool_t_end_rejected(self, t_end):
+        """A bool is not a time: True is not coerced to 1.0."""
+        with pytest.raises(ValueError, match="t_end"):
+            TimeGrid(t_end, 4)
 
 
 class TestNoiseMatrix:
@@ -173,15 +179,17 @@ class TestNoiseOracle:
 
 @pytest.mark.parametrize("bad", [0, -2, 1.5, True, np.float64(2.0)])
 @pytest.mark.parametrize("run,name", [
-    ("simulate_weighted", "workers"), ("simulate_weighted", "block_size"), ("mc_moment", "workers"),
+    ("simulate_weighted", "workers"), ("simulate_weighted", "block_size"),
+    ("euler_values", "workers"),
 ])
 def test_block_counts_are_integers_from_one(run, name, bad):
     """workers and block_size are rejected unless integers >= 1, before
     any path is run, by the block runner every Euler run goes through."""
     grid = TimeGrid(0.5, 4)
     with pytest.raises(ValueError, match=name):
-        if run == "mc_moment":
-            mc_moment(HIGH, 0.5, 1.0, 100, 4, seed=1, workers=bad)
+        if run == "euler_values":
+            euler_values(ckls_drift(HIGH), ckls_diffusion(HIGH), HIGH.r0, grid.dt,
+                         NoiseMatrix(1, 100, grid), workers=bad)
         else:
             simulate_weighted(HIGH, grid, NoiseMatrix(1, 100, grid), **{name: bad})
 
@@ -368,11 +376,31 @@ class TestEulerCkls:
         assert exits.tolist() == [0, 1, 0]
 
     @pytest.mark.parametrize("kernel", [euler_blocks, euler_values])
-    @pytest.mark.parametrize("boundary", ["run_off", "none"])
+    @pytest.mark.parametrize("boundary", ["run_off"])
     def test_unknown_boundary_rule_raises(self, kernel, boundary):
         with pytest.raises(ValueError, match="unknown boundary rule"):
             kernel(ckls_drift(HIGH), ckls_diffusion(HIGH), 1.0, 0.1, np.zeros((1, 1)),
                    boundary=boundary)
+
+    def test_no_floor_rule_lets_the_state_change_sign(self):
+        """Under "none" a state below the floor, or below 0, runs on as it
+        is and counts no exit."""
+        dW = np.array([[0.0, 0.0, 0.0]])
+        values, exits = euler_values(lambda x: -1.0, lambda x: 0.0, 1.0, 1.0, dW,
+                                     boundary="none")
+        assert values.tolist() == [[1.0, 0.0, -1.0, -2.0]]
+        assert exits.tolist() == [0]
+
+
+@pytest.mark.parametrize(
+    "indices", [[2.5, 2], [True], [np.float64(2.0)]], ids=["float", "bool", "numpy-float"]
+)
+def test_snapshot_indices_are_integers(indices):
+    """A grid index that is not an integer (a float, or a bool) is
+    rejected: a step of 2.5 never comes, so its row would be left
+    unwritten."""
+    with pytest.raises(ValueError, match="grid index must be an integer"):
+        Snapshots(indices, 4, 3)
 
 
 class TestNoiseFitsGrid:
@@ -586,6 +614,15 @@ class TestPathwiseConsistency:
             euler, _ = euler_under_q(p, TimeGrid(t, n), dW_c)
             gaps.append(np.abs(euler - ref[:, ::stride]).max(axis=1).mean())
         assert gaps[1] < gaps[0]
+
+    @pytest.mark.parametrize("p", [HIGH, LOW], ids=["high", "low"])
+    def test_one_step_grid_is_the_closed_form(self, p):
+        """On a one-step grid the skeleton is explicit_rate on the same
+        normals: each step has the exact law of the base X."""
+        grid = TimeGrid(1.0, 1)
+        dW = NoiseMatrix(61, 1000, grid).increments()
+        on_grid = explicit_rate_on_grid(p, grid, dW)
+        np.testing.assert_allclose(on_grid[:, 1], explicit_rate(p, 1.0, dW[:, 0]), rtol=1e-12)
 
     def test_grid_solution_matches_single_time_law(self):
         grid = TimeGrid(0.5, 256)

@@ -14,6 +14,8 @@ sigma r^gamma in engine._CklsDiffusion.
 import contextlib
 import hashlib
 import json
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from ckls import (
     euler_under_q,
     simulate_weighted,
 )
-from ckls.analysis import ks_statistic, mc_moment
+from ckls.analysis import ks_statistic
 from ckls.distribution import rate_cdf, transition_spec
 from ckls.engine import (
     POSITIVITY_FLOOR,
@@ -87,6 +89,60 @@ def aux_run(p, grid, seed, variant):
 
 def aux_digest(values, exits, floor_hits, blowups) -> str:
     return digest(path_digest(values, exits), values.min(axis=1), floor_hits, blowups)
+
+
+@dataclass(frozen=True)
+class McMomentResult:
+    """The result of the Euler-path Monte Carlo of E r_t^kappa and of
+    E integral_0^t r_s^kappa ds that the moment digests were recorded
+    from; its repr enters them."""
+
+    terminal_estimate: float
+    terminal_std_error: float
+    time_integral_estimate: float
+    time_integral_std_error: float
+    n_paths: int
+    truncations: int
+
+
+class Trapezoid:
+    """Euler observer: per path, r^kappa after the last step and the
+    trapezoid time integral of r^kappa, read at every step."""
+
+    def __init__(self, exponent, dt, n):
+        self.exponent, self.dt = exponent, dt
+        self.integral = np.zeros(n)
+        self.g_prev = None
+
+    def step(self, k, r, s, dW):
+        g = r**self.exponent
+        if self.g_prev is not None:
+            self.integral += 0.5 * self.dt * (self.g_prev + g)
+        self.g_prev = g
+
+    def end(self, r):
+        self.step(None, r, None, None)
+        return {"terminal": self.g_prev, "integral": self.integral}
+
+
+def mc_moment(p, t, exponent, n_paths, n_steps, seed, workers=1):
+    """The trapezoid-moment Monte Carlo through the Euler kernel, with
+    standard errors."""
+    grid = TimeGrid(t, n_steps)
+    run = engine.euler_blocks(
+        ckls_drift(p), ckls_diffusion(p), p.r0, grid.dt, NoiseMatrix(seed, n_paths, grid),
+        [lambda n: Trapezoid(exponent, grid.dt, n)], workers=workers,
+    )
+    terminal, integral = run["terminal"], run["integral"]
+    root_n = math.sqrt(n_paths)
+    return McMomentResult(
+        terminal_estimate=float(terminal.mean()),
+        terminal_std_error=float(terminal.std(ddof=1) / root_n),
+        time_integral_estimate=float(integral.mean()),
+        time_integral_std_error=float(integral.std(ddof=1) / root_n),
+        n_paths=n_paths,
+        truncations=int(run["trunc"].sum()),
+    )
 
 
 def mc_moment_with_blocks(p, exponent, workers=1):
@@ -152,8 +208,12 @@ class TestGoldenEulerValues:
 
 
 class TestGoldenBlockLoops:
-    """mc_moment and the snapshot Euler loop on 10 000 paths, two 8192-row
-    thread blocks, on one and two workers."""
+    """The trapezoid-moment observer (mc_moment above) and the snapshot
+    Euler loop on 10 000 paths, two 8192-row thread blocks, on one and
+    two workers.  The moment digests were recorded from analysis.mc_moment,
+    which the library no longer has; mc_moment here is that function,
+    operation for operation, kept as a golden of an observer that reads
+    every step."""
 
     GOLDEN = {
         "moment-high": "d2f27e0b845ecaae8c887254e5c89d7a01ef4ed58b5821635eb091a36aa29123",

@@ -8,15 +8,20 @@ import math
 import numpy as np
 import pytest
 
-from ckls import CklsError, CklsParams, DomainError, InputError, NoiseMatrix, TimeGrid, euler_ckls
+from ckls import (
+    CklsError, CklsParams, DomainError, InputError, NoiseMatrix, TimeGrid, euler_ckls,
+    simulate_weighted,
+)
 from ckls import verify
 from ckls.cli import main
 from ckls.verify import (
     CHECKS,
     CheckReport,
+    _mean_se,
     _snapshot_rates,
     check_closed_form_mean,
     check_convergence_ladder,
+    check_martingale,
     check_moment_bounds,
     run_suite,
 )
@@ -60,6 +65,18 @@ def test_convergence_ladder_reports_each_rungs_euler_exits():
     report = check_convergence_ladder(HIGH, n_paths=1000, seed=31)
     assert report.details["exits_per_rung"] == [0, 1, 0, 0, 0]
     assert report.details["nonfinite_paths"] == 0
+
+
+def test_martingale_check_reports_the_novikov_integral():
+    """The martingale check reports the mean of the Novikov integral
+    integral_0^t q^2 ds and its standard error, those of the q_integral_sq
+    of the same weighted run."""
+    report = check_martingale(HIGH, n_steps=16, n_paths=2000, seed=3)
+    grid = TimeGrid(0.5, 16)
+    sample = simulate_weighted(HIGH, grid, NoiseMatrix(3, 2000, grid))
+    mean, se = _mean_se(sample.q_integral_sq)
+    assert report.details["novikov_mean"] == mean
+    assert report.details["novikov_std_error"] == se
 
 
 def test_law_checks_report_cdf_points():
