@@ -5,11 +5,12 @@
 Each layer is timed on its own, at the sizes of the benchmark workloads:
 noise generation, the Euler-weight kernel on noise drawn beforehand (on
 the HIGH set, whose power r^(gamma-1) is a square root, and on the LOW
-set, whose power is a general one), the unweighted Euler kernel and its
-value matrix at the export size, the gamma > 1 auxiliary run at the same
-size (the kernel's "run-off" boundary rule, beside "raise-nan" in the
-weighted kernel and "clamp" in euler_ckls), the noncentral chi-square
-pdf and CDF, the KS statistic against the rate law under each df rule,
+set, whose power is a general one), the whole weighted run with its
+noise draw (which workers >= 2 overlaps with the kernel), the unweighted
+Euler kernel and its value matrix at the export size, the gamma > 1
+auxiliary run at the same size (the kernel's "run-off" boundary rule,
+beside "raise-nan" in the weighted kernel and "clamp" in euler_ckls), the
+noncentral chi-square pdf and CDF, the KS statistic against the rate law under each df rule,
 and the two path writers.  Two cold-start timings launch a fresh
 interpreter per round: `import ckls, ckls.cli`, and the whole user-visible
 job `ckls simulate --mode euler-p` at 200 paths x 16 steps.  Rounds are
@@ -71,9 +72,23 @@ def test_noise_increments(benchmark, grid, n_paths):
 @pytest.mark.parametrize("grid,n_paths", [(SHORT, 50_000), (LONG, 16_384)], ids=["16-steps", "512-steps"])
 @pytest.mark.parametrize("p", [HIGH, LOW], ids=["high", "low"])
 def test_weighted_kernel(benchmark, p, grid, n_paths, workers):
+    """With workers=2 the kernel still runs on one thread, while the pool
+    copies the next block's pre-drawn rows into its buffer."""
     noise = PreDrawn(5, n_paths, grid)
     sample = benchmark.pedantic(
         simulate_weighted, args=(p, grid, noise), kwargs={"workers": workers},
+        rounds=5, warmup_rounds=1,
+    )
+    assert np.isfinite(sample.log_weight).all()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_weighted_job(benchmark, workers):
+    """simulate_weighted on a fresh NoiseMatrix at the mc-long size: the
+    noise draw and the kernel timed together, overlapped with workers=2."""
+    noise = NoiseMatrix(5, 16_384, LONG)
+    sample = benchmark.pedantic(
+        simulate_weighted, args=(HIGH, LONG, noise), kwargs={"workers": workers},
         rounds=5, warmup_rounds=1,
     )
     assert np.isfinite(sample.log_weight).all()

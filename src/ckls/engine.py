@@ -11,6 +11,11 @@ into stream blocks of NOISE_BLOCK rows; block k is one standard_normal
 draw, filled row-major, of the generator keyed by
 SeedSequence(seed, spawn_key=(k,)), so one generator serves a thousand
 rows and its draw runs without the GIL.
+
+Every Euler run is euler_blocks over thread blocks of BLOCK_SIZE paths.
+The kernel runs on the calling thread, a block at a time; with workers
+>= 2 a pool of the other threads draws the next block's noise meanwhile
+(map_noise_blocks), so at most two blocks of noise are resident.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .params import CklsParams, require_transformable
 from .transform import CirParams
 
 __all__ = [
+    "BLOCK_SIZE",
     "BOUNDARY_RULES",
     "NOISE_BLOCK",
     "NOISE_RULE",
@@ -81,6 +87,11 @@ NOISE_RULE = (
 )
 NOISE_STREAM = 2
 
+# Rows per thread block, the default block_size of euler_blocks,
+# map_noise_blocks and girsanov.simulate_weighted: four whole stream
+# blocks, 16 MB of noise at 512 steps.
+BLOCK_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -101,6 +112,13 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_end, self.n_steps + 1)
+
+
+def _row_index(value) -> int:
+    """operator.index, which also takes a bool, refusing one."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"row index must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def _require_integer(name: str, value, low: int = 1) -> None:
@@ -145,8 +163,8 @@ class NoiseMatrix:
         """Realize rows lo..hi (exclusive) as an array of shape (hi-lo, n_steps)."""
         # Python ints: block arithmetic on numpy unsigned counts wraps
         n_paths = int(self.n_paths)
-        lo = operator.index(lo)
-        hi = n_paths if hi is None else operator.index(hi)
+        lo = _row_index(lo)
+        hi = n_paths if hi is None else _row_index(hi)
         if not 0 <= lo <= hi <= n_paths:
             raise ValueError(f"bad row range [{lo}, {hi}) for n_paths={n_paths}")
         out = np.empty((hi - lo, self.grid.n_steps))
@@ -328,13 +346,14 @@ def euler_blocks(
     observers=(),
     boundary: str = "clamp",
     workers: int = 1,
-    block_size: int = 8192,
+    block_size: int = BLOCK_SIZE,
 ) -> dict:
     """The one Euler-Maruyama loop, r <- r + drift(r) dt + diffusion(r) dW,
     run a thread block of paths at a time.
 
     noise is a NoiseMatrix, blocked by map_noise_blocks, or increment
-    rows, run as one block.  ckls_drift is formed in a block buffer, and
+    rows, run as one block; workers and block_size must be integers >= 1
+    either way.  ckls_drift is formed in a block buffer, and
     ckls_diffusion (or its signed form) as (s r) dW in the one array a
     step allocates, s = sign sigma r^(gamma-1); other callables are
     evaluated as given.  One r.min() a step is the floor test, and the
@@ -353,6 +372,8 @@ def euler_blocks(
     """
     if boundary not in BOUNDARY_RULES:
         raise ValueError(f"unknown boundary rule {boundary!r}; one of {BOUNDARY_RULES}")
+    _require_integer("block_size", block_size)
+    _require_integer("workers", workers)
     run_off, raise_nan = boundary == "run-off", boundary == "raise-nan"
     floor = boundary != "none"
     base_drift = isinstance(drift, _CklsDrift)
@@ -566,29 +587,63 @@ def sample_cir_exact(
 def map_noise_blocks(
     noise: NoiseMatrix,
     fn: Callable[[int, int, np.ndarray], dict],
-    block_size: int = 8192,
+    block_size: int = BLOCK_SIZE,
     workers: int = 1,
 ):
     """Apply fn(lo, hi, increments) over row blocks, stitched in block order.
 
     increments is the (hi - lo, n_steps) row-major block of noise rows lo
     to hi; euler_blocks reads it a step at a time through step_columns,
-    and keeps its working arrays per call, so each thread block has its
-    own.  Blocks may run on a thread pool; the returned list is always in
-    block order, so downstream ordered reductions are identical for any
-    worker count.  The default 8192 rows are 8 whole stream blocks: a
-    block size that cuts a stream block gives the same rows, but the cut
-    stream block is drawn by both thread blocks.  block_size and workers
-    must be integers >= 1.
+    and keeps its working arrays per call.  fn runs on the calling
+    thread, one block at a time in block order, so the returned list and
+    any ordered reduction of it are the same for every worker count.
+
+    With workers >= 2, a pool of workers - 1 threads draws the next
+    block's rows while fn runs, one stream block at a time through
+    noise.increments, each piece copied into a buffer this thread
+    allocated and then dropped.  A block that is not ready when fn needs
+    it is finished here: its still-queued pieces are cancelled and drawn
+    on this thread, last first, while the pool takes the first.  So at
+    most two blocks are resident, whatever workers is.  A block size that
+    cuts a stream block gives the same rows, but the cut stream block is
+    drawn for both thread blocks.  block_size and workers must be
+    integers >= 1.
     """
     _require_integer("block_size", block_size)
     _require_integer("workers", workers)
-    ranges = [
-        (lo, min(lo + block_size, noise.n_paths))
-        for lo in range(0, noise.n_paths, block_size)
-    ]
-    if workers <= 1:
+    n_paths = int(noise.n_paths)
+    ranges = [(lo, min(lo + block_size, n_paths)) for lo in range(0, n_paths, block_size)]
+    if workers == 1:
         return [fn(lo, hi, noise.increments(lo, hi)) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(lambda r: fn(r[0], r[1], noise.increments(*r)), r) for r in ranges]
-        return [f.result() for f in futures]
+
+    def fill(dW: np.ndarray, lo: int, a: int, b: int) -> None:
+        dW[a - lo : b - lo] = noise.increments(a, b)
+
+    def queue(lo: int, hi: int):
+        dW = np.empty((hi - lo, noise.grid.n_steps))
+        edges = [lo, *range((lo // NOISE_BLOCK + 1) * NOISE_BLOCK, hi, NOISE_BLOCK), hi]
+        return dW, lo, [(a, b, pool.submit(fill, dW, lo, a, b)) for a, b in zip(edges, edges[1:])]
+
+    def finish(dW: np.ndarray, lo: int, pieces) -> np.ndarray:
+        running = []
+        for a, b, piece in reversed(pieces):
+            if piece.cancel():
+                fill(dW, lo, a, b)
+            else:
+                running.append(piece)
+        for piece in running:
+            piece.result()
+        return dW
+
+    pool = ThreadPoolExecutor(max_workers=workers - 1)
+    try:
+        out = []
+        pending = queue(*ranges[0])
+        for i, (lo, hi) in enumerate(ranges):
+            dW = finish(*pending)
+            pending = queue(*ranges[i + 1]) if i + 1 < len(ranges) else None
+            out.append(fn(lo, hi, dW))
+            del dW  # spent: not resident while the next block is finished
+        return out
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    NoiseMatrix, TimeGrid, ckls_diffusion, ckls_drift, euler_blocks, require_grid_noise,
+    BLOCK_SIZE, NoiseMatrix, TimeGrid, ckls_diffusion, ckls_drift, euler_blocks,
+    require_grid_noise,
 )
 from .errors import DegenerateTransform, DegenerateWeights, InputError
 from .numerics import like_argument, positive_points
@@ -181,16 +182,19 @@ def simulate_weighted(
     grid: TimeGrid,
     noise: NoiseMatrix,
     workers: int = 1,
-    block_size: int = 8192,
+    block_size: int = BLOCK_SIZE,
 ) -> WeightedSample:
     """Simulate the base model and accumulate weights in one streaming pass.
 
-    Blocks are stitched by path index, so statistics do not depend on the
-    worker count.  The rates are engine.euler_blocks' with the base drift
-    and diffusion, those of euler_ckls bit for bit; the weight observer
-    derives q from each step's power s = sigma r^(gamma-1) with
-    drift_adjustment's operations in per-block buffers, and keeps per path
-    the sums of q dW and q^2.  A rate that overflows to +inf gives a NaN
+    The kernel runs on the calling thread over blocks of block_size paths,
+    stitched by path index, so statistics do not depend on the worker
+    count; with workers >= 2, workers - 1 pool threads draw the next
+    block's noise meanwhile (engine.map_noise_blocks), so at most two
+    blocks of noise are resident.  The rates are engine.euler_blocks'
+    with the base drift and diffusion, those of euler_ckls bit for bit;
+    the weight observer derives q from each step's power
+    s = sigma r^(gamma-1) with drift_adjustment's operations in per-block
+    buffers, and keeps per path the sums of q dW and q^2.  A rate that overflows to +inf gives a NaN
     rate one step later; that NaN is returned if it comes from the last
     step, and raises DomainError at the next step otherwise.
     """

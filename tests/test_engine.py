@@ -1,6 +1,8 @@
 """Simulation engine: grids, noise substreams, Euler schemes, exact draws."""
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from ckls import (
     simulate_weighted,
 )
 from ckls.engine import (
+    BLOCK_SIZE,
     NOISE_BLOCK,
     NOISE_RULE,
     NOISE_STREAM,
@@ -43,6 +46,8 @@ from noise_v1 import NoiseV1
 
 HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
 LOW = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=0.75, r0=1.0)
+# near the floor, with a coarse grid: Euler steps overshoot below zero
+CLAMPING = CklsParams(a=0.5, b=5.0, sigma=0.5, gamma=0.5, r0=0.01)
 
 
 class TestTimeGrid:
@@ -97,6 +102,18 @@ class TestNoiseMatrix:
     def test_seed_validation(self):
         with pytest.raises(ValueError):
             NoiseMatrix(-1, 4, TimeGrid(1.0, 4))
+
+    @pytest.mark.parametrize("call", [
+        lambda nm: nm.increments(True, 3),
+        lambda nm: nm.increments(0, True),
+        lambda nm: nm.increments(np.True_, 3),
+        lambda nm: nm.row(True),
+        lambda nm: nm.row(np.False_),
+    ], ids=["lo", "hi", "numpy-lo", "row", "numpy-row"])
+    def test_rejects_bool_indices(self, call):
+        """operator.index takes a bool as 0 or 1; a row index does not."""
+        with pytest.raises(TypeError, match="row index"):
+            call(NoiseMatrix(9, 12, TimeGrid(1.0, 8)))
 
     @given(
         st.sampled_from(["seed", "n_paths"]),
@@ -180,18 +197,102 @@ class TestNoiseOracle:
 @pytest.mark.parametrize("bad", [0, -2, 1.5, True, np.float64(2.0)])
 @pytest.mark.parametrize("run,name", [
     ("simulate_weighted", "workers"), ("simulate_weighted", "block_size"),
-    ("euler_values", "workers"),
+    ("euler_values", "workers"), ("euler_values-rows", "workers"),
+    ("euler_blocks-rows", "block_size"),
 ])
 def test_block_counts_are_integers_from_one(run, name, bad):
     """workers and block_size are rejected unless integers >= 1, before
-    any path is run, by the block runner every Euler run goes through."""
+    any path is run, by the Euler kernel whatever its noise: a
+    NoiseMatrix or increment rows."""
     grid = TimeGrid(0.5, 4)
+    noise = np.zeros((2, 4)) if run.endswith("-rows") else NoiseMatrix(1, 100, grid)
     with pytest.raises(ValueError, match=name):
-        if run == "euler_values":
-            euler_values(ckls_drift(HIGH), ckls_diffusion(HIGH), HIGH.r0, grid.dt,
-                         NoiseMatrix(1, 100, grid), workers=bad)
+        if run.startswith("euler_"):
+            kernel = euler_values if run.startswith("euler_values") else euler_blocks
+            kernel(ckls_drift(HIGH), ckls_diffusion(HIGH), HIGH.r0, grid.dt, noise, **{name: bad})
         else:
-            simulate_weighted(HIGH, grid, NoiseMatrix(1, 100, grid), **{name: bad})
+            simulate_weighted(HIGH, grid, noise, **{name: bad})
+
+
+class NanAtStart(NoiseMatrix):
+    """Rule v2 rows, but path 0 takes a NaN increment at step 0."""
+
+    def increments(self, lo=0, hi=None):
+        out = super().increments(lo, hi)
+        if lo == 0 and len(out):
+            out[0, 0] = np.nan
+        return out
+
+
+class TestDrawAhead:
+    """With workers >= 2 the kernel runs on the calling thread and a pool
+    of the other workers draws the next block's rows; the results do not
+    depend on it."""
+
+    @pytest.mark.parametrize("noise_cls", [NoiseMatrix, NoiseV1], ids=["v2", "v1"])
+    @pytest.mark.parametrize(
+        "block_size,n_paths", [(333, 2500), (BLOCK_SIZE, 2 * BLOCK_SIZE + 700)],
+        ids=["333", "default"],
+    )
+    def test_every_worker_count_is_bit_identical(self, noise_cls, block_size, n_paths):
+        """333-row blocks cut stream blocks; NoiseV1 overrides increments
+        alone, so its rows reach the kernel only if the pool draws through
+        it."""
+        grid = TimeGrid(0.5, 8)
+
+        def run(workers):
+            noise = noise_cls(2024, n_paths, grid)
+            s = simulate_weighted(HIGH, grid, noise, workers=workers, block_size=block_size)
+            values = euler_blocks(
+                ckls_drift(CLAMPING), ckls_diffusion(CLAMPING), CLAMPING.r0, grid.dt, noise,
+                [lambda n: Snapshots(range(grid.n_steps + 1), grid.n_steps, n)],
+                workers=workers, block_size=block_size,
+            )
+            return [s.terminal_rate, s.log_weight, s.q_integral_sq, s.truncations,
+                    values["snapshots"], values["trunc"]]
+
+        serial = run(1)
+        assert serial[-1].sum() > 0
+        for workers in (2, 3, 4):
+            for got, want in zip(run(workers), serial, strict=True):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("noise_cls", [NoiseMatrix, NoiseV1], ids=["v2", "v1"])
+    def test_euler_values_is_bit_identical(self, noise_cls):
+        grid = TimeGrid(0.5, 8)
+        noise = noise_cls(7, 2 * BLOCK_SIZE + 700, grid)
+        args = (ckls_drift(CLAMPING), ckls_diffusion(CLAMPING), CLAMPING.r0, grid.dt, noise)
+        values, exits = euler_values(*args)
+        assert exits.sum() > 0
+        for workers in (2, 3, 4):
+            got_values, got_exits = euler_values(*args, workers=workers)
+            np.testing.assert_array_equal(got_values, values)
+            np.testing.assert_array_equal(got_exits, exits)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_error_in_first_block_joins_the_pool(self):
+        """A NaN rate in block 0 raises DomainError on the calling thread
+        while the pool draws block 1; the pool's threads are gone after."""
+        grid = TimeGrid(0.5, 64)
+        before = threading.active_count()
+        with pytest.raises(DomainError, match="before step 1$"):
+            simulate_weighted(HIGH, grid, NanAtStart(3, 3 * BLOCK_SIZE, grid), workers=2)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_at_most_two_blocks_resident(self, workers):
+        """Peak traced memory of a weighted run stays under 3.25 blocks of
+        noise whatever the worker count: two blocks, the pieces the pool
+        is drawing, and the per-path arrays."""
+        grid = TimeGrid(0.5, 128)
+        noise = NoiseMatrix(5, 32_768, grid)
+        tracemalloc.start()
+        try:
+            simulate_weighted(HIGH, grid, noise, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.25 * BLOCK_SIZE * grid.n_steps * 8
 
 
 def v2_rows(seed, lo, hi, grid):
