@@ -203,6 +203,10 @@ def cmd_density(cfg: RunConfig, x_min: float | None, x_max: float | None, x_poin
         lo_rate, hi_rate = sorted((tr.inverse(lo_level), tr.inverse(hi_level)))
         x_min = x_min if x_min is not None else lo_rate
         x_max = x_max if x_max is not None else hi_rate
+    if not x_points >= 1:
+        raise ConfigError(f"--x-points must be >= 1, got {x_points}")
+    if not 0 < x_min <= x_max < math.inf:
+        raise ConfigError(f"need 0 < x-min <= x-max < inf, got [{x_min}, {x_max}]")
     xs = np.geomspace(x_min, x_max, x_points)
     pdf = rate_density(p, tr, spec, xs)
     cdf = rate_cdf(p, tr, spec, xs)

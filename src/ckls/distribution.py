@@ -54,28 +54,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TransitionSpec:
-    """(scale, df, nonc) fixing the law of Y_t / scale at one time t."""
-
-    t: float
-    scale: float
-    df: float
-    nonc: float
-
-    def __post_init__(self) -> None:
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if not self.df > 0:
-            raise ValueError(f"df must be positive, got {self.df}")
-        if not self.nonc >= 0:
-            raise ValueError(f"nonc must be nonnegative, got {self.nonc}")
-
-    def mean(self) -> float:
-        """E[Y_t] = scale * (df + nonc)."""
-        return self.scale * (self.df + self.nonc)
-
-
-@dataclass(frozen=True)
 class NoncentralChiSq:
     """Noncentral chi-square with df degrees of freedom and noncentrality nonc."""
 
@@ -87,6 +65,23 @@ class NoncentralChiSq:
             raise ValueError(f"df must be positive, got {self.df}")
         if not self.nonc >= 0:
             raise ValueError(f"nonc must be nonnegative, got {self.nonc}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class TransitionSpec(NoncentralChiSq):
+    """The law of Y_t / scale at one time t: a NoncentralChiSq."""
+
+    t: float
+    scale: float
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.scale > 0:
+            raise ValueError(f"scale must be positive, got {self.scale}")
+
+    def mean(self) -> float:
+        """E[Y_t] = scale * (df + nonc)."""
+        return self.scale * (self.df + self.nonc)
 
 
 def transition_spec(
@@ -113,7 +108,7 @@ def transition_spec(
         df = (cir.vol / p.sigma) ** 2
     else:
         raise ValueError(f"unknown delta_rule {delta_rule!r}")
-    return TransitionSpec(t=t, scale=scale, df=df, nonc=nonc)
+    return TransitionSpec(df=df, nonc=nonc, t=t, scale=scale)
 
 
 def noncentral_pdf(d: NoncentralChiSq, x):
@@ -213,8 +208,7 @@ def rate_density(p: CklsParams, tr: Transform, spec: TransitionSpec, x):
     y = tr.f(x) / spec.scale
     # the df < 2 pdf raises at 0; those points are overwritten below
     tail = (y == 0.0) & (tr.gamma > 1.0)
-    d = NoncentralChiSq(df=spec.df, nonc=spec.nonc)
-    dens = noncentral_pdf(d, np.where(tail, 1.0, y))
+    dens = noncentral_pdf(spec, np.where(tail, 1.0, y))
     with np.errstate(over="ignore", invalid="ignore"):
         out = dens * np.abs(tr.fprime(x)) / spec.scale
     out = np.where(tail | (dens == 0.0), 0.0, out)
@@ -229,7 +223,6 @@ def rate_cdf(p: CklsParams, tr: Transform, spec: TransitionSpec, x):
     out = np.where(np.isnan(arr), np.nan, 0.0)
     pos = arr > 0.0
     if np.any(pos):
-        d = NoncentralChiSq(df=spec.df, nonc=spec.nonc)
-        inner = noncentral_cdf(d, tr.f(arr[pos]) / spec.scale)
+        inner = noncentral_cdf(spec, tr.f(arr[pos]) / spec.scale)
         out[pos] = 1.0 - inner if tr.gamma > 1.0 else inner
     return like_argument(out, x)

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distribution import NoncentralChiSq, noncentral_sample, transition_spec
+from .distribution import noncentral_sample, transition_spec
 from .errors import DomainError, InputError, SingularSample
 from .numerics import like_argument, require_horizon, stable_phi
 from .params import CklsParams, require_transformable
@@ -87,9 +87,8 @@ NOISE_RULE = (
 )
 NOISE_STREAM = 2
 
-# Rows per thread block, the default block_size of euler_blocks,
-# map_noise_blocks and girsanov.simulate_weighted: four whole stream
-# blocks, 16 MB of noise at 512 steps.
+# Rows per thread block of map_noise_blocks, so of every Euler run on a
+# NoiseMatrix: four whole stream blocks, 16 MB of noise at 512 steps.
 BLOCK_SIZE = 4096
 
 
@@ -189,20 +188,6 @@ class NoiseMatrix:
 
 
 @dataclass(frozen=True)
-class _CklsDrift:
-    """a - b x, which euler_blocks evaluates into a buffer of its own."""
-
-    p: CklsParams
-
-    def __call__(self, x):
-        return self.p.a - self.p.b * x
-
-    def into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.multiply(self.p.b, x, out=out)
-        return np.subtract(self.p.a, out, out=out)
-
-
-@dataclass(frozen=True)
 class _CklsDiffusion:
     """sign sigma x^gamma as s x from the one power s = sign sigma
     x^(gamma-1), which euler_blocks also hands to its observers."""
@@ -228,7 +213,8 @@ class _CklsDiffusion:
 
 def ckls_drift(p: CklsParams) -> Callable[[np.ndarray], np.ndarray]:
     """Base-measure drift a - b x."""
-    return _CklsDrift(p)
+    a, b = p.a, p.b
+    return lambda x: a - b * x
 
 
 def ckls_diffusion(p: CklsParams) -> Callable[[np.ndarray], np.ndarray]:
@@ -277,15 +263,6 @@ def require_grid_noise(grid: TimeGrid, noise) -> None:
             raise InputError(f"noise drawn on {noise.grid} does not fit {grid}")
     elif np.shape(noise)[-1:] != (grid.n_steps,):
         raise InputError(f"noise of shape {np.shape(noise)} does not fit {grid}")
-
-
-def _as_increments(noise) -> np.ndarray:
-    if isinstance(noise, NoiseMatrix):
-        return noise.increments()
-    dW = np.asarray(noise, dtype=float)
-    if dW.ndim == 1:
-        dW = dW[None, :]
-    return dW
 
 
 def step_columns(dW: np.ndarray):
@@ -346,17 +323,16 @@ def euler_blocks(
     observers=(),
     boundary: str = "clamp",
     workers: int = 1,
-    block_size: int = BLOCK_SIZE,
 ) -> dict:
     """The one Euler-Maruyama loop, r <- r + drift(r) dt + diffusion(r) dW,
     run a thread block of paths at a time.
 
-    noise is a NoiseMatrix, blocked by map_noise_blocks, or increment
-    rows, run as one block; workers and block_size must be integers >= 1
-    either way.  ckls_drift is formed in a block buffer, and
-    ckls_diffusion (or its signed form) as (s r) dW in the one array a
-    step allocates, s = sign sigma r^(gamma-1); other callables are
-    evaluated as given.  One r.min() a step is the floor test, and the
+    noise is a NoiseMatrix, blocked by map_noise_blocks into blocks of
+    BLOCK_SIZE paths, or increment rows, run as one block; workers must
+    be an integer >= 1 either way.  The drift is evaluated as given;
+    ckls_diffusion (or its signed form) is formed as (s r) dW in the one
+    array a step allocates, s = sign sigma r^(gamma-1), and any other
+    diffusion as given.  One r.min() a step is the floor test, and the
     boundary rule, a name in BOUNDARY_RULES, says what a failed test does.
     "clamp" sets the rates below the floor to it and counts them per path;
     "raise-nan" also raises DomainError at a NaN rate before the next step;
@@ -372,18 +348,15 @@ def euler_blocks(
     """
     if boundary not in BOUNDARY_RULES:
         raise ValueError(f"unknown boundary rule {boundary!r}; one of {BOUNDARY_RULES}")
-    _require_integer("block_size", block_size)
     _require_integer("workers", workers)
     run_off, raise_nan = boundary == "run-off", boundary == "raise-nan"
     floor = boundary != "none"
-    base_drift = isinstance(drift, _CklsDrift)
     power = isinstance(diffusion, _CklsDiffusion)
     quiet = {"over": "ignore", "invalid": "ignore"} if run_off else {}
 
     def run_block(lo: int, hi: int, dW: np.ndarray) -> dict:
         n = hi - lo
         r = np.full(n, float(r0))
-        d = np.empty(n)
         trunc = np.zeros(n, dtype=np.int64)
         watch = [make(n) for make in observers]
         low = r0
@@ -394,11 +367,7 @@ def euler_blocks(
                 s = diffusion.power(r) if power else None
                 for obs in watch:
                     obs.step(k, r, s, col)
-                if base_drift:
-                    drift.into(r, d)
-                    d *= dt
-                else:
-                    d = drift(r) * dt
+                d = drift(r) * dt
                 if power:
                     c = diffusion.times(r, s)
                     c *= col
@@ -424,12 +393,10 @@ def euler_blocks(
         return out
 
     if isinstance(noise, NoiseMatrix):
-        blocks = map_noise_blocks(noise, run_block, block_size=block_size, workers=workers)
+        blocks = map_noise_blocks(noise, run_block, workers=workers)
     else:
-        dW = _as_increments(noise)
+        dW = np.atleast_2d(np.asarray(noise, dtype=float))
         blocks = [run_block(0, dW.shape[0], dW)]
-    if len(blocks) == 1:
-        return blocks[0]
     return {key: np.concatenate([b[key] for b in blocks], axis=-1) for key in blocks[0]}
 
 
@@ -580,17 +547,16 @@ def sample_cir_exact(
     noncentral chi-square transition law; independent oracle against
     exact_sqrt_level squared."""
     spec = transition_spec(p, cir, t, delta_rule="derived")
-    d = NoncentralChiSq(df=spec.df, nonc=spec.nonc)
-    return spec.scale * noncentral_sample(d, rng, size)
+    return spec.scale * noncentral_sample(spec, rng, size)
 
 
 def map_noise_blocks(
     noise: NoiseMatrix,
     fn: Callable[[int, int, np.ndarray], dict],
-    block_size: int = BLOCK_SIZE,
     workers: int = 1,
 ):
-    """Apply fn(lo, hi, increments) over row blocks, stitched in block order.
+    """Apply fn(lo, hi, increments) over blocks of BLOCK_SIZE rows (read
+    at each call), stitched in block order.
 
     increments is the (hi - lo, n_steps) row-major block of noise rows lo
     to hi; euler_blocks reads it a step at a time through step_columns,
@@ -604,15 +570,13 @@ def map_noise_blocks(
     allocated and then dropped.  A block that is not ready when fn needs
     it is finished here: its still-queued pieces are cancelled and drawn
     on this thread, last first, while the pool takes the first.  So at
-    most two blocks are resident, whatever workers is.  A block size that
+    most two blocks are resident, whatever workers is.  A BLOCK_SIZE that
     cuts a stream block gives the same rows, but the cut stream block is
-    drawn for both thread blocks.  block_size and workers must be
-    integers >= 1.
+    drawn for both thread blocks.  workers must be an integer >= 1.
     """
-    _require_integer("block_size", block_size)
     _require_integer("workers", workers)
     n_paths = int(noise.n_paths)
-    ranges = [(lo, min(lo + block_size, n_paths)) for lo in range(0, n_paths, block_size)]
+    ranges = [(lo, min(lo + BLOCK_SIZE, n_paths)) for lo in range(0, n_paths, BLOCK_SIZE)]
     if workers == 1:
         return [fn(lo, hi, noise.increments(lo, hi)) for lo, hi in ranges]
 

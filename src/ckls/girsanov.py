@@ -18,13 +18,12 @@ large near small rates, where the a/sigma x^(-gamma) term dominates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .engine import (
-    BLOCK_SIZE, NoiseMatrix, TimeGrid, ckls_diffusion, ckls_drift, euler_blocks,
-    require_grid_noise,
+    NoiseMatrix, TimeGrid, ckls_diffusion, ckls_drift, euler_blocks, require_grid_noise,
 )
 from .errors import DegenerateTransform, DegenerateWeights, InputError
 from .numerics import like_argument, positive_points
@@ -49,14 +48,7 @@ class WeightedEstimate:
     n_paths: int
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "raw_estimate": self.raw_estimate,
-            "raw_std_error": self.raw_std_error,
-            "ess": self.ess,
-            "n_paths": self.n_paths,
-        }
+        return asdict(self)
 
 
 def drift_adjustment(p: CklsParams, x):
@@ -182,21 +174,21 @@ def simulate_weighted(
     grid: TimeGrid,
     noise: NoiseMatrix,
     workers: int = 1,
-    block_size: int = BLOCK_SIZE,
 ) -> WeightedSample:
     """Simulate the base model and accumulate weights in one streaming pass.
 
-    The kernel runs on the calling thread over blocks of block_size paths,
-    stitched by path index, so statistics do not depend on the worker
-    count; with workers >= 2, workers - 1 pool threads draw the next
-    block's noise meanwhile (engine.map_noise_blocks), so at most two
+    The kernel runs on the calling thread over blocks of engine.BLOCK_SIZE
+    paths, stitched by path index, so statistics do not depend on the
+    worker count; with workers >= 2, workers - 1 pool threads draw the
+    next block's noise meanwhile (engine.map_noise_blocks), so at most two
     blocks of noise are resident.  The rates are engine.euler_blocks'
     with the base drift and diffusion, those of euler_ckls bit for bit;
     the weight observer derives q from each step's power
     s = sigma r^(gamma-1) with drift_adjustment's operations in per-block
-    buffers, and keeps per path the sums of q dW and q^2.  A rate that overflows to +inf gives a NaN
-    rate one step later; that NaN is returned if it comes from the last
-    step, and raises DomainError at the next step otherwise.
+    buffers, and keeps per path the sums of q dW and q^2.  A rate that
+    overflows to +inf gives a NaN rate one step later; that NaN is
+    returned if it comes from the last step, and raises DomainError at
+    the next step otherwise.
     """
     if p.gamma == 1.0:
         raise DegenerateTransform("drift adjustment requires gamma != 1")
@@ -204,7 +196,6 @@ def simulate_weighted(
     run = euler_blocks(
         ckls_drift(p), ckls_diffusion(p), p.r0, grid.dt, noise,
         [lambda n: _Weight(p, grid.dt, n)], boundary="raise-nan", workers=workers,
-        block_size=block_size,
     )
     return WeightedSample(
         terminal_rate=run["rate"],

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import RegimeError
 
@@ -70,13 +70,7 @@ class CklsParams:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "sigma": self.sigma,
-            "gamma": self.gamma,
-            "r0": self.r0,
-        }
+        return asdict(self)
 
 
 class GirsanovBranch(enum.Enum):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -88,15 +88,7 @@ class CheckReport:
     elapsed_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "seed": self.seed,
-            "details": self.details,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        return asdict(self)
 
 
 def _status(ok: bool) -> str:

@@ -52,6 +52,10 @@ class TestMeanRate:
 
 
 class TestGronwallBound:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown moment kind 'mean'"):
+            gronwall_bound(LOW, 1.0, "mean")
+
     def test_time_zero_is_initial_power(self):
         assert gronwall_bound(LOW, 0.0, "neg_moment").bound == pytest.approx(
             LOW.r0 ** (-2 * LOW.gamma), rel=1e-14
@@ -242,6 +246,17 @@ class TestScaleFunctionOracle:
 
 
 class TestKsStatistic:
+    @pytest.mark.parametrize("weights,match", [
+        ([1.0, 1.0], "match samples in shape"),
+        ([[1.0, 1.0, 1.0]], "match samples in shape"),
+        ([1.0, 0.0, 1.0], "positive"),
+        ([1.0, -2.0, 1.0], "positive"),
+        ([1.0, math.nan, 1.0], "positive"),
+    ], ids=["short", "2d", "zero", "negative", "nan"])
+    def test_bad_weights_rejected(self, weights, match):
+        with pytest.raises(InputError, match=match):
+            ks_statistic(np.array([0.1, 0.5, 0.9]), lambda x: np.asarray(x), weights=weights)
+
     def test_single_point_against_identity(self):
         res = ks_statistic(np.array([0.5]), lambda x: np.asarray(x))
         assert res.statistic == 0.5

@@ -297,6 +297,20 @@ class TestDensityCommand:
         res = run_cli("--config", cfg, "density")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("args", [
+        ("--x-points", "-1"), ("--x-points", "0"), ("--x-min", "0"), ("--x-min", "-1"),
+        ("--x-min", "nan"), ("--x-max", "inf"), ("--x-min", "2", "--x-max", "1"),
+    ], ids=lambda a: "".join(a))
+    def test_bad_grid_is_a_config_error(self, tmp_path, args):
+        """One line on stderr, exit 1, and no table written."""
+        cfg = write_config(tmp_path)
+        out = tmp_path / "dens.csv"
+        res = run_cli("--config", cfg, "--out", str(out), "density", *args)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr and res.stdout == ""
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_unknown_suite_exit_one(self, tmp_path):

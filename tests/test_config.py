@@ -19,6 +19,20 @@ def base_config():
 
 
 class TestParse:
+    @pytest.mark.parametrize("key", [None, "params", "grid", "output"])
+    @pytest.mark.parametrize("value", [[], "x", 1.0, None])
+    def test_non_object_rejected(self, key, value):
+        """The config itself and its params, grid and output sections must
+        be JSON objects."""
+        obj = base_config()
+        if key is None:
+            obj = value
+        else:
+            obj[key] = value
+        name = "config" if key is None else key
+        with pytest.raises(ConfigError, match=f"^{name} must be an object"):
+            parse_config(obj)
+
     def test_minimal_with_defaults(self):
         cfg = parse_config(base_config())
         assert cfg.params.gamma == 1.5

@@ -16,6 +16,7 @@ from ckls import (
     CklsParams,
     DomainError,
     NoncentralChiSq,
+    TransitionSpec,
     derive_cir,
     exact_sqrt_level,
     make_transform,
@@ -352,6 +353,35 @@ class TestNoncentralSample:
 
 
 class TestTransitionSpec:
+    GOOD = {"df": 1.0, "nonc": 2.0, "t": 1.0, "scale": 0.5}
+
+    @pytest.mark.parametrize("name,value", [
+        ("df", 0.0), ("df", -1.0), ("df", math.nan),
+        ("nonc", -0.5), ("nonc", math.nan),
+        ("scale", 0.0), ("scale", -0.5), ("scale", math.nan),
+    ])
+    def test_bad_values_rejected(self, name, value):
+        """A TransitionSpec is a NoncentralChiSq: both check df and nonc
+        in one place, and the spec also checks its scale."""
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            TransitionSpec(**dict(self.GOOD, **{name: value}))
+        if name != "scale":
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                NoncentralChiSq(**{"df": 1.0, "nonc": 2.0, name: value})
+
+    def test_is_the_law_it_names(self):
+        spec = TransitionSpec(**self.GOOD)
+        assert isinstance(spec, NoncentralChiSq)
+        xs = np.array([0.5, 2.0, 7.0])
+        np.testing.assert_array_equal(
+            noncentral_cdf(spec, xs), noncentral_cdf(NoncentralChiSq(1.0, 2.0), xs)
+        )
+
+    def test_unknown_delta_rule_rejected(self):
+        tr = make_transform(HIGH, 1.0)
+        with pytest.raises(ValueError, match="unknown delta_rule 'exact'"):
+            transition_spec(HIGH, derive_cir(HIGH, tr), 1.0, delta_rule="exact")
+
     def test_high_gamma_frozen_values(self):
         """Oracle: scale equals the accumulated variance of the Gaussian
         sqrt-level, (sigma C/2)^2 * integral_0^t e^(2 b (1-gamma) s) ds,

@@ -18,6 +18,7 @@ from ckls import (
     SingularSample,
     TimeGrid,
     derive_cir,
+    engine,
     euler_auxiliary,
     euler_ckls,
     euler_under_q,
@@ -35,6 +36,7 @@ from ckls.engine import (
     NOISE_RULE,
     NOISE_STREAM,
     Snapshots,
+    auxiliary_drift,
     ckls_diffusion,
     ckls_drift,
     euler_blocks,
@@ -73,6 +75,18 @@ class TestTimeGrid:
 
 
 class TestNoiseMatrix:
+    def test_seed_past_64_bits_rejected(self):
+        g = TimeGrid(1.0, 4)
+        NoiseMatrix(2**64 - 1, 2, g)
+        with pytest.raises(ValueError, match="64-bit unsigned"):
+            NoiseMatrix(2**64, 2, g)
+
+    @pytest.mark.parametrize("lo,hi", [(-1, 2), (3, 2), (0, 6), (6, None)])
+    def test_bad_row_range_rejected(self, lo, hi):
+        nm = NoiseMatrix(1, 5, TimeGrid(1.0, 4))
+        with pytest.raises(ValueError, match="bad row range"):
+            nm.increments(lo, hi)
+
     def test_bit_identical_reruns(self):
         g = TimeGrid(1.0, 16)
         a = NoiseMatrix(42, 20, g).increments()
@@ -187,11 +201,19 @@ class TestNoiseOracle:
         lo, hi = 2**32 - 2, 2**32 + 3
         assert np.array_equal(nm.increments(lo, hi), numpy_rows(2**40 + 9, lo, hi, grid))
 
-    def test_map_noise_blocks_two_workers(self):
+    def test_map_noise_blocks_two_workers(self, monkeypatch):
+        monkeypatch.setattr(engine, "BLOCK_SIZE", 333)
         grid = TimeGrid(1.0, 6)
         nm = NoiseV1(2**63 + 5, 1000, grid)
-        blocks = map_noise_blocks(nm, lambda lo, hi, dW: dW, block_size=333, workers=2)
+        blocks = map_noise_blocks(nm, lambda lo, hi, dW: dW, workers=2)
         assert np.array_equal(np.concatenate(blocks), numpy_rows(2**63 + 5, 0, 1000, grid))
+
+
+def test_auxiliary_drift_rejections():
+    with pytest.raises(DomainError, match="gamma != 1"):
+        auxiliary_drift(CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.0, r0=1.0))
+    with pytest.raises(ValueError, match="unknown auxiliary variant 'printed'"):
+        auxiliary_drift(HIGH, "printed")
 
 
 @pytest.mark.parametrize("bad", [0, -2, 1.5, True, np.float64(2.0)])
@@ -201,12 +223,14 @@ class TestNoiseOracle:
     ("euler_blocks-rows", "block_size"),
 ])
 def test_block_counts_are_integers_from_one(run, name, bad):
-    """workers and block_size are rejected unless integers >= 1, before
-    any path is run, by the Euler kernel whatever its noise: a
-    NoiseMatrix or increment rows."""
+    """workers is rejected unless an integer >= 1, before any path is
+    run, by the Euler kernel whatever its noise: a NoiseMatrix or
+    increment rows.  The block size is engine.BLOCK_SIZE, not an
+    argument, so a block_size keyword is refused whatever its value."""
     grid = TimeGrid(0.5, 4)
     noise = np.zeros((2, 4)) if run.endswith("-rows") else NoiseMatrix(1, 100, grid)
-    with pytest.raises(ValueError, match=name):
+    error = TypeError if name == "block_size" else ValueError
+    with pytest.raises(error, match=name):
         if run.startswith("euler_"):
             kernel = euler_values if run.startswith("euler_values") else euler_blocks
             kernel(ckls_drift(HIGH), ckls_diffusion(HIGH), HIGH.r0, grid.dt, noise, **{name: bad})
@@ -234,19 +258,22 @@ class TestDrawAhead:
         "block_size,n_paths", [(333, 2500), (BLOCK_SIZE, 2 * BLOCK_SIZE + 700)],
         ids=["333", "default"],
     )
-    def test_every_worker_count_is_bit_identical(self, noise_cls, block_size, n_paths):
+    def test_every_worker_count_is_bit_identical(
+        self, noise_cls, block_size, n_paths, monkeypatch
+    ):
         """333-row blocks cut stream blocks; NoiseV1 overrides increments
         alone, so its rows reach the kernel only if the pool draws through
         it."""
+        monkeypatch.setattr(engine, "BLOCK_SIZE", block_size)
         grid = TimeGrid(0.5, 8)
 
         def run(workers):
             noise = noise_cls(2024, n_paths, grid)
-            s = simulate_weighted(HIGH, grid, noise, workers=workers, block_size=block_size)
+            s = simulate_weighted(HIGH, grid, noise, workers=workers)
             values = euler_blocks(
                 ckls_drift(CLAMPING), ckls_diffusion(CLAMPING), CLAMPING.r0, grid.dt, noise,
                 [lambda n: Snapshots(range(grid.n_steps + 1), grid.n_steps, n)],
-                workers=workers, block_size=block_size,
+                workers=workers,
             )
             return [s.terminal_rate, s.log_weight, s.q_integral_sq, s.truncations,
                     values["snapshots"], values["trunc"]]

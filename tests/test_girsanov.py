@@ -22,6 +22,7 @@ from ckls import (
     TimeGrid,
     derive_cir,
     drift_adjustment,
+    engine,
     euler_ckls,
     make_transform,
     simulate_weighted,
@@ -29,7 +30,7 @@ from ckls import (
 )
 from ckls.analysis import ks_statistic
 from ckls.engine import auxiliary_drift, ckls_diffusion, ckls_drift
-from ckls.girsanov import weighted_expectation_arrays
+from ckls.girsanov import WeightedEstimate, _times_exp, weighted_expectation_arrays
 from ckls.numerics import stable_phi
 from noise_v1 import NoiseV1
 
@@ -178,6 +179,22 @@ class TestAccumulateWeight:
 
 
 class TestWeightedExpectation:
+    def test_to_dict_lists_every_field_in_order(self):
+        est = WeightedEstimate(
+            estimate=1.5, std_error=0.1, raw_estimate=1.4, raw_std_error=0.2, ess=90.0,
+            n_paths=100,
+        )
+        d = est.to_dict()
+        assert list(d) == [
+            "estimate", "std_error", "raw_estimate", "raw_std_error", "ess", "n_paths",
+        ]
+        assert WeightedEstimate(**d) == est
+
+    @pytest.mark.parametrize("m", [0.0, 800.0, math.inf, -math.inf])
+    def test_times_exp_of_zero_is_zero(self, m):
+        """0 e^m is 0 even where e^m overflows: never 0 * inf = NaN."""
+        assert _times_exp(0.0, m) == 0.0
+
     def test_unit_weights_reduce_to_plain_mean(self):
         phi = np.array([0.3, 1.7, 2.1, -0.4, 0.9])
         est = weighted_expectation_arrays(np.zeros(5), phi)
@@ -301,6 +318,13 @@ def weighted_sample_digest(s) -> str:
     return h.hexdigest()
 
 
+def test_simulate_weighted_rejects_gamma_one():
+    grid = TimeGrid(0.5, 4)
+    p = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.0, r0=1.0)
+    with pytest.raises(DegenerateTransform, match="gamma != 1"):
+        simulate_weighted(p, grid, NoiseMatrix(1, 3, grid))
+
+
 class TestGoldenWeightedSample:
     """SHA-256 of fixed-seed simulate_weighted arrays on noise rule v1,
     first recorded before the noise rows were seeded in bulk, re-recorded
@@ -316,22 +340,22 @@ class TestGoldenWeightedSample:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name,p", [("high", HIGH), ("low", LOW)])
-    def test_digest(self, name, p, workers):
+    def test_digest(self, name, p, workers, monkeypatch):
+        monkeypatch.setattr(engine, "BLOCK_SIZE", 1024)
         grid = TimeGrid(0.5, 16)
-        s = simulate_weighted(
-            p, grid, NoiseV1(2024, 3000, grid), workers=workers, block_size=1024,
-        )
+        s = simulate_weighted(p, grid, NoiseV1(2024, 3000, grid), workers=workers)
         assert weighted_sample_digest(s) == self.GOLDEN[name]
 
-    def test_readme_recipe(self):
+    def test_readme_recipe(self, monkeypatch):
         """The README's v1 recipe, run as printed, gives the HIGH digest."""
+        monkeypatch.setattr(engine, "BLOCK_SIZE", 1024)
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         blocks = [b.split("```")[0] for b in readme.split("```python\n")[1:]]
         (recipe,) = [b for b in blocks if "class NoiseV1(" in b]
         scope: dict = {}
         exec(recipe, scope)
         grid = TimeGrid(0.5, 16)
-        s = simulate_weighted(HIGH, grid, scope["NoiseV1"](2024, 3000, grid), block_size=1024)
+        s = simulate_weighted(HIGH, grid, scope["NoiseV1"](2024, 3000, grid))
         assert weighted_sample_digest(s) == self.GOLDEN["high"]
 
 
@@ -348,11 +372,10 @@ class TestGoldenWeightedSampleV2:
     @pytest.mark.parametrize("block_size", [1024, 333])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name,p", [("high", HIGH), ("low", LOW)])
-    def test_digest(self, name, p, workers, block_size):
+    def test_digest(self, name, p, workers, block_size, monkeypatch):
+        monkeypatch.setattr(engine, "BLOCK_SIZE", block_size)
         grid = TimeGrid(0.5, 16)
-        s = simulate_weighted(
-            p, grid, NoiseMatrix(2024, 3000, grid), workers=workers, block_size=block_size
-        )
+        s = simulate_weighted(p, grid, NoiseMatrix(2024, 3000, grid), workers=workers)
         assert weighted_sample_digest(s) == self.GOLDEN[name]
 
 
@@ -407,10 +430,11 @@ class TestKernelAgainstReference:
         HIGH, LOW, CklsParams(a=0.5, b=5.0, sigma=0.5, gamma=0.5, r0=0.01),
         CklsParams(a=0.3, b=-0.4, sigma=1.2, gamma=1.25, r0=0.2),
     ])
-    def test_bit_identical(self, p, n_steps):
+    def test_bit_identical(self, p, n_steps, monkeypatch):
+        monkeypatch.setattr(engine, "BLOCK_SIZE", 1000)
         grid = TimeGrid(0.5, n_steps)
         noise = NoiseMatrix(17, 2500, grid)
-        s = simulate_weighted(p, grid, noise, workers=2, block_size=1000)
+        s = simulate_weighted(p, grid, noise, workers=2)
         r, lw, q_int, trunc = reference_weighted_run(p, grid.dt, noise.increments())
         np.testing.assert_array_equal(s.terminal_rate, r)
         np.testing.assert_array_equal(s.log_weight, lw)
@@ -460,13 +484,14 @@ class TestNonFiniteWeightedPaths:
         with pytest.raises(DomainError, match=f"before step {edge_step + 1}$"):
             simulate_weighted(HIGH, grid, noise)
 
-    def test_clamp_count_matches_euler(self):
+    def test_clamp_count_matches_euler(self, monkeypatch):
         """On a set that clamps, the kernel clamps the same steps as
         euler_ckls on the same rows, and ends in the same states."""
+        monkeypatch.setattr(engine, "BLOCK_SIZE", 1000)
         p = CklsParams(a=0.5, b=5.0, sigma=0.5, gamma=0.5, r0=0.01)
         grid = TimeGrid(0.5, 16)
         noise = NoiseMatrix(3, 3000, grid)
-        s = simulate_weighted(p, grid, noise, workers=2, block_size=1000)
+        s = simulate_weighted(p, grid, noise, workers=2)
         values, exits = euler_ckls(p, grid, noise)
         assert s.truncations == exits.sum() == 69
         np.testing.assert_array_equal(s.terminal_rate, values[:, -1])

@@ -130,10 +130,12 @@ def mc_moment(p, t, exponent, n_paths, n_steps, seed, workers=1):
     standard errors, on the 8192-row thread blocks its digests were
     recorded on (they hash each block's arrays)."""
     grid = TimeGrid(t, n_steps)
-    run = engine.euler_blocks(
-        ckls_drift(p), ckls_diffusion(p), p.r0, grid.dt, NoiseMatrix(seed, n_paths, grid),
-        [lambda n: Trapezoid(exponent, grid.dt, n)], workers=workers, block_size=8192,
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "BLOCK_SIZE", 8192)
+        run = engine.euler_blocks(
+            ckls_drift(p), ckls_diffusion(p), p.r0, grid.dt, NoiseMatrix(seed, n_paths, grid),
+            [lambda n: Trapezoid(exponent, grid.dt, n)], workers=workers,
+        )
     terminal, integral = run["terminal"], run["integral"]
     root_n = math.sqrt(n_paths)
     return McMomentResult(
@@ -382,12 +384,13 @@ class TestOneEulerPowerAgainstOldStep:
 
     @pytest.mark.parametrize("stream", [1, 2])
     @pytest.mark.parametrize("name,p", [("high", HIGH), ("low", LOW)])
-    def test_simulate_weighted(self, name, p, stream):
+    def test_simulate_weighted(self, name, p, stream, monkeypatch):
+        monkeypatch.setattr(engine, "BLOCK_SIZE", 1024)
         grid = TimeGrid(0.5, 16)
         noise = (NoiseV1 if stream == 1 else NoiseMatrix)(2024, 3000, grid)
         old = old_weighted_run(p, grid.dt, noise.increments())
         assert weighted_digest(*old) == self.OLD_GOLDEN[f"weighted-v{stream}-{name}"]
-        s = simulate_weighted(p, grid, noise, block_size=1024)
+        s = simulate_weighted(p, grid, noise)
         rate, log_weight, q_integral_sq, truncations = old
         np.testing.assert_allclose(s.terminal_rate, rate, rtol=1e-12, atol=0)
         np.testing.assert_allclose(s.log_weight, log_weight, rtol=0, atol=1e-12)

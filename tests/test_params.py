@@ -22,6 +22,7 @@ from ckls import (
     sample_cir_exact,
     transition_spec,
 )
+from ckls.params import require_transformable
 
 
 HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
@@ -153,6 +154,11 @@ class TestRequireTransformable:
             cir, p, 1.0, np.random.default_rng(0), 3
         ),
     }
+
+    def test_gamma_one_half_is_in_no_branch(self):
+        p = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=0.5, r0=1.0)
+        with pytest.raises(RegimeError, match=r"^gamma = 0.5 <= 1/2"):
+            require_transformable(p)
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     @pytest.mark.parametrize(

@@ -108,6 +108,15 @@ def test_shape_mismatch(writer, bad_times, match, sample, tmp_path):
     assert not dest.exists()
 
 
+@pytest.mark.parametrize("writer", [write_paths_csv, write_paths_binary], ids=["csv", "binary"])
+def test_three_dimensional_values_rejected(writer, sample, tmp_path):
+    dest = tmp_path / "x"
+    match = r"values must be 1- or 2-dimensional, got shape \(2, 5, 1\)"
+    with pytest.raises(InputError, match=match):
+        writer(dest, sample[0], sample[1][:, :, None])
+    assert not dest.exists()
+
+
 class TestBinary:
     def test_roundtrip_exact(self, sample, tmp_path):
         dest = tmp_path / "paths.bin"
@@ -132,6 +141,15 @@ class TestBinary:
         times, values = read_paths_binary(dest)
         assert times.tolist() == [0.5]
         assert values.shape == (4, 1)
+
+    def test_unsupported_version_rejected(self, sample, tmp_path):
+        dest = tmp_path / "paths.bin"
+        write_paths_binary(dest, *sample)
+        raw = bytearray(dest.read_bytes())
+        raw[4] = 2
+        dest.write_bytes(bytes(raw))
+        with pytest.raises(InputError, match="unsupported format version 2"):
+            read_paths_binary(dest)
 
     def test_bad_magic_rejected(self, tmp_path):
         dest = tmp_path / "junk.bin"

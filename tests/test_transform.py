@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from ckls import (
+    CirParams,
     CklsParams,
     DegenerateTransform,
     DomainError,
@@ -135,6 +136,15 @@ class TestTransformProperties:
 
 
 class TestDeriveCir:
+    @pytest.mark.parametrize("name,value", [
+        ("drift_const", 0.0), ("drift_const", math.nan), ("vol", -1.0), ("vol", math.nan),
+        ("y0", 0.0), ("y0", math.nan),
+    ])
+    def test_bad_cir_params_rejected(self, name, value):
+        good = {"drift_const": 0.25, "drift_lin": -0.1, "vol": 1.0, "y0": 1.0}
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            CirParams(**dict(good, **{name: value}))
+
     def test_high_gamma_example(self):
         cir = derive_cir(HIGH, make_transform(HIGH, 1.0))
         assert cir.drift_const == pytest.approx(0.0625, abs=0)
