@@ -8,10 +8,10 @@ satisfies Y_t / L ~ noncentral-chi-square(df, nonc) where
     nonc = Y_0 e^(drift_lin * t) / L                          (squared
            Gaussian mean over variance),
 
-and the degrees of freedom are forced to 4 drift_const / vol^2 = 1 by the
-squared-Gaussian structure ("derived" rule).  The alternative df = C^2
-("paper" rule) is kept as a selectable variant so the goodness-of-fit
-arbitration can document the discrepancy; the two coincide at C = 1.
+and the degrees of freedom are 1.0 by rule, sqrt(Y_t) being Gaussian
+("derived" rule; not 4 drift_const / vol^2, which can round off 1).  The
+alternative df = C^2 ("paper" rule) is kept as a selectable variant so the
+goodness-of-fit arbitration can document the discrepancy; they meet at C = 1.
 
 At df = 1 (the default) Y_t / L = (sqrt(nonc) + Z)^2 with Z standard
 normal, so the law has the closed form
@@ -103,7 +103,7 @@ def transition_spec(
     scale = cir.vol**2 / 4.0 * stable_phi(cir.drift_lin, t)
     nonc = cir.y0 * math.exp(cir.drift_lin * t) / scale
     if delta_rule == "derived":
-        df = 4.0 * cir.drift_const / cir.vol**2
+        df = 1.0
     elif delta_rule == "paper":
         df = (cir.vol / p.sigma) ** 2
     else:

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .distribution import noncentral_sample, transition_spec
-from .errors import DomainError, InputError, SingularSample
+from .errors import DegenerateTransform, DomainError, InputError, SingularSample
 from .numerics import like_argument, require_horizon, stable_phi
 from .params import CklsParams, require_transformable
 from .transform import CirParams
@@ -46,7 +46,6 @@ __all__ = [
     "ckls_drift",
     "ckls_diffusion",
     "auxiliary_drift",
-    "explicit_solution_drift",
     "euler_blocks",
     "euler_exits",
     "euler_values",
@@ -230,29 +229,23 @@ def auxiliary_drift(p: CklsParams, variant: str = "derived") -> Callable:
 
     Variant "derived" is the form obtained by expanding the adjusted drift
     a - b x + q(x) sigma x^gamma with girsanov.drift_adjustment: on both
-    branches it is b x + (gamma sigma^2 / 2) x^(2 gamma - 1), the drift of
-    explicit_solution_drift.  Variant "paper" is the printed auxiliary
-    drift: 2a - b x - (gamma sigma^2 / 2) x^(2 gamma - 1) for gamma > 1 and
-    (gamma sigma / 2) x^(2 gamma - 1) - b x for gamma < 1.
+    branches it is (gamma sigma^2 / 2) x^(2 gamma - 1) + b x, the drift of
+    the SDE the closed-form rate solution satisfies, driven by
+    sign(1-gamma) sigma x^gamma against the transformed-measure noise.
+    Variant "paper" is the printed auxiliary drift: 2a - b x - (gamma
+    sigma^2 / 2) x^(2 gamma - 1) for gamma > 1 and (gamma sigma / 2)
+    x^(2 gamma - 1) - b x for gamma < 1.  gamma = 1 is DegenerateTransform.
     """
     if p.gamma == 1.0:
-        raise DomainError("auxiliary dynamics require gamma != 1")
+        raise DegenerateTransform("auxiliary dynamics require gamma != 1")
     if variant not in ("paper", "derived"):
         raise ValueError(f"unknown auxiliary variant {variant!r}")
     g, s, a, b = p.gamma, p.sigma, p.a, p.b
     if variant == "derived":
-        return explicit_solution_drift(p)
+        return lambda x: 0.5 * g * s**2 * x ** (2.0 * g - 1.0) + b * x
     if g > 1.0:
         return lambda x: 2.0 * a - b * x - 0.5 * g * s**2 * x ** (2.0 * g - 1.0)
     return lambda x: 0.5 * g * s * x ** (2.0 * g - 1.0) - b * x
-
-
-def explicit_solution_drift(p: CklsParams) -> Callable:
-    """Drift of the SDE the closed-form rate solution satisfies:
-    (gamma sigma^2 / 2) x^(2 gamma - 1) + b x, driven by
-    sign(1-gamma) sigma x^gamma against the transformed-measure noise."""
-    g, s, b = p.gamma, p.sigma, p.b
-    return lambda x: 0.5 * g * s**2 * x ** (2.0 * g - 1.0) + b * x
 
 
 def require_grid_noise(grid: TimeGrid, noise) -> None:
@@ -469,11 +462,22 @@ def euler_auxiliary(
 def euler_under_q(p: CklsParams, grid: TimeGrid, noise) -> tuple[np.ndarray, np.ndarray]:
     """Euler-Maruyama for the transformed-measure dynamics consistent with
     the closed-form solution, sharing the given noise rows: the drift of
-    explicit_solution_drift and the diffusion sign(1-gamma) sigma x^gamma.
+    auxiliary_drift(p) and the diffusion sign(1-gamma) sigma x^gamma.
+    RegimeError unless p is transformable, as in explicit_rate_on_grid.
     Returns euler_values' (values, exits), clamped at the floor."""
+    require_transformable(p)
     require_grid_noise(grid, noise)
     diffusion = _CklsDiffusion(p, sign=1.0 if p.gamma < 1.0 else -1.0)
-    return euler_values(explicit_solution_drift(p), diffusion, p.r0, grid.dt, noise)
+    return euler_values(auxiliary_drift(p), diffusion, p.r0, grid.dt, noise)
+
+
+def _ou_draw(p: CklsParams, x0: float, c: float, kappa: float, t: float, z) -> np.ndarray:
+    """x0 e^(c t) + kappa sqrt(phi(2c, t)) Z, the OU process dX = c X dt +
+    kappa dW at time t from X_0 = x0, after the regime and horizon checks."""
+    require_transformable(p)
+    require_horizon(t)
+    std = kappa * math.sqrt(stable_phi(2.0 * c, t))
+    return x0 * math.exp(c * t) + std * np.asarray(z, dtype=float)
 
 
 def exact_sqrt_level(cir: CirParams, p: CklsParams, t: float, z):
@@ -483,11 +487,9 @@ def exact_sqrt_level(cir: CirParams, p: CklsParams, t: float, z):
     rate = drift_lin / 2 and phi the stable exponential integral; the
     rate -> 0 limit is sqrt(Y_0) + (vol/2) sqrt(t) Z.
     """
-    require_transformable(p)
-    require_horizon(t)
-    mean = math.sqrt(cir.y0) * math.exp(0.5 * cir.drift_lin * t)
-    std = 0.5 * cir.vol * math.sqrt(stable_phi(cir.drift_lin, t))
-    return like_argument(mean + std * np.asarray(z, dtype=float), z)
+    return like_argument(
+        _ou_draw(p, math.sqrt(cir.y0), 0.5 * cir.drift_lin, 0.5 * cir.vol, t, z), z
+    )
 
 
 def explicit_rate(p: CklsParams, t: float, z):
@@ -500,13 +502,8 @@ def explicit_rate(p: CklsParams, t: float, z):
     exactly zero (a probability-zero event hit numerically) raises
     SingularSample; callers report and resample.
     """
-    require_transformable(p)
-    require_horizon(t)
     g = p.gamma
-    c = p.b * (1.0 - g)
-    base = p.r0 ** (1.0 - g) * math.exp(c * t) + p.sigma * abs(g - 1.0) * math.sqrt(
-        stable_phi(2.0 * c, t)
-    ) * np.asarray(z, dtype=float)
+    base = _ou_draw(p, p.r0 ** (1.0 - g), p.b * (1.0 - g), p.sigma * abs(g - 1.0), t, z)
     if np.any(base == 0.0):
         raise SingularSample("explicit solution hit a zero base; resample")
     return like_argument(np.abs(base) ** (1.0 / (1.0 - g)), z)

@@ -7,11 +7,12 @@ The change of measure reweights base-measure paths by
 with the drift adjustment q evaluated by the left-point (Ito) rule,
 matching the Euler scheme's filtration alignment.  Under the reweighted
 measure the rate has drift b x + (gamma sigma^2 / 2) x^(2 gamma - 1), the
-drift the closed-form solution solves, so by Ito's formula the level
-f(r) is the square-root diffusion of transform.derive_cir on both
-branches.  (The printed kernel (a/sigma x^(-gamma) - gamma sigma/2
-x^(gamma-1)) sgn(gamma-1) leads elsewhere: for gamma < 1 to a level with
-linear drift -2b(1-gamma), for gamma > 1 to no square-root diffusion.)
+drift the closed-form solution solves (engine.auxiliary_drift, "derived"),
+so by Ito's formula the level f(r) is the square-root diffusion of
+transform.derive_cir, of one degree of freedom, on both branches.  (The
+printed kernel (a/sigma x^(-gamma) - gamma sigma/2 x^(gamma-1))
+sgn(gamma-1) leads elsewhere: for gamma < 1 to a level with linear drift
+-2b(1-gamma), for gamma > 1 to no square-root diffusion.)
 Weights are accumulated in log space and exponentiated once: q(r)^2 is
 large near small rates, where the a/sigma x^(-gamma) term dominates.
 """
@@ -55,7 +56,7 @@ def drift_adjustment(p: CklsParams, x):
     """q(x) = 2b/sigma x^(1-gamma) + gamma sigma/2 x^(gamma-1) - a/sigma x^(-gamma).
 
     The kernel that carries the base drift a - b x to the drift the
-    closed-form solution solves (engine.explicit_solution_drift):
+    closed-form solution solves (engine.auxiliary_drift(p, "derived")):
     q = (b x + gamma sigma^2/2 x^(2 gamma-1) - (a - b x)) / (sigma x^gamma),
     on both branches.  Evaluated from the single power s = sigma x^(gamma-1),
     the one engine.ckls_diffusion multiplies by x, as

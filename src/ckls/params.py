@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 from .errors import RegimeError
@@ -31,7 +32,7 @@ __all__ = [
 class CklsParams:
     """The model quadruple (a, b, sigma, gamma) plus the initial rate r0.
 
-    All five must be finite.
+    All five must be finite real numbers, not bools.
 
     a       drift level (rate/time), must be positive
     b       mean-reversion speed (1/time), any sign
@@ -48,8 +49,11 @@ class CklsParams:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "sigma", "gamma", "r0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.a > 0:
             raise ValueError(f"a must be positive, got {self.a}")
         if not self.sigma > 0:
@@ -61,13 +65,8 @@ class CklsParams:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CklsParams":
-        return cls(
-            a=float(obj["a"]),
-            b=float(obj["b"]),
-            sigma=float(obj["sigma"]),
-            gamma=float(obj["gamma"]),
-            r0=float(obj["r0"]),
-        )
+        """The five values as given, checked by the constructor, not converted."""
+        return cls(a=obj["a"], b=obj["b"], sigma=obj["sigma"], gamma=obj["gamma"], r0=obj["r0"])
 
     def to_dict(self) -> dict:
         return asdict(self)

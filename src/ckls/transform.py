@@ -11,14 +11,16 @@ f is strictly monotone on (0, inf): increasing for gamma < 1, decreasing
 for gamma > 1, and satisfies x^gamma f'(x) = C sqrt(f(x)) sign(1-gamma).
 Under the reweighted measure of the girsanov module, where the rate has
 drift b x + (gamma sigma^2 / 2) x^(2 gamma - 1), mapping the rate through
-f yields a square-root diffusion with constant drift sigma^2 C^2 / 4,
-linear drift 2 b (1-gamma) and volatility sigma C.  Under the base
-measure (drift a - b x) Ito's formula gives the linear drift -2 b (1-gamma)
-instead, plus a term in x^(1 - 2 gamma) from a.
+f yields a square-root diffusion with volatility vol = sigma C, linear
+drift 2 b (1-gamma) and constant drift vol^2 / 4, one degree of freedom.
+Under the base measure (drift a - b x) Ito's formula gives the linear
+drift -2 b (1-gamma) instead, plus a term in x^(1 - 2 gamma) from a.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +40,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Transform:
-    """Frozen power map: the constant C > 0 and the exponent gamma != 1."""
+    """Frozen power map: the constant C > 0 and the exponent gamma != 1.
+
+    Both are finite real numbers, not bools; gamma = 1 has no power
+    transform and raises DegenerateTransform.
+    """
 
     c: float
     gamma: float
+
+    def __post_init__(self) -> None:
+        g, c = self.gamma, self.c
+        if isinstance(g, bool) or not isinstance(g, numbers.Real) or not math.isfinite(g):
+            raise ValueError(f"gamma must be a finite real number, got {g!r}")
+        if g == 1.0:
+            raise DegenerateTransform("gamma = 1: the power transform is undefined")
+        if isinstance(c, bool) or not isinstance(c, numbers.Real) or not 0 < c < math.inf:
+            raise ValueError(f"C must be positive and finite, got {c!r}")
 
     def f(self, x):
         arr = positive_points(x)
@@ -77,18 +92,19 @@ class CirParams:
 
     dY = (drift_const + drift_lin * Y) dt + vol * sqrt(Y) dW,  Y(0) = y0,
 
-    with drift_const = vol^2 / 4 exactly (one degree of freedom in the
-    transition law; see the distribution module).
+    with drift_const = vol^2 / 4, read off vol: one degree of freedom in
+    the transition law, Y the square of a Gaussian (see distribution).
     """
 
-    drift_const: float
     drift_lin: float
     vol: float
     y0: float
 
+    @property
+    def drift_const(self) -> float:
+        return self.vol**2 / 4.0
+
     def __post_init__(self) -> None:
-        if not self.drift_const > 0:
-            raise ValueError(f"drift_const must be positive, got {self.drift_const}")
         if not self.vol > 0:
             raise ValueError(f"vol must be positive, got {self.vol}")
         if not self.y0 > 0:
@@ -105,16 +121,10 @@ def default_c(gamma: float) -> float:
 def make_transform(p: CklsParams, c: float | None = None) -> Transform:
     """Build the power transform for a parameter set.
 
-    c defaults to 2|1-gamma|.  gamma = 1 has no power transform and is
-    rejected with DegenerateTransform.
+    c defaults to 2|1-gamma|; Transform validates it and gamma (gamma = 1
+    raises DegenerateTransform).
     """
-    if p.gamma == 1.0:
-        raise DegenerateTransform("gamma = 1: the power transform is undefined")
-    if c is None:
-        c = default_c(p.gamma)
-    if not 0 < c < np.inf:
-        raise ValueError(f"C must be positive and finite, got {c}")
-    return Transform(c=float(c), gamma=p.gamma)
+    return Transform(c=default_c(p.gamma) if c is None else c, gamma=p.gamma)
 
 
 def derive_cir(p: CklsParams, t: Transform) -> CirParams:
@@ -125,7 +135,6 @@ def derive_cir(p: CklsParams, t: Transform) -> CirParams:
     """
     require_transformable(p)
     return CirParams(
-        drift_const=p.sigma**2 * t.c**2 / 4.0,
         drift_lin=2.0 * p.b * (1.0 - p.gamma),
         vol=p.sigma * t.c,
         y0=t.f(p.r0),

@@ -252,6 +252,25 @@ class TestSimulateCommand:
         ]
         assert len(rows) == 500 and all(v > 0 for v in rows)
 
+    def test_cir_exact_mode_draws_the_squared_gaussian(self, tmp_path):
+        """sigma = 0.3, gamma = 1.1 at the default C: the derived law has
+        df = 1, so the levels are scale (Z + sqrt(nonc))^2 with Z from
+        default_rng([seed, 2]), not the Poisson mixture that a computed
+        df of 0.9999999999999999 would select."""
+        from ckls import CklsParams, derive_cir, make_transform, transition_spec
+
+        params = {"sigma": 0.3, "gamma": 1.1, "C": None}
+        out = tmp_path / "levels.bin"
+        cfg = write_config(tmp_path, params=params, n_paths=200,
+                           output={"format": "binary", "path": str(out)})
+        res = run_cli("--config", cfg, "simulate", "--mode", "cir-exact")
+        assert res.returncode == 0
+        _, values = read_paths_binary(out)
+        p = CklsParams(a=1.0, b=0.2, sigma=0.3, gamma=1.1, r0=1.0)
+        spec = transition_spec(p, derive_cir(p, make_transform(p)), 0.5)
+        z = np.random.default_rng([42, 2]).standard_normal(200)
+        np.testing.assert_array_equal(values[:, 0], spec.scale * (z + np.sqrt(spec.nonc)) ** 2)
+
 
 class TestDensityCommand:
     def test_byte_identical_runs_and_headers(self, tmp_path):
@@ -291,6 +310,31 @@ class TestDensityCommand:
         assert "# delta_rule: derived" in td and "# delta_rule: paper" in tp
         assert "# df: 1.0" in td and "# df: 4.0" in tp
         assert td.splitlines()[8] != tp.splitlines()[8]
+
+    def test_derived_law_takes_the_df_one_form(self, tmp_path):
+        """sigma = 0.3, gamma = 1.5, C = 3, where 4 drift_const / vol^2
+        rounds to 1.0000000000000002: the derived law prints df 1.0, and
+        the cdf column is 1 minus the squared-Gaussian distribution
+        function at f(x) / scale, bit for bit, not chndtr's."""
+        from scipy import special
+
+        from ckls import Transform
+
+        cfg = write_config(tmp_path, params={"sigma": 0.3, "gamma": 1.5, "C": 3.0})
+        out = tmp_path / "dens.csv"
+        res = run_cli("--config", cfg, "--out", str(out), "density", "--x-points", "64")
+        assert res.returncode == 0
+        lines = out.read_text().splitlines()
+        header = dict(line[2:].split(": ", 1) for line in lines if line.startswith("# "))
+        assert header["df"] == "1.0"
+        scale, nonc = float(header["scale"]), float(header["nonc"])
+        x, cdf = np.array([
+            [float(v) for v in line.split(",")[::2]] for line in lines
+            if not line.startswith(("#", "x,"))
+        ]).T
+        s = np.sqrt(Transform(c=3.0, gamma=1.5).f(x) / scale)
+        r = np.sqrt(nonc)
+        np.testing.assert_array_equal(cdf, 1.0 - (special.ndtr(s - r) - special.ndtr(-s - r)))
 
     def test_regime_violation_exit_two(self, tmp_path):
         cfg = write_config(tmp_path, params={"gamma": 0.75, "sigma": 1.0})

@@ -11,6 +11,7 @@ from scipy import integrate, stats
 
 from ckls import (
     CklsParams,
+    DegenerateTransform,
     DomainError,
     InputError,
     NoiseMatrix,
@@ -210,7 +211,7 @@ class TestNoiseOracle:
 
 
 def test_auxiliary_drift_rejections():
-    with pytest.raises(DomainError, match="gamma != 1"):
+    with pytest.raises(DegenerateTransform, match="gamma != 1"):
         auxiliary_drift(CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.0, r0=1.0))
     with pytest.raises(ValueError, match="unknown auxiliary variant 'printed'"):
         auxiliary_drift(HIGH, "printed")
@@ -717,7 +718,7 @@ class TestSampleCirExact:
         """y0 -> 0 kills the noncentrality: draws match scale * chi2(1)."""
         from ckls import CirParams, transition_spec
 
-        cir = CirParams(drift_const=0.0625, drift_lin=-0.2, vol=0.5, y0=1e-12)
+        cir = CirParams(drift_lin=-0.2, vol=0.5, y0=1e-12)
         spec = transition_spec(HIGH, cir, 0.5)
         assert spec.nonc < 1e-9
         draws = sample_cir_exact(cir, HIGH, 0.5, np.random.default_rng(43), 50_000)

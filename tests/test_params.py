@@ -16,6 +16,7 @@ from ckls import (
     Transform,
     classify_regime,
     derive_cir,
+    euler_under_q,
     exact_sqrt_level,
     explicit_rate,
     explicit_rate_on_grid,
@@ -67,6 +68,21 @@ class TestValidation:
 
     def test_dict_roundtrip(self):
         assert CklsParams.from_dict(HIGH.to_dict()) == HIGH
+
+    @pytest.mark.parametrize("name", ["a", "b", "sigma", "gamma", "r0"])
+    @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_rejects_bools(self, name, value):
+        """A bool is not a real parameter, and to_dict would give it back
+        as a bool."""
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            CklsParams(**dict(HIGH.to_dict(), **{name: value}))
+
+    @pytest.mark.parametrize("value", ["1", True], ids=["string", "bool"])
+    def test_from_dict_does_not_convert(self, value):
+        """from_dict hands the values to the checking constructor as they
+        are, without float(), which would take "1" and True."""
+        with pytest.raises(ValueError, match="^a must be a real number"):
+            CklsParams.from_dict(dict(HIGH.to_dict(), a=value))
 
 
 class TestClassifyRegime:
@@ -141,11 +157,14 @@ class TestRequireTransformable:
     """Every operation that needs the change of measure rejects a set
     outside both branches with a RegimeError naming the inequality."""
 
-    CIR = CirParams(drift_const=0.25, drift_lin=-0.1, vol=1.0, y0=1.0)
+    CIR = CirParams(drift_lin=-0.1, vol=1.0, y0=1.0)
     ENTRY_POINTS = {
-        "derive_cir": lambda p, cir: derive_cir(p, Transform(c=1.0, gamma=p.gamma)),
+        # any valid Transform: the check is derive_cir's on p, and
+        # Transform itself refuses gamma = 1
+        "derive_cir": lambda p, cir: derive_cir(p, Transform(c=1.0, gamma=1.5)),
         "transition_spec": lambda p, cir: transition_spec(p, cir, 1.0),
         "exact_sqrt_level": lambda p, cir: exact_sqrt_level(cir, p, 1.0, 0.5),
+        "euler_under_q": lambda p, cir: euler_under_q(p, TimeGrid(1.0, 4), np.zeros((2, 4))),
         "explicit_rate": lambda p, cir: explicit_rate(p, 1.0, 0.5),
         "explicit_rate_on_grid": lambda p, cir: explicit_rate_on_grid(
             p, TimeGrid(1.0, 4), np.zeros((2, 4))
@@ -159,6 +178,13 @@ class TestRequireTransformable:
         p = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=0.5, r0=1.0)
         with pytest.raises(RegimeError, match=r"^gamma = 0.5 <= 1/2"):
             require_transformable(p)
+
+    def test_euler_under_q_at_gamma_one_half(self):
+        """No transformed measure exists at gamma = 1/2, so there are no
+        transformed-measure dynamics to run."""
+        p = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=0.5, r0=1.0)
+        with pytest.raises(RegimeError, match=r"^gamma = 0.5 <= 1/2"):
+            euler_under_q(p, TimeGrid(1.0, 4), np.zeros((2, 4)))
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     @pytest.mark.parametrize(

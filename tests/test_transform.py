@@ -1,6 +1,7 @@
 """The power transform, its derivatives/inverse, and the image diffusion
 coefficients."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,9 +14,12 @@ from ckls import (
     DegenerateTransform,
     DomainError,
     RegimeError,
+    Transform,
+    classify_regime,
     default_c,
     derive_cir,
     make_transform,
+    transition_spec,
 )
 
 HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
@@ -54,10 +58,39 @@ class TestMakeTransform:
         with pytest.raises(ValueError, match="C must be positive and finite"):
             make_transform(HIGH, c)
 
+    def test_bool_c_rejected(self):
+        """C = True is not C = 1."""
+        with pytest.raises(ValueError, match="C must be positive and finite, got True"):
+            make_transform(HIGH, True)
+
     @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
     def test_inverse_identity(self, x):
         tr = make_transform(HIGH, 1.0)
         assert tr.inverse(tr.f(x)) == pytest.approx(x, rel=1e-12)
+
+
+class TestTransformValidation:
+    """Transform checks its own fields, so no Transform gives a
+    sign-folded C, a NaN or a ZeroDivisionError on first use."""
+
+    @pytest.mark.parametrize(
+        "c", [-1.0, 0.0, math.nan, math.inf, True, np.True_],
+        ids=["negative", "zero", "nan", "inf", "bool", "numpy-bool"],
+    )
+    def test_bad_c_rejected(self, c):
+        with pytest.raises(ValueError, match="^C must be positive and finite"):
+            Transform(c=c, gamma=1.5)
+
+    @pytest.mark.parametrize(
+        "gamma", [math.nan, math.inf, True, np.True_], ids=["nan", "inf", "bool", "numpy-bool"]
+    )
+    def test_bad_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="^gamma must be a finite real number"):
+            Transform(c=1.0, gamma=gamma)
+
+    def test_gamma_one_is_degenerate(self):
+        with pytest.raises(DegenerateTransform, match="power transform is undefined"):
+            Transform(c=1.0, gamma=1.0)
 
 
 class TestTransformEval:
@@ -137,11 +170,10 @@ class TestTransformProperties:
 
 class TestDeriveCir:
     @pytest.mark.parametrize("name,value", [
-        ("drift_const", 0.0), ("drift_const", math.nan), ("vol", -1.0), ("vol", math.nan),
-        ("y0", 0.0), ("y0", math.nan),
+        ("vol", -1.0), ("vol", math.nan), ("y0", 0.0), ("y0", math.nan),
     ])
     def test_bad_cir_params_rejected(self, name, value):
-        good = {"drift_const": 0.25, "drift_lin": -0.1, "vol": 1.0, "y0": 1.0}
+        good = {"drift_lin": -0.1, "vol": 1.0, "y0": 1.0}
         with pytest.raises(ValueError, match=f"^{name} must be positive"):
             CirParams(**dict(good, **{name: value}))
 
@@ -171,7 +203,7 @@ class TestDeriveCir:
     def test_drift_const_is_quarter_vol_squared(self, b, sigma, gamma, c):
         p = CklsParams(a=1.0, b=b, sigma=sigma, gamma=gamma, r0=1.0)
         cir = derive_cir(p, make_transform(p, c))
-        assert cir.drift_const == pytest.approx(cir.vol**2 / 4.0, rel=1e-12)
+        assert cir.drift_const == cir.vol**2 / 4.0
         # drift_lin has sign opposite to (gamma-1) * b.  The expected sign is
         # the product of the factors' signs, since the product itself can
         # underflow; drift_lin is read by its sign bit, which IEEE keeps when
@@ -179,6 +211,31 @@ class TestDeriveCir:
         if b != 0:
             expected = -np.sign(gamma - 1.0) * np.sign(b)
             assert math.copysign(1.0, cir.drift_lin) == expected
+
+    def test_has_three_fields(self):
+        """drift_const is read off vol, so no CirParams can carry another
+        (drift_const=1.0 with vol=1.0 would make a derived law of df 4)."""
+        assert [f.name for f in dataclasses.fields(CirParams)] == ["drift_lin", "vol", "y0"]
+        with pytest.raises(TypeError, match="drift_const"):
+            CirParams(drift_const=1.0, drift_lin=-0.1, vol=1.0, y0=1.0)
+
+    @given(
+        b=st.floats(-2, 2),
+        sigma=st.floats(0.05, 2),
+        gamma=st.one_of(st.floats(0.51, 0.99), st.floats(1.01, 2.5)),
+        c=st.floats(0.1, 5),
+    )
+    # 4 drift_const / vol^2 rounds to 1 + 1 ulp at the first example and
+    # to 1 - 1 ulp at the second
+    @example(b=0.2, sigma=0.3, gamma=1.5, c=3.0)
+    @example(b=0.2, sigma=0.3, gamma=1.1, c=default_c(1.1))
+    def test_derived_law_has_one_degree_of_freedom(self, b, sigma, gamma, c):
+        """The derived law is the squared Gaussian on both branches, so
+        its df is exactly 1.0 and it takes the df = 1 closed forms."""
+        p = CklsParams(a=1.0, b=b, sigma=sigma, gamma=gamma, r0=1.0)
+        assume(classify_regime(p).girsanov_valid)
+        cir = derive_cir(p, make_transform(p, c))
+        assert transition_spec(p, cir, 1.0, "derived").df == 1.0
 
     def test_regime_error_names_violation(self):
         p = CklsParams(a=1.0, b=-0.1, sigma=0.5, gamma=0.75, r0=1.0)
