@@ -3,7 +3,8 @@
     python -m pytest benchmarks --benchmark-json BENCH.json
 
 Each layer is timed on its own, at the sizes of the benchmark workloads:
-noise generation, the Euler-weight kernel on noise drawn beforehand (on
+noise generation, one thread block of noise drawn and copied to column
+order (the pool's share of a run with workers >= 2), the Euler-weight kernel on noise drawn beforehand (on
 the HIGH set, whose power r^(gamma-1) is a square root, and on the LOW
 set, whose power is a general one), the whole weighted run with its
 noise draw (which workers >= 2 overlaps with the kernel), the unweighted
@@ -39,6 +40,7 @@ from ckls import (
     make_transform,
     simulate_weighted,
 )
+from ckls.engine import BLOCK_SIZE, map_noise_blocks
 from ckls.distribution import NoncentralChiSq, noncentral_cdf, noncentral_pdf, rate_cdf, transition_spec
 from ckls.pathio import write_paths_binary, write_paths_csv
 
@@ -68,12 +70,26 @@ def test_noise_increments(benchmark, grid, n_paths):
     assert rows.shape == (n_paths, grid.n_steps)
 
 
+@pytest.mark.parametrize("grid", [SHORT, LONG], ids=["16-steps", "512-steps"])
+def test_noise_block(benchmark, grid):
+    """One BLOCK_SIZE-row block through map_noise_blocks on the calling
+    thread: its stream blocks drawn, each copied into the block in column
+    order."""
+    noise = NoiseMatrix(5, BLOCK_SIZE, grid)
+    blocks = benchmark.pedantic(
+        map_noise_blocks, args=(noise, lambda lo, hi, dW: dW), rounds=5, warmup_rounds=1
+    )
+    assert blocks[0].flags.f_contiguous and blocks[0].shape == (BLOCK_SIZE, grid.n_steps)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("grid,n_paths", [(SHORT, 50_000), (LONG, 16_384)], ids=["16-steps", "512-steps"])
 @pytest.mark.parametrize("p", [HIGH, LOW], ids=["high", "low"])
 def test_weighted_kernel(benchmark, p, grid, n_paths, workers):
-    """With workers=2 the kernel still runs on one thread, while the pool
-    copies the next block's pre-drawn rows into its buffer."""
+    """The pre-drawn rows are still copied into column order a block at a
+    time: with workers=2 by the pool, while the kernel runs on the
+    calling thread, and with workers=1 by the calling thread between
+    blocks."""
     noise = PreDrawn(5, n_paths, grid)
     sample = benchmark.pedantic(
         simulate_weighted, args=(p, grid, noise), kwargs={"workers": workers},

@@ -13,15 +13,19 @@ SeedSequence(seed, spawn_key=(k,)), so one generator serves a thousand
 rows and its draw runs without the GIL.
 
 Every Euler run is euler_blocks over thread blocks of BLOCK_SIZE paths.
-The kernel runs on the calling thread, a block at a time; with workers
->= 2 a pool of the other threads draws the next block's noise meanwhile
-(map_noise_blocks), so at most two blocks of noise are resident.
+The kernel runs on the calling thread, a block at a time, and reads each
+block in column order, a step's noise as one contiguous column.  The
+thread that draws a block's rows also transposes them into that order
+(map_noise_blocks): with workers >= 2 a pool of the other threads draws
+and transposes the next block while the kernel runs, so at most two
+blocks of noise are resident.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -69,10 +73,6 @@ POSITIVITY_FLOOR = 1e-12
 # What euler_blocks does with a rate that is not >= the floor; "none"
 # skips the floor test.
 BOUNDARY_RULES = ("clamp", "raise-nan", "run-off", "none")
-
-# Steps step_columns copies at a time: one 64-byte cache line of a
-# float64 noise row.
-STEP_CHUNK = 8
 
 # Rows per stream block.  Part of the rule: changing it changes every
 # row past the first block, so it is not a setting.
@@ -258,30 +258,32 @@ def require_grid_noise(grid: TimeGrid, noise) -> None:
         raise InputError(f"noise of shape {np.shape(noise)} does not fit {grid}")
 
 
+def _copy_rows(dst: np.ndarray, src: np.ndarray) -> None:
+    """dst[...] = src, for a column-ordered dst, a tile of rows at a time.
+
+    A copy of the whole of a row-ordered src reads or writes a whole row
+    apart on every element; a tile of at least 4096 values (32 KB) and 64
+    rows (eight cache lines down each column) stays in cache.  Each floor
+    was the faster of the two on its side of 64 steps.
+    """
+    tile = max(64, 4096 // max(src.shape[1], 1))
+    for i in range(0, src.shape[0], tile):
+        dst[i : i + tile] = src[i : i + tile]
+
+
 def step_columns(dW: np.ndarray):
     """Yield the noise columns dW[:, k] in step order as contiguous arrays.
 
-    A column of a row-major block is strided by a whole row, so reading it
-    misses the cache on every element.  The columns are instead copied
-    STEP_CHUNK steps at a time: each row's next STEP_CHUNK values (one
-    cache line) go as one record into an (n_paths, STEP_CHUNK) buffer,
-    which is then transposed into the (STEP_CHUNK, n_paths) buffer whose
-    rows are yielded.  Both buffers are reused, so a column is valid only
-    until the next one is drawn.  The values are dW's, bit for bit; a dW
-    that is not C-contiguous is copied once first.
+    They are views of dW in column order: a Fortran-ordered dW, as
+    map_noise_blocks hands out, is read as it is, and any other layout
+    is copied to column order once first.  The values are dW's, bit for
+    bit.
     """
-    dW = np.ascontiguousarray(dW)
-    n_paths, n_steps = dW.shape
-    rows = np.empty((n_paths, STEP_CHUNK), dtype=dW.dtype)
-    cols = np.empty((STEP_CHUNK, n_paths), dtype=dW.dtype)
-    for k in range(0, n_steps, STEP_CHUNK):
-        m = min(STEP_CHUNK, n_steps - k)
-        # each row's m values copied as one record: a copy loop restarted
-        # every m values costs more than the memory reads
-        record = np.dtype((np.void, m * dW.itemsize))
-        rows[:, :m].view(record)[...] = dW[:, k : k + m].view(record)
-        cols[:m] = rows[:, :m].T
-        yield from cols[:m]
+    if not dW.flags.f_contiguous:
+        cols = np.empty(dW.shape, dtype=dW.dtype, order="F")
+        _copy_rows(cols, dW)
+        dW = cols
+    yield from dW.T
 
 
 class Snapshots:
@@ -321,12 +323,15 @@ def euler_blocks(
     run a thread block of paths at a time.
 
     noise is a NoiseMatrix, blocked by map_noise_blocks into blocks of
-    BLOCK_SIZE paths, or increment rows, run as one block; workers must
-    be an integer >= 1 either way.  The drift is evaluated as given;
-    ckls_diffusion (or its signed form) is formed as (s r) dW in the one
-    array a step allocates, s = sign sigma r^(gamma-1), and any other
-    diffusion as given.  One r.min() a step is the floor test, and the
-    boundary rule, a name in BOUNDARY_RULES, says what a failed test does.
+    BLOCK_SIZE paths in column order, or increment rows, run as one block
+    (copied to column order once unless Fortran-ordered already); workers
+    must be an integer >= 1 either way.  Each step reads its noise as one
+    contiguous column of the block (step_columns).  The drift is
+    evaluated as given; ckls_diffusion (or its signed form) is formed as
+    (s r) dW in the one array a step allocates, s = sign sigma
+    r^(gamma-1), and any other diffusion as given.  One r.min() a step is
+    the floor test, and the boundary rule, a name in BOUNDARY_RULES, says
+    what a failed test does.
     "clamp" sets the rates below the floor to it and counts them per path;
     "raise-nan" also raises DomainError at a NaN rate before the next step;
     "run-off" sets every rate that is not >= the floor (below it, -inf or
@@ -498,15 +503,33 @@ def explicit_rate(p: CklsParams, t: float, z):
     r_t = | r0^(1-gamma) e^(-(gamma-1) b t)
            + sigma |gamma-1| sqrt(phi(2 b (1-gamma), t)) Z |^(1/(1-gamma))
 
-    The result does not depend on the free transform constant.  A base of
-    exactly zero (a probability-zero event hit numerically) raises
-    SingularSample; callers report and resample.
+    The result does not depend on the free transform constant.  Where the
+    base is not a normal float (r0^(1-gamma) or e^(ct) past the float
+    range, or a base that underflows) it is formed in logs instead
+    (_rate_in_logs).  A base that is zero there too (a probability-zero
+    event hit numerically) raises SingularSample; callers report and
+    resample.
     """
     g = p.gamma
-    base = _ou_draw(p, p.r0 ** (1.0 - g), p.b * (1.0 - g), p.sigma * abs(g - 1.0), t, z)
-    if np.any(base == 0.0):
-        raise SingularSample("explicit solution hit a zero base; resample")
-    return like_argument(np.abs(base) ** (1.0 / (1.0 - g)), z)
+    c, kappa = p.b * (1.0 - g), p.sigma * abs(g - 1.0)
+    try:
+        base = _ou_draw(p, p.r0 ** (1.0 - g), c, kappa, t, z)
+    except OverflowError:  # r0^(1-gamma), e^(ct) or phi(2c, t) past the float range
+        # r0^(1-gamma) overflows only for gamma > 1, transformable, but
+        # before _ou_draw has checked t
+        require_horizon(t)
+        base = np.full(np.shape(z), np.inf)
+    mag = np.abs(base)
+    with np.errstate(divide="ignore"):  # zero bases are formed again below
+        out = np.asarray(mag ** (1.0 / (1.0 - g)))
+    far = _far(mag)
+    if far.any():
+        z_far = np.asarray(z, dtype=float)[far]
+        with np.errstate(divide="ignore"):
+            log_noise = math.log(kappa) + 0.5 * _log_phi(2.0 * c, t) + np.log(np.abs(z_far))
+        log_mean = (1.0 - g) * math.log(p.r0) + c * t
+        out[far] = _rate_in_logs(g, log_mean, log_noise, np.sign(z_far))
+    return like_argument(out, z)
 
 
 def explicit_rate_on_grid(p: CklsParams, grid: TimeGrid, noise) -> np.ndarray:
@@ -519,7 +542,11 @@ def explicit_rate_on_grid(p: CklsParams, grid: TimeGrid, noise) -> np.ndarray:
     the drift written expm1(c dt)/dt X.  Each step has the Gaussian
     transition law of X, so the value at every grid time has the law of
     explicit_rate there, and a one-step grid gives explicit_rate on the
-    same normals.  Returns |X|^(1/(1-gamma)) on the grid.
+    same normals.  Returns |X|^(1/(1-gamma)) on the grid.  X is linear in
+    X_0: where it is not a normal float, the skeleton is run again from 0
+    for its noise part N, and the rate is formed in logs from
+    X_0 e^(c t) + N (_rate_in_logs); left as it is where N itself
+    overflows.
     """
     require_transformable(p)
     require_grid_noise(grid, noise)
@@ -527,10 +554,53 @@ def explicit_rate_on_grid(p: CklsParams, grid: TimeGrid, noise) -> np.ndarray:
     c = p.b * (1.0 - g)
     growth = math.expm1(c * dt) / dt
     vol = p.sigma * abs(g - 1.0) * math.sqrt(stable_phi(2.0 * c, dt) / dt)
-    x, _ = euler_values(
-        lambda x: growth * x, lambda x: vol, p.r0 ** (1.0 - g), dt, noise, boundary="none"
-    )
-    return np.abs(x) ** (1.0 / (1.0 - g))
+
+    def skeleton(x0: float) -> np.ndarray:
+        return euler_values(lambda x: growth * x, lambda x: vol, x0, dt, noise, boundary="none")[0]
+
+    try:
+        x0 = p.r0 ** (1.0 - g)
+    except OverflowError:
+        x0 = math.inf
+    with np.errstate(invalid="ignore"):  # inf - inf where X_0 is inf
+        x = skeleton(x0)
+    mag = np.abs(x)
+    with np.errstate(divide="ignore"):  # zero bases are formed again below
+        out = mag ** (1.0 / (1.0 - g))
+    far = _far(mag)
+    if far.any():
+        n = skeleton(0.0)
+        far &= np.isfinite(n)
+        log_mean = np.broadcast_to((1.0 - g) * math.log(p.r0) + c * grid.times, x.shape)
+        with np.errstate(divide="ignore"):
+            log_noise = np.log(np.abs(n[far]))
+        out[far] = _rate_in_logs(g, log_mean[far], log_noise, np.sign(n[far]))
+    return out
+
+
+def _far(mag: np.ndarray) -> np.ndarray:
+    """Where the magnitude mag is not a normal float: zero, subnormal,
+    infinite or NaN."""
+    return ~((mag >= np.finfo(float).tiny) & (mag < np.inf))
+
+
+def _log_phi(c: float, t: float) -> float:
+    """log stable_phi(c, t), also past the float range of phi; -inf at t = 0."""
+    if c * t > 700.0:
+        return c * t + math.log1p(-math.exp(-c * t)) - math.log(c)
+    return math.log(stable_phi(c, t)) if t > 0 else -math.inf
+
+
+def _rate_in_logs(g: float, log_mean, log_noise, sign) -> np.ndarray:
+    """|e^log_mean + sign e^log_noise|^(1/(1-g)): the closed-form rate from
+    the logs of its base's two terms, scaled by the larger so that neither
+    overflows.  SingularSample where the base is zero."""
+    top = np.maximum(log_mean, log_noise)
+    u = np.exp(log_mean - top) + sign * np.exp(log_noise - top)
+    if np.any(u == 0.0):
+        raise SingularSample("explicit solution hit a zero base; resample")
+    with np.errstate(over="ignore", under="ignore"):
+        return np.exp((top + np.log(np.abs(u))) / (1.0 - g))
 
 
 def sample_cir_exact(
@@ -555,48 +625,55 @@ def map_noise_blocks(
     """Apply fn(lo, hi, increments) over blocks of BLOCK_SIZE rows (read
     at each call), stitched in block order.
 
-    increments is the (hi - lo, n_steps) row-major block of noise rows lo
-    to hi; euler_blocks reads it a step at a time through step_columns,
-    and keeps its working arrays per call.  fn runs on the calling
-    thread, one block at a time in block order, so the returned list and
-    any ordered reduction of it are the same for every worker count.
+    increments is the block of noise rows lo to hi in column order: a
+    Fortran-ordered (hi - lo, width) array, width being that of the rows
+    noise.increments returns, with the rows' values.  euler_blocks reads
+    its columns, a step's noise each, as contiguous views through
+    step_columns, and keeps its working arrays per call.  fn runs on the
+    calling thread, one block at a time in block order, so the returned
+    list and any ordered reduction of it are the same for every worker
+    count.  Each block is a new array, which fn may keep.
 
-    With workers >= 2, a pool of workers - 1 threads draws the next
-    block's rows while fn runs, one stream block at a time through
-    noise.increments, each piece copied into a buffer this thread
-    allocated and then dropped.  A block that is not ready when fn needs
+    A block is drawn one stream block at a time through noise.increments,
+    and each piece is copied into the block in column order (_copy_rows)
+    by the thread that drew it, then dropped.  With workers >= 2, a pool
+    of workers - 1 threads draws the next block while fn runs, into a
+    block this thread allocated.  A block that is not ready when fn needs
     it is finished here: its still-queued pieces are cancelled and drawn
     on this thread, last first, while the pool takes the first.  So at
-    most two blocks are resident, whatever workers is.  A BLOCK_SIZE that
-    cuts a stream block gives the same rows, but the cut stream block is
-    drawn for both thread blocks.  workers must be an integer >= 1.
+    most two blocks are resident, whatever workers is; with workers = 1
+    this thread allocates and draws each block when fn needs it, after
+    the last one is released.  A BLOCK_SIZE that cuts a stream block
+    gives the same rows, but the cut stream block is drawn for both
+    thread blocks.  workers must be an integer >= 1.
     """
     _require_integer("workers", workers)
     n_paths = int(noise.n_paths)
     ranges = [(lo, min(lo + BLOCK_SIZE, n_paths)) for lo in range(0, n_paths, BLOCK_SIZE)]
-    if workers == 1:
-        return [fn(lo, hi, noise.increments(lo, hi)) for lo, hi in ranges]
-
-    def fill(dW: np.ndarray, lo: int, a: int, b: int) -> None:
-        dW[a - lo : b - lo] = noise.increments(a, b)
 
     def queue(lo: int, hi: int):
-        dW = np.empty((hi - lo, noise.grid.n_steps))
+        # with a pool, this thread allocates the block, at the grid's width:
+        # a block that a pool thread allocates can stay resident in that
+        # thread's malloc arena after it is freed
+        block = _ColumnBlock(noise, lo, hi, noise.grid.n_steps if pool else None)
         edges = [lo, *range((lo // NOISE_BLOCK + 1) * NOISE_BLOCK, hi, NOISE_BLOCK), hi]
-        return dW, lo, [(a, b, pool.submit(fill, dW, lo, a, b)) for a, b in zip(edges, edges[1:])]
+        return block, [
+            (a, b, pool.submit(block.fill, a, b) if pool else None)
+            for a, b in zip(edges, edges[1:])
+        ]
 
-    def finish(dW: np.ndarray, lo: int, pieces) -> np.ndarray:
+    def finish(block: _ColumnBlock, pieces) -> np.ndarray:
         running = []
         for a, b, piece in reversed(pieces):
-            if piece.cancel():
-                fill(dW, lo, a, b)
+            if piece is None or piece.cancel():
+                block.fill(a, b)
             else:
                 running.append(piece)
         for piece in running:
             piece.result()
-        return dW
+        return block.dW
 
-    pool = ThreadPoolExecutor(max_workers=workers - 1)
+    pool = ThreadPoolExecutor(max_workers=workers - 1) if workers > 1 else None
     try:
         out = []
         pending = queue(*ranges[0])
@@ -607,4 +684,26 @@ def map_noise_blocks(
             del dW  # spent: not resident while the next block is finished
         return out
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+class _ColumnBlock:
+    """Noise rows lo..hi of a map_noise_blocks block, in column order,
+    filled piece by piece from any thread.  The array dW is allocated at
+    the given width, or else by the first piece drawn; a piece whose rows
+    are of another width (a noise that returns no increments, say)
+    allocates it again at theirs."""
+
+    def __init__(self, noise: NoiseMatrix, lo: int, hi: int, width: int | None = None):
+        self.noise, self.lo, self.hi = noise, lo, hi
+        self.dW = None if width is None else np.empty((hi - lo, width), order="F")
+        self.lock = threading.Lock()
+
+    def fill(self, a: int, b: int) -> None:
+        rows = self.noise.increments(a, b)
+        with self.lock:
+            if self.dW is None or self.dW.shape[1] != rows.shape[1]:
+                self.dW = np.empty((self.hi - self.lo, rows.shape[1]), order="F")
+            dW = self.dW
+        _copy_rows(dW[a - self.lo : b - self.lo], rows)

@@ -180,9 +180,11 @@ def simulate_weighted(
 
     The kernel runs on the calling thread over blocks of engine.BLOCK_SIZE
     paths, stitched by path index, so statistics do not depend on the
-    worker count; with workers >= 2, workers - 1 pool threads draw the
-    next block's noise meanwhile (engine.map_noise_blocks), so at most two
-    blocks of noise are resident.  The rates are engine.euler_blocks'
+    worker count.  It reads each block in column order, a step's noise
+    as one contiguous column; the thread that draws a block's rows also
+    transposes them (engine.map_noise_blocks).  With workers >= 2,
+    workers - 1 pool threads draw and transpose the next block meanwhile,
+    so at most two blocks of noise are resident.  The rates are engine.euler_blocks'
     with the base drift and diffusion, those of euler_ckls bit for bit;
     the weight observer derives q from each step's power
     s = sigma r^(gamma-1) with drift_adjustment's operations in per-block

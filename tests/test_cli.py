@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from ckls.engine import NoiseMatrix
 from ckls.pathio import read_paths_binary
@@ -95,6 +96,7 @@ class TestSimulateCommand:
         assert "truncations" in summary
         assert summary["noise_stream"] == NOISE_RULE_V2
         assert summary["numpy_version"] == np.__version__
+        assert summary["scipy_version"] == scipy.__version__
         assert summary["config"]["params"]["gamma"] == 1.5
         rows = [
             line for line in out.read_text().splitlines()
@@ -377,6 +379,7 @@ class TestVerifyCommand:
         payload = json.loads(res.stdout)
         assert payload["noise_stream"] == NOISE_RULE_V2
         assert payload["numpy_version"] == np.__version__
+        assert payload["scipy_version"] == scipy.__version__
         assert payload["checks"][0]["name"] == "transform-identities"
         assert payload["checks"][0]["status"] == "pass"
 

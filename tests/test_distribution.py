@@ -10,6 +10,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+import scipy
 from scipy import integrate, stats
 
 from ckls import (
@@ -305,6 +306,23 @@ class TestImportCost:
         argv = ["--config", str(cfg), "--out", str(tmp_path / "out.csv"), "simulate", "--mode", mode]
         statement = f"from ckls import cli; assert cli.main({argv!r}) == 0"
         assert self._loaded_after(statement, ("scipy.special",)) == []
+
+    def test_simulate_reports_scipy_version_without_loading_scipy(self, tmp_path):
+        """The summary's scipy_version comes from the installed metadata,
+        not from importing scipy."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "params": {"a": 1.0, "b": 0.2, "sigma": 0.5, "gamma": 1.5, "r0": 1.0},
+            "grid": {"t_end": 0.5, "n_steps": 8},
+            "n_paths": 20,
+            "seed": 42,
+        }))
+        out = tmp_path / "out.csv"
+        argv = ["--config", str(cfg), "--out", str(out), "simulate", "--mode", "euler-p"]
+        statement = f"from ckls import cli; assert cli.main({argv!r}) == 0"
+        assert self._loaded_after(statement, ("scipy",)) == []
+        summary = json.loads((tmp_path / "out.csv.summary.json").read_text())
+        assert summary["scipy_version"] == scipy.__version__
 
     def test_first_cdf_call_loads_scipy_special(self):
         # the import is deferred to the transition law, not removed

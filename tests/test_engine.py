@@ -4,6 +4,7 @@ import math
 import threading
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +46,7 @@ from ckls.engine import (
     map_noise_blocks,
     step_columns,
 )
+from ckls.numerics import stable_phi
 from noise_v1 import NoiseV1
 
 HIGH = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
@@ -307,11 +309,13 @@ class TestDrawAhead:
             simulate_weighted(HIGH, grid, NanAtStart(3, 3 * BLOCK_SIZE, grid), workers=2)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_at_most_two_blocks_resident(self, workers):
         """Peak traced memory of a weighted run stays under 3.25 blocks of
         noise whatever the worker count: two blocks, the pieces the pool
-        is drawing, and the per-path arrays."""
+        is drawing, and the per-path arrays.  With one worker a block is
+        allocated only after the last one is released: one block, the
+        piece being copied into it and the per-path arrays, under 2."""
         grid = TimeGrid(0.5, 128)
         noise = NoiseMatrix(5, 32_768, grid)
         tracemalloc.start()
@@ -320,7 +324,56 @@ class TestDrawAhead:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.25 * BLOCK_SIZE * grid.n_steps * 8
+        bound = 2.0 if workers == 1 else 3.25
+        assert peak < bound * BLOCK_SIZE * grid.n_steps * 8
+
+
+class TestColumnBlocks:
+    """map_noise_blocks hands fn each block in column order: a new
+    Fortran-ordered array with the values of the rows noise.increments
+    returns, for every worker count and for blocks that cut stream
+    blocks or hold a single row."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "block_size,n_paths", [(333, 1000), (BLOCK_SIZE, BLOCK_SIZE + 1)], ids=["333", "default"]
+    )
+    @pytest.mark.parametrize("noise_cls", [NoiseMatrix, NoiseV1], ids=["v2", "v1"])
+    def test_blocks_are_rows_in_column_order(
+        self, noise_cls, block_size, n_paths, workers, monkeypatch
+    ):
+        """333-row blocks cut stream blocks, and both sizes end in a
+        one-row block, which is C- and F-contiguous at once."""
+        monkeypatch.setattr(engine, "BLOCK_SIZE", block_size)
+        grid = TimeGrid(1.0, 6)
+        noise = noise_cls(2**63 + 5, n_paths, grid)
+        spans = []
+
+        def keep(lo, hi, dW):
+            spans.append((lo, hi))
+            return dW
+
+        blocks = map_noise_blocks(noise, keep, workers=workers)
+        assert spans[-1][1] - spans[-1][0] == 1
+        want = noise.increments() if noise_cls is NoiseV1 else v2_rows(2**63 + 5, 0, n_paths, grid)
+        for (lo, hi), dW in zip(spans, blocks, strict=True):
+            assert dW.flags.f_contiguous and dW.shape == (hi - lo, grid.n_steps)
+            np.testing.assert_array_equal(dW, want[lo:hi])
+        assert not any(np.shares_memory(a, b) for a, b in zip(blocks, blocks[1:]))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_width_is_the_rows(self, workers):
+        """Rows of no increments give blocks of no columns, whatever the
+        grid's step count, also where the calling thread allocates the
+        block ahead at the grid's width."""
+
+        class NoSteps(NoiseMatrix):
+            def increments(self, lo=0, hi=None):
+                return np.zeros(((self.n_paths if hi is None else hi) - lo, 0))
+
+        noise = NoSteps(1, 2 * BLOCK_SIZE + 5, TimeGrid(1.0, 6))
+        blocks = map_noise_blocks(noise, lambda lo, hi, dW: dW, workers=workers)
+        assert [b.shape for b in blocks] == [(BLOCK_SIZE, 0), (BLOCK_SIZE, 0), (5, 0)]
 
 
 def v2_rows(seed, lo, hi, grid):
@@ -439,9 +492,11 @@ class TestNoiseStreamV2:
 
 class TestStepColumns:
     """step_columns yields dW's columns in order, bit for bit, for any
-    layout and for step counts on and off the copy-chunk edges."""
+    layout and for step counts on and off the copy-tile edges."""
 
-    @pytest.mark.parametrize("shape", [(5, 1), (3, 7), (10, 8), (4, 9), (1, 33), (0, 5)])
+    @pytest.mark.parametrize(
+        "shape", [(5, 1), (3, 7), (10, 8), (4, 9), (1, 33), (0, 5), (200, 3), (130, 64)]
+    )
     def test_columns_in_order(self, shape):
         a = np.random.default_rng(sum(shape)).standard_normal(shape)
         wide = np.hstack([a, a])
@@ -450,6 +505,10 @@ class TestStepColumns:
             assert len(cols) == shape[1]
             assert all(col.flags.c_contiguous for col in cols)
             np.testing.assert_array_equal(np.array(cols).reshape(shape[::-1]), dW.T)
+
+    def test_column_ordered_input_is_not_copied(self):
+        dW = np.asfortranarray(np.random.default_rng(1).standard_normal((70, 9)))
+        assert all(np.shares_memory(col, dW) for col in step_columns(dW))
 
 
 class TestEulerCkls:
@@ -690,6 +749,122 @@ class TestExplicitRate:
         bad = CklsParams(a=1.0, b=-0.1, sigma=0.5, gamma=0.75, r0=1.0)
         with pytest.raises(RegimeError):
             explicit_rate(bad, 1.0, 0.0)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_bad_horizon_rejected_past_the_float_range(self, t):
+        """r0^(1-gamma) overflows here, and the horizon is still checked."""
+        with pytest.raises(DomainError):
+            explicit_rate(CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=3.0, r0=1e-200), t, 0.0)
+
+
+def mp_rate(p, t, z):
+    """explicit_rate at 40 digits, from the float inputs."""
+    with mpmath.workdps(40):
+        g, b, s = (mpmath.mpf(v) for v in (p.gamma, p.b, p.sigma))
+        c, t = b * (1 - g), mpmath.mpf(t)
+        phi = t if c == 0 or t == 0 else mpmath.expm1(2 * c * t) / (2 * c)
+        base = mpmath.mpf(p.r0) ** (1 - g) * mpmath.exp(c * t) + s * abs(g - 1) * mpmath.sqrt(phi) * z
+        return abs(base) ** (1 / (1 - g))
+
+
+def mp_rate_on_grid(p, grid, dW):
+    """explicit_rate_on_grid at 40 digits: the exact OU skeleton of the
+    base X on the float increments."""
+    with mpmath.workdps(40):
+        g, b, s = (mpmath.mpf(v) for v in (p.gamma, p.b, p.sigma))
+        c, dt = b * (1 - g), mpmath.mpf(grid.t_end) / grid.n_steps
+        vol = s * abs(g - 1) * mpmath.sqrt(mpmath.expm1(2 * c * dt) / (2 * c) / dt)
+        out = []
+        for row in dW:
+            x = mpmath.mpf(p.r0) ** (1 - g)
+            path = [x]
+            for w in row:
+                x = mpmath.exp(c * dt) * x + vol * mpmath.mpf(w)
+                path.append(x)
+            out.append([abs(v) ** (1 / (1 - g)) for v in path])
+        return out
+
+
+def assert_like_mp(got, want, gamma):
+    """Where the 40-digit rate is a normal float, got matches it to 64
+    ulps of the base, amplified by |1/(1-gamma)| or, in the log-space
+    form, by the log of the base's scale (at most 745); past the float
+    range, got is inf or below the normal range."""
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    rtol = 64 * np.finfo(float).eps * max(abs(1.0 / (1.0 - gamma)), 745.0)
+    for g_, w in zip(np.ravel(got).tolist(), want, strict=True):
+        if w > huge:
+            assert g_ == math.inf
+        elif w < tiny:
+            assert 0.0 <= g_ < tiny
+        else:
+            assert abs(g_ - w) <= rtol * w, (g_, w)
+
+
+# gamma near 1 from both sides, with r0 at the ends of the float range
+# (rates near overflow and underflow through a base near 1), and gamma = 3
+# with r0^(1-gamma) past the float range (tiny r0), below it (huge r0,
+# read at t = 0), or r0^(1-gamma) e^(ct) past it (b < 0, a long horizon)
+FAR_CASES = [
+    (1 + 1e-3, 0.2, 1e-300, 0.5),
+    (1 + 1e-3, 0.2, 1e300, 0.5),
+    (1 - 1e-3, 0.2, 1e-300, 0.5),
+    (1 - 1e-3, 0.2, 1e300, 0.5),
+    (1 + 1e-6, 0.2, 1e-300, 50.0),
+    (3.0, 0.2, 1e-300, 0.5),
+    (3.0, 0.2, 1e-170, 50.0),
+    (3.0, 0.2, 1e160, 0.0),
+    (3.0, 0.2, 1e300, 0.0),
+    (3.0, -0.2, 1e-100, 1000.0),
+]
+
+
+class TestExplicitRateRange:
+    """|base|^(1/(1-gamma)) near overflow and underflow, against a 40-digit
+    reference; in the normal range the float form is unchanged."""
+
+    # and e^(ct) itself past the float range, which the grid's noise part
+    # shares (there the grid keeps the float form)
+    @pytest.mark.parametrize("gamma,b,r0,t", [*FAR_CASES, (3.0, -0.2, 1.0, 1800.0)])
+    def test_against_mpmath(self, gamma, b, r0, t):
+        p = CklsParams(a=1.0, b=b, sigma=0.5, gamma=gamma, r0=r0)
+        z = np.array([-8.0, -1.0, 1e-3, 1.0, 8.0])
+        with np.errstate(over="ignore"):
+            got = explicit_rate(p, t, z)
+        assert_like_mp(got, [mp_rate(p, t, v) for v in z], gamma)
+        assert_like_mp(explicit_rate(p, t, 1.0), [mp_rate(p, t, 1.0)], gamma)
+
+    @pytest.mark.parametrize("gamma,b,r0,t", FAR_CASES)
+    def test_grid_against_mpmath(self, gamma, b, r0, t):
+        p = CklsParams(a=1.0, b=b, sigma=0.5, gamma=gamma, r0=r0)
+        grid = TimeGrid(max(t, 1e-300), 4)
+        dW = np.random.default_rng(3).standard_normal((3, 4)) * math.sqrt(grid.dt)
+        with np.errstate(over="ignore"):
+            got = explicit_rate_on_grid(p, grid, dW)
+        assert_like_mp(got, [v for row in mp_rate_on_grid(p, grid, dW) for v in row], gamma)
+
+    def test_normal_range_is_unchanged(self):
+        """The float form |r0^(1-gamma) e^(ct) + kappa sqrt(phi(2c, t)) Z|^(1/(1-gamma)),
+        and on a grid the skeleton from r0^(1-gamma), bit for bit."""
+        rng = np.random.default_rng(17)
+        grid = TimeGrid(0.7, 8)
+        dW = rng.standard_normal((50, 8)) * math.sqrt(grid.dt)
+        for _ in range(200):
+            g = float(rng.choice([rng.uniform(0.51, 0.999), rng.uniform(1.001, 4.0)]))
+            p = CklsParams(a=1.0, b=float(rng.uniform(0.01, 2.0)), sigma=0.5, gamma=g,
+                           r0=float(10.0 ** rng.uniform(-3, 3)))
+            t, z = float(rng.uniform(0.0, 5.0)), rng.standard_normal(50)
+            c = p.b * (1.0 - g)
+            base = (p.r0 ** (1.0 - g) * math.exp(c * t)
+                    + p.sigma * abs(g - 1.0) * math.sqrt(stable_phi(2.0 * c, t)) * z)
+            np.testing.assert_array_equal(explicit_rate(p, t, z), np.abs(base) ** (1.0 / (1.0 - g)))
+            growth = math.expm1(c * grid.dt) / grid.dt
+            vol = p.sigma * abs(g - 1.0) * math.sqrt(stable_phi(2.0 * c, grid.dt) / grid.dt)
+            x, _ = euler_values(lambda x: growth * x, lambda x: vol, p.r0 ** (1.0 - g),
+                                grid.dt, dW, boundary="none")
+            np.testing.assert_array_equal(
+                explicit_rate_on_grid(p, grid, dW), np.abs(x) ** (1.0 / (1.0 - g))
+            )
 
 
 class TestSampleCirExact:
