@@ -1,9 +1,10 @@
 """Command-line surface: regime | simulate | density | verify.
 
 Every command takes --config pointing at a JSON run configuration (see
-the config module) and is deterministic given (config, seed) at a fixed
-worker count.  Exit codes: 0 ok, 1 usage/config error, 2 regime
-violation.
+the config module) and is deterministic given (config, seed), at any
+worker count: every simulate mode draws path i's noise from row i of
+NoiseMatrix under NOISE_RULE.  Exit codes: 0 ok, 1 usage/config error,
+2 regime violation.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .distribution import rate_cdf, rate_density, transition_spec
 from .engine import (
     NOISE_RULE,
     NoiseMatrix,
+    TimeGrid,
     ckls_diffusion,
     ckls_drift,
     euler_auxiliary,
@@ -35,7 +37,6 @@ from .errors import (
     ConfigError,
     DegenerateTransform,
     RegimeError,
-    SingularSample,
     UnknownSuite,
 )
 from .params import classify_regime
@@ -146,7 +147,6 @@ def cmd_simulate(cfg: RunConfig, mode: str, workers: int) -> int:
             ckls_drift(p), ckls_diffusion(p), p.r0, cfg.grid.dt, noise, workers=workers
         )
         summary["truncations"] = int(exits.sum())
-        rule = noise.rule
         times = cfg.grid.times
     elif mode == "auxiliary":
         noise = NoiseMatrix(cfg.seed, cfg.n_paths, cfg.grid)
@@ -162,34 +162,22 @@ def cmd_simulate(cfg: RunConfig, mode: str, workers: int) -> int:
         summary["blowups"] = blowups
         summary["blowup_fraction"] = blowups / cfg.n_paths
         summary["min_over_paths"] = float(values.min())
-        rule = noise.rule
         times = cfg.grid.times
-    elif mode == "explicit-q":
-        rng = np.random.default_rng([cfg.seed, 1])
-        singular = 0
-        while True:
-            z = rng.standard_normal(cfg.n_paths)
-            try:
-                draws = explicit_rate(p, cfg.grid.t_end, z)
-                break
-            except SingularSample:
-                singular += 1  # probability-zero event; redraw the batch
-        summary["singular_resamples"] = singular
-        rule = "numpy default_rng([seed, 1]): PCG64, ziggurat standard_normal"
+    elif mode in ("explicit-q", "cir-exact"):
+        # one standard normal a path: row i of the rule on a unit one-step
+        # grid, whose sqrt(dt) is exactly 1
+        z = NoiseMatrix(cfg.seed, cfg.n_paths, TimeGrid(1.0, 1)).increments()[:, 0]
+        t = cfg.grid.t_end
+        if mode == "explicit-q":
+            draws = explicit_rate(p, t, z)
+        else:
+            draws = sample_cir_exact(derive_cir(p, make_transform(p, cfg.c)), p, t, z)
         values = draws[:, None]
-        times = np.array([cfg.grid.t_end])
-    elif mode == "cir-exact":
-        tr = make_transform(p, cfg.c)
-        cir = derive_cir(p, tr)
-        rng = np.random.default_rng([cfg.seed, 2])
-        draws = sample_cir_exact(cir, p, cfg.grid.t_end, rng, cfg.n_paths)
-        values = np.asarray(draws)[:, None]
-        rule = "numpy default_rng([seed, 2]): PCG64"
-        times = np.array([cfg.grid.t_end])
+        times = np.array([t])
     else:
         raise ConfigError(f"unknown simulate mode {mode!r}")
     summary["seed"] = cfg.seed
-    summary["noise_stream"] = rule
+    summary["noise_stream"] = NOISE_RULE
     summary["numpy_version"] = np.__version__
     summary["elapsed_seconds"] = round(time.perf_counter() - started, 6)
     _write_output(cfg, times, values, summary)

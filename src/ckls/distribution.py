@@ -95,13 +95,19 @@ def transition_spec(
     The time argument is restored in both exponents (the scale must equal
     the accumulated Gaussian variance, which vanishes at t = 0); the
     drift_lin -> 0 degeneracy is handled by the stable limit
-    scale = vol^2 t / 4, nonc = 4 y0 / (vol^2 t).
+    scale = vol^2 t / 4, nonc = 4 y0 / (vol^2 t).  DomainError, naming
+    t, where the scale or the noncentrality is past the float range.
     """
     if not t > 0:
         raise DomainError(f"t must be positive, got {t}")
     require_transformable(p)
-    scale = cir.vol**2 / 4.0 * stable_phi(cir.drift_lin, t)
-    nonc = cir.y0 * math.exp(cir.drift_lin * t) / scale
+    try:
+        scale = cir.vol**2 / 4.0 * stable_phi(cir.drift_lin, t)
+        nonc = cir.y0 * math.exp(cir.drift_lin * t) / scale
+    except OverflowError:  # e^(drift_lin t) past the float range
+        scale = nonc = math.inf
+    if not (scale < math.inf and nonc < math.inf):
+        raise DomainError(f"the law at t = {t} has a scale or nonc past the float range")
     if delta_rule == "derived":
         df = 1.0
     elif delta_rule == "paper":

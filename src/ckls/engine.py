@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .distribution import noncentral_sample, transition_spec
+from .distribution import transition_spec
 from .errors import DegenerateTransform, DomainError, InputError, SingularSample
 from .numerics import like_argument, require_horizon, stable_phi
 from .params import CklsParams, require_transformable
@@ -490,11 +489,20 @@ def exact_sqrt_level(cir: CirParams, p: CklsParams, t: float, z):
 
     sqrt(Y_t) = sqrt(Y_0) e^(rate t) + (vol/2) sqrt(phi(2 rate, t)) Z with
     rate = drift_lin / 2 and phi the stable exponential integral; the
-    rate -> 0 limit is sqrt(Y_0) + (vol/2) sqrt(t) Z.
+    rate -> 0 limit is sqrt(Y_0) + (vol/2) sqrt(t) Z.  Where e^(rate t)
+    or phi(2 rate, t) leaves the float range, the draw is formed as
+    e^(rate t) times the time-scaled draw
+    sqrt(Y_0) + (vol/2) sqrt(-expm1(-2 rate t) / (2 rate)) Z, so it is
+    +-inf, with that draw's sign, where it overflows.
     """
-    return like_argument(
-        _ou_draw(p, math.sqrt(cir.y0), 0.5 * cir.drift_lin, 0.5 * cir.vol, t, z), z
-    )
+    x0, rate, kappa = math.sqrt(cir.y0), 0.5 * cir.drift_lin, 0.5 * cir.vol
+    try:
+        out = _ou_draw(p, x0, rate, kappa, t, z)
+    except OverflowError:  # only for rate t > 0, after _ou_draw's checks
+        std = kappa * math.sqrt(-math.expm1(-2.0 * rate * t) / (2.0 * rate))
+        with np.errstate(over="ignore"):
+            out = (x0 + std * np.asarray(z, dtype=float)) * np.exp(rate * t)
+    return like_argument(out, z)
 
 
 def explicit_rate(p: CklsParams, t: float, z):
@@ -507,8 +515,8 @@ def explicit_rate(p: CklsParams, t: float, z):
     base is not a normal float (r0^(1-gamma) or e^(ct) past the float
     range, or a base that underflows) it is formed in logs instead
     (_rate_in_logs).  A base that is zero there too (a probability-zero
-    event hit numerically) raises SingularSample; callers report and
-    resample.
+    event hit numerically) raises SingularSample for the caller to
+    report.
     """
     g = p.gamma
     c, kappa = p.b * (1.0 - g), p.sigma * abs(g - 1.0)
@@ -603,18 +611,17 @@ def _rate_in_logs(g: float, log_mean, log_noise, sign) -> np.ndarray:
         return np.exp((top + np.log(np.abs(u))) / (1.0 - g))
 
 
-def sample_cir_exact(
-    cir: CirParams,
-    p: CklsParams,
-    t: float,
-    rng: np.random.Generator,
-    size=None,
-):
-    """Exact draw of the transformed level Y_t = scale * X with X from the
-    noncentral chi-square transition law; independent oracle against
-    exact_sqrt_level squared."""
+def sample_cir_exact(cir: CirParams, p: CklsParams, t: float, z):
+    """Exact draw of the transformed level Y_t from standard normals z.
+
+    Under the derived law Y_t / scale is noncentral chi-square of one
+    degree of freedom, (Z + sqrt(nonc))^2, so the draw is
+    scale (z + sqrt(nonc))^2 with scale and nonc from transition_spec:
+    one normal a draw, as for explicit_rate and exact_sqrt_level, and on
+    the same z the square of exact_sqrt_level's draw up to rounding.
+    """
     spec = transition_spec(p, cir, t, delta_rule="derived")
-    return spec.scale * noncentral_sample(spec, rng, size)
+    return like_argument(spec.scale * (np.asarray(z, dtype=float) + math.sqrt(spec.nonc)) ** 2, z)
 
 
 def map_noise_blocks(
@@ -626,13 +633,13 @@ def map_noise_blocks(
     at each call), stitched in block order.
 
     increments is the block of noise rows lo to hi in column order: a
-    Fortran-ordered (hi - lo, width) array, width being that of the rows
-    noise.increments returns, with the rows' values.  euler_blocks reads
-    its columns, a step's noise each, as contiguous views through
-    step_columns, and keeps its working arrays per call.  fn runs on the
-    calling thread, one block at a time in block order, so the returned
-    list and any ordered reduction of it are the same for every worker
-    count.  Each block is a new array, which fn may keep.
+    Fortran-ordered (hi - lo, noise.grid.n_steps) array with the rows'
+    values.  euler_blocks reads its columns, a step's noise each, as
+    contiguous views through step_columns, and keeps its working arrays
+    per call.  fn runs on the calling thread, one block at a time in
+    block order, so the returned list and any ordered reduction of it are
+    the same for every worker count.  Each block is a new array, which fn
+    may keep.
 
     A block is drawn one stream block at a time through noise.increments,
     and each piece is copied into the block in column order (_copy_rows)
@@ -651,27 +658,36 @@ def map_noise_blocks(
     n_paths = int(noise.n_paths)
     ranges = [(lo, min(lo + BLOCK_SIZE, n_paths)) for lo in range(0, n_paths, BLOCK_SIZE)]
 
+    def allocate(lo: int, hi: int) -> np.ndarray:
+        return np.empty((hi - lo, noise.grid.n_steps), order="F")
+
+    def fill(dW: np.ndarray, lo: int, a: int, b: int) -> None:
+        # pieces write disjoint rows, so they need no lock
+        _copy_rows(dW[a - lo : b - lo], noise.increments(a, b))
+
     def queue(lo: int, hi: int):
-        # with a pool, this thread allocates the block, at the grid's width:
-        # a block that a pool thread allocates can stay resident in that
-        # thread's malloc arena after it is freed
-        block = _ColumnBlock(noise, lo, hi, noise.grid.n_steps if pool else None)
+        # with a pool, this thread allocates the block: a block that a pool
+        # thread allocates can stay resident in that thread's malloc arena
+        # after it is freed
+        dW = allocate(lo, hi) if pool else None
         edges = [lo, *range((lo // NOISE_BLOCK + 1) * NOISE_BLOCK, hi, NOISE_BLOCK), hi]
-        return block, [
-            (a, b, pool.submit(block.fill, a, b) if pool else None)
+        return lo, hi, dW, [
+            (a, b, pool.submit(fill, dW, lo, a, b) if pool else None)
             for a, b in zip(edges, edges[1:])
         ]
 
-    def finish(block: _ColumnBlock, pieces) -> np.ndarray:
+    def finish(lo: int, hi: int, dW, pieces) -> np.ndarray:
+        if dW is None:  # one worker: allocated now, after the last block is released
+            dW = allocate(lo, hi)
         running = []
         for a, b, piece in reversed(pieces):
             if piece is None or piece.cancel():
-                block.fill(a, b)
+                fill(dW, lo, a, b)
             else:
                 running.append(piece)
         for piece in running:
             piece.result()
-        return block.dW
+        return dW
 
     pool = ThreadPoolExecutor(max_workers=workers - 1) if workers > 1 else None
     try:
@@ -686,24 +702,3 @@ def map_noise_blocks(
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-
-
-class _ColumnBlock:
-    """Noise rows lo..hi of a map_noise_blocks block, in column order,
-    filled piece by piece from any thread.  The array dW is allocated at
-    the given width, or else by the first piece drawn; a piece whose rows
-    are of another width (a noise that returns no increments, say)
-    allocates it again at theirs."""
-
-    def __init__(self, noise: NoiseMatrix, lo: int, hi: int, width: int | None = None):
-        self.noise, self.lo, self.hi = noise, lo, hi
-        self.dW = None if width is None else np.empty((hi - lo, width), order="F")
-        self.lock = threading.Lock()
-
-    def fill(self, a: int, b: int) -> None:
-        rows = self.noise.increments(a, b)
-        with self.lock:
-            if self.dW is None or self.dW.shape[1] != rows.shape[1]:
-                self.dW = np.empty((self.hi - self.lo, rows.shape[1]), order="F")
-            dW = self.dW
-        _copy_rows(dW[a - self.lo : b - self.lo], rows)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
+from ckls.cli import SIM_MODES
 from ckls.engine import NoiseMatrix
 from ckls.pathio import read_paths_binary
 
@@ -256,10 +257,9 @@ class TestSimulateCommand:
 
     def test_cir_exact_mode_draws_the_squared_gaussian(self, tmp_path):
         """sigma = 0.3, gamma = 1.1 at the default C: the derived law has
-        df = 1, so the levels are scale (Z + sqrt(nonc))^2 with Z from
-        default_rng([seed, 2]), not the Poisson mixture that a computed
-        df of 0.9999999999999999 would select."""
-        from ckls import CklsParams, derive_cir, make_transform, transition_spec
+        df = 1, so the levels are scale (Z + sqrt(nonc))^2 with Z path i's
+        standard normal, row i of the noise rule on a unit one-step grid."""
+        from ckls import CklsParams, TimeGrid, derive_cir, make_transform, transition_spec
 
         params = {"sigma": 0.3, "gamma": 1.1, "C": None}
         out = tmp_path / "levels.bin"
@@ -270,8 +270,85 @@ class TestSimulateCommand:
         _, values = read_paths_binary(out)
         p = CklsParams(a=1.0, b=0.2, sigma=0.3, gamma=1.1, r0=1.0)
         spec = transition_spec(p, derive_cir(p, make_transform(p)), 0.5)
-        z = np.random.default_rng([42, 2]).standard_normal(200)
+        z = NoiseMatrix(42, 200, TimeGrid(1.0, 1)).increments()[:, 0]
         np.testing.assert_array_equal(values[:, 0], spec.scale * (z + np.sqrt(spec.nonc)) ** 2)
+
+
+class TestOneNoiseRule:
+    """Every simulate mode draws path i from row i of NoiseMatrix under
+    the one rule; the closed-form modes use one standard normal a path."""
+
+    @staticmethod
+    def simulate(tmp_path, capsys, mode, *opts, name="out.bin", **overrides):
+        """Run simulate in-process to a binary file: (summary, values)."""
+        from ckls import cli
+
+        out = tmp_path / name
+        cfg = write_config(tmp_path, name=f"{name}.json",
+                           output={"format": "binary", "path": str(out)}, **overrides)
+        assert cli.main(["--config", cfg, *opts, "simulate", "--mode", mode]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        return summary, read_paths_binary(out)[1]
+
+    @pytest.mark.parametrize("mode", SIM_MODES)
+    def test_every_mode_echoes_the_rule(self, tmp_path, capsys, mode):
+        summary, _ = self.simulate(tmp_path, capsys, mode)
+        assert summary["noise_stream"] == NOISE_RULE_V2
+        assert "singular_resamples" not in summary
+
+    @pytest.mark.parametrize("t_end", [0.5, 3.0])
+    @pytest.mark.parametrize("gamma", [0.6, 0.75, 1.5, 3.0])
+    def test_cir_exact_is_f_of_explicit_q(self, tmp_path, capsys, gamma, t_end):
+        """On the same normals the level is f of the rate, path by path."""
+        from ckls import CklsParams, make_transform
+
+        opts = {"params": {"gamma": gamma, "C": None}, "n_paths": 3000,
+                "grid": {"t_end": t_end, "n_steps": 1}}
+        _, rates = self.simulate(tmp_path, capsys, "explicit-q", name="q.bin", **opts)
+        _, levels = self.simulate(tmp_path, capsys, "cir-exact", name="y.bin", **opts)
+        p = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=gamma, r0=1.0)
+        np.testing.assert_allclose(levels, make_transform(p).f(rates), rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("mode", ["explicit-q", "cir-exact"])
+    def test_path_i_does_not_depend_on_the_path_count(self, tmp_path, capsys, mode):
+        """1500 paths cross the first 1024-row stream block."""
+        _, few = self.simulate(tmp_path, capsys, mode, name="few.bin", n_paths=1500)
+        _, many = self.simulate(tmp_path, capsys, mode, name="many.bin", n_paths=3000)
+        np.testing.assert_array_equal(many[:1500], few)
+
+    @pytest.mark.parametrize("mode", ["explicit-q", "cir-exact"])
+    def test_path_i_does_not_depend_on_workers(self, tmp_path, capsys, mode):
+        _, one = self.simulate(tmp_path, capsys, mode, "--workers", "1", name="w1.bin",
+                               n_paths=3000)
+        _, three = self.simulate(tmp_path, capsys, mode, "--workers", "3", name="w3.bin",
+                                 n_paths=3000)
+        np.testing.assert_array_equal(one, three)
+
+    def test_singular_sample_is_one_line(self, tmp_path, capsys, monkeypatch):
+        """A zero base is not redrawn: the error ends the run in one line."""
+        from ckls import SingularSample, cli
+
+        def singular(*args):
+            raise SingularSample("explicit solution hit a zero base; resample")
+
+        monkeypatch.setattr(cli, "explicit_rate", singular)
+        out = tmp_path / "q.csv"
+        cfg = write_config(tmp_path, output={"path": str(out)})
+        assert cli.main(["--config", cfg, "simulate", "--mode", "explicit-q"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["density"], ["simulate", "--mode", "cir-exact"]])
+    def test_long_horizon_is_one_line(self, tmp_path, command):
+        """LOW at t = 7200: the level law's scale is past the float range."""
+        cfg = write_config(tmp_path, params={"gamma": 0.75, "C": None},
+                           grid={"t_end": 7200.0, "n_steps": 4},
+                           output={"path": str(tmp_path / "out.csv")})
+        res = run_cli("--config", cfg, *command)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        assert "t = 7200.0" in res.stderr and "Traceback" not in res.stderr
 
 
 class TestDensityCommand:

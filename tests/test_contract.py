@@ -12,10 +12,14 @@ for all four argument kinds; they were recorded before the rules moved
 into ckls.numerics and must not change.
 """
 
+import ast
 import hashlib
 import importlib
+import io
 import math
 import pkgutil
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,3 +252,22 @@ def test_every_export_is_defined():
         module = importlib.import_module(f"ckls.{info.name}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, f"ckls.{info.name}.__all__ names undefined {missing}"
+
+
+def test_private_streams_only_in_the_pinned_checks():
+    """default_rng, a noise stream outside NoiseMatrix's rule, is named in
+    code only by the two verify checks whose KS values are pinned."""
+    owners = set()
+    for path in sorted(Path(ckls.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        funcs = [
+            node for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.NAME and tok.string == "default_rng":
+                line = tok.start[0]
+                inner = [f for f in funcs if f.lineno <= line <= f.end_lineno]
+                owner = max(inner, key=lambda f: f.lineno).name if inner else "<module>"
+                owners.add(f"{path.stem}.{owner}")
+    assert owners == {"verify._law_ks", "verify.check_ncx2_battery"}

@@ -465,6 +465,15 @@ class TestTransitionSpec:
         with pytest.raises(DomainError):
             transition_spec(HIGH, cir, 0.0)
 
+    def test_law_past_the_float_range_rejected(self):
+        """LOW at t = 7200: e^(drift_lin t) overflows, a DomainError naming
+        t rather than an OverflowError; at t = 7000 the law is finite."""
+        cir = derive_cir(LOW, make_transform(LOW))
+        spec = transition_spec(LOW, cir, 7000.0)
+        assert math.isfinite(spec.scale) and math.isfinite(spec.nonc)
+        with pytest.raises(DomainError, match=r"t = 7200\.0"):
+            transition_spec(LOW, cir, 7200.0)
+
 
 class TestRateDensity:
     @pytest.mark.parametrize("p,c", [(HIGH, 1.0), (LOW, 0.5)])

@@ -361,20 +361,6 @@ class TestColumnBlocks:
             np.testing.assert_array_equal(dW, want[lo:hi])
         assert not any(np.shares_memory(a, b) for a, b in zip(blocks, blocks[1:]))
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_width_is_the_rows(self, workers):
-        """Rows of no increments give blocks of no columns, whatever the
-        grid's step count, also where the calling thread allocates the
-        block ahead at the grid's width."""
-
-        class NoSteps(NoiseMatrix):
-            def increments(self, lo=0, hi=None):
-                return np.zeros(((self.n_paths if hi is None else hi) - lo, 0))
-
-        noise = NoSteps(1, 2 * BLOCK_SIZE + 5, TimeGrid(1.0, 6))
-        blocks = map_noise_blocks(noise, lambda lo, hi, dW: dW, workers=workers)
-        assert [b.shape for b in blocks] == [(BLOCK_SIZE, 0), (BLOCK_SIZE, 0), (5, 0)]
-
 
 def v2_rows(seed, lo, hi, grid):
     """Oracle: whole NOISE_BLOCK-row draws of the block generators, sliced
@@ -700,6 +686,25 @@ class TestExactSqrtLevel:
         analytic_std = exact_sqrt_level(cir, HIGH, 1.0, 1.0) - exact_sqrt_level(cir, HIGH, 1.0, 0.0)
         assert analytic_std**2 == pytest.approx(oracle, rel=1e-12)
 
+    def test_past_the_float_range(self):
+        """LOW at t = 10000: phi(2 rate, t) overflows, yet the draw is
+        representable and matches a 40-digit reference; at t = 20000
+        e^(rate t) overflows too, and the draw is +-inf with the sign of
+        the time-scaled draw."""
+        cir = derive_cir(LOW, make_transform(LOW))
+        rate, kappa = 0.5 * cir.drift_lin, 0.5 * cir.vol
+        z = [1.0, -3.0, -1e3]
+        got = exact_sqrt_level(cir, LOW, 10_000.0, z)
+        with mpmath.workdps(40):
+            r, t = mpmath.mpf(rate), mpmath.mpf(10_000)
+            std = kappa * mpmath.sqrt(mpmath.expm1(2 * r * t) / (2 * r))
+            want = [float(mpmath.sqrt(cir.y0) * mpmath.exp(r * t) + std * v) for v in z]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        np.testing.assert_array_equal(
+            exact_sqrt_level(cir, LOW, 20_000.0, z), [np.inf, -np.inf, -np.inf]
+        )
+        assert exact_sqrt_level(cir, LOW, 20_000.0, 1.0) == math.inf
+
     def test_errors(self):
         cir = derive_cir(HIGH, make_transform(HIGH, 1.0))
         with pytest.raises(DomainError):
@@ -875,17 +880,30 @@ class TestSampleCirExact:
         n = 100_000
         z = np.random.default_rng(31).standard_normal(n)
         a = exact_sqrt_level(cir, HIGH, 0.5, z) ** 2
-        b = sample_cir_exact(cir, HIGH, 0.5, np.random.default_rng(37), n)
+        b = sample_cir_exact(cir, HIGH, 0.5, np.random.default_rng(37).standard_normal(n))
         res = stats.ks_2samp(a, b)
         # two-sample 1% critical: c(0.01) sqrt(2/n)
         assert res.statistic < 1.6276 * math.sqrt(2.0 / n)
+
+    @pytest.mark.parametrize("p", [HIGH, LOW], ids=["high", "low"])
+    def test_is_the_squared_sqrt_level(self, p):
+        """On the same normals, exact_sqrt_level squared, up to rounding;
+        a float for a float, an array otherwise."""
+        cir = derive_cir(p, make_transform(p))
+        z = [-4.0, -0.3, 0.0, 1.7]
+        np.testing.assert_allclose(
+            sample_cir_exact(cir, p, 0.8, z), exact_sqrt_level(cir, p, 0.8, z) ** 2, rtol=1e-12
+        )
+        assert isinstance(sample_cir_exact(cir, p, 0.8, 0.5), float)
 
     def test_mean_identity(self):
         from ckls import transition_spec
 
         cir = derive_cir(HIGH, make_transform(HIGH, 1.0))
         spec = transition_spec(HIGH, cir, 0.5)
-        draws = sample_cir_exact(cir, HIGH, 0.5, np.random.default_rng(41), 100_000)
+        draws = sample_cir_exact(
+            cir, HIGH, 0.5, np.random.default_rng(41).standard_normal(100_000)
+        )
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - spec.mean()) <= 3.0 * se
 
@@ -896,7 +914,9 @@ class TestSampleCirExact:
         cir = CirParams(drift_lin=-0.2, vol=0.5, y0=1e-12)
         spec = transition_spec(HIGH, cir, 0.5)
         assert spec.nonc < 1e-9
-        draws = sample_cir_exact(cir, HIGH, 0.5, np.random.default_rng(43), 50_000)
+        draws = sample_cir_exact(
+            cir, HIGH, 0.5, np.random.default_rng(43).standard_normal(50_000)
+        )
         ks = stats.kstest(draws / spec.scale, lambda x: stats.chi2.cdf(x, 1.0))
         assert ks.statistic < 1.6276 / math.sqrt(50_000)
 

@@ -29,8 +29,8 @@ from ckls import (
     transition_spec,
 )
 from ckls.analysis import ks_statistic
-from ckls.engine import auxiliary_drift, ckls_diffusion, ckls_drift
-from ckls.girsanov import WeightedEstimate, _times_exp, weighted_expectation_arrays
+from ckls.engine import auxiliary_drift, ckls_diffusion, ckls_drift, euler_blocks
+from ckls.girsanov import WeightedEstimate, _Weight, _times_exp, weighted_expectation_arrays
 from ckls.numerics import stable_phi
 from noise_v1 import NoiseV1
 
@@ -124,16 +124,20 @@ class TestOnePowerAccuracy:
             assert abs(got - exact) <= 4 * EPS * scale
 
 
-@dataclass(frozen=True)
 class ConstantNoise(NoiseMatrix):
-    """Every increment 0.0; with width=0, rows of no increments at all."""
-
-    width: int | None = None
+    """Every increment 0.0."""
 
     def increments(self, lo=0, hi=None):
         hi = self.n_paths if hi is None else hi
-        width = self.grid.n_steps if self.width is None else self.width
-        return np.zeros((hi - lo, width))
+        return np.zeros((hi - lo, self.grid.n_steps))
+
+
+def weighted_run(p, dt, dW):
+    """euler_blocks with the weight observer of simulate_weighted, on
+    increment rows dW."""
+    return euler_blocks(
+        ckls_drift(p), ckls_diffusion(p), p.r0, dt, dW, [lambda n: _Weight(p, dt, n)]
+    )
 
 
 def left_point_weight(p, values, dW, dt):
@@ -149,9 +153,8 @@ class TestAccumulateWeight:
     and along the paths of euler_ckls."""
 
     def test_empty_integral_gives_unit_weight(self):
-        grid = TimeGrid(1.0, 1)
-        s = simulate_weighted(HIGH, grid, ConstantNoise(1, 1, grid, width=0))
-        assert s.log_weight[0] == 0.0 and s.q_integral_sq[0] == 0.0
+        run = weighted_run(HIGH, 1.0, np.zeros((1, 0)))
+        assert run["log_weight"][0] == 0.0 and run["q_integral_sq"][0] == 0.0
 
     def test_zero_noise_gives_negative_log_weight(self):
         grid = TimeGrid(0.5, 32)
@@ -269,9 +272,8 @@ class TestNovikovDiagnostic:
     check_martingale reports by its mean and standard error."""
 
     def test_zero_horizon_estimate_is_zero(self):
-        grid = TimeGrid(1.0, 1)
-        s = simulate_weighted(HIGH, grid, ConstantNoise(1, 2, grid, width=0))
-        np.testing.assert_array_equal(s.q_integral_sq, [0.0, 0.0])
+        run = weighted_run(HIGH, 1.0, np.zeros((2, 0)))
+        np.testing.assert_array_equal(run["q_integral_sq"], [0.0, 0.0])
 
     def test_stable_across_dt_refinement_case_ii(self):
         """E int q^2 ds agrees between dt = 2^-9 and 2^-10 within combined

@@ -169,9 +169,7 @@ class TestRequireTransformable:
         "explicit_rate_on_grid": lambda p, cir: explicit_rate_on_grid(
             p, TimeGrid(1.0, 4), np.zeros((2, 4))
         ),
-        "sample_cir_exact": lambda p, cir: sample_cir_exact(
-            cir, p, 1.0, np.random.default_rng(0), 3
-        ),
+        "sample_cir_exact": lambda p, cir: sample_cir_exact(cir, p, 1.0, [0.1, -0.2, 0.3]),
     }
 
     def test_gamma_one_half_is_in_no_branch(self):
