@@ -144,7 +144,7 @@ def cmd_simulate(cfg: RunConfig, mode: str, workers: int) -> int:
     if mode == "euler-p":
         noise = NoiseMatrix(cfg.seed, cfg.n_paths, cfg.grid)
         values, exits = euler_values(
-            ckls_drift(p), ckls_diffusion(p), p.r0, cfg.grid.dt, noise, workers=workers
+            ckls_drift(p), ckls_diffusion(p), p.r0, cfg.grid, noise, workers=workers
         )
         summary["truncations"] = int(exits.sum())
         times = cfg.grid.times
@@ -153,9 +153,9 @@ def cmd_simulate(cfg: RunConfig, mode: str, workers: int) -> int:
         values, exits = euler_auxiliary(
             p, cfg.grid, noise, variant=cfg.aux_variant, workers=workers
         )
-        # gamma > 1 exits ran off to +inf, gamma < 1 exits hit the floor
-        n_exited = int(np.count_nonzero(exits))
-        floor_hits, blowups = (0, n_exited) if p.gamma > 1.0 else (n_exited, 0)
+        # a blowup ends non-finite; every other exited path hit the floor
+        blowups = int(np.count_nonzero(~np.isfinite(values[:, -1])))
+        floor_hits = int(np.count_nonzero(exits)) - blowups
         summary["variant"] = cfg.aux_variant
         summary["floor_hits"] = floor_hits
         summary["floor_fraction"] = floor_hits / cfg.n_paths

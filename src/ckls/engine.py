@@ -12,10 +12,12 @@ draw, filled row-major, of the generator keyed by
 SeedSequence(seed, spawn_key=(k,)), so one generator serves a thousand
 rows and its draw runs without the GIL.
 
-Every Euler run is euler_blocks over thread blocks of BLOCK_SIZE paths.
-The kernel runs on the calling thread, a block at a time, and reads each
+Every Euler run is euler_blocks on a TimeGrid, which checks once that
+the noise fits the grid, over thread blocks of BLOCK_SIZE paths.  The
+kernel runs on the calling thread, a block at a time, and reads each
 block in column order, a step's noise as one contiguous column.  The
-thread that draws a block's rows also transposes them into that order
+thread that draws a block's rows, or slices them from increment rows
+given as an array, also transposes them into that order
 (map_noise_blocks): with workers >= 2 a pool of the other threads draws
 and transposes the next block while the kernel runs, so at most two
 blocks of noise are resident.
@@ -49,6 +51,7 @@ __all__ = [
     "ckls_drift",
     "ckls_diffusion",
     "auxiliary_drift",
+    "auxiliary_boundary",
     "euler_blocks",
     "euler_exits",
     "euler_values",
@@ -56,12 +59,10 @@ __all__ = [
     "euler_auxiliary",
     "euler_under_q",
     "exact_sqrt_level",
-    "require_grid_noise",
     "explicit_rate",
     "explicit_rate_on_grid",
     "sample_cir_exact",
     "map_noise_blocks",
-    "step_columns",
     "Snapshots",
 ]
 
@@ -85,8 +86,8 @@ NOISE_RULE = (
 )
 NOISE_STREAM = 2
 
-# Rows per thread block of map_noise_blocks, so of every Euler run on a
-# NoiseMatrix: four whole stream blocks, 16 MB of noise at 512 steps.
+# Rows per thread block of map_noise_blocks, so of every Euler run: four
+# whole stream blocks, 16 MB of noise at 512 steps.
 BLOCK_SIZE = 4096
 
 
@@ -181,8 +182,18 @@ class NoiseMatrix:
         out *= math.sqrt(self.grid.dt)
         return out
 
-    def row(self, i: int) -> np.ndarray:
-        return self.increments(i, i + 1)[0]
+
+@dataclass(frozen=True, eq=False)
+class _Rows:
+    """Increment rows given as an array, read as map_noise_blocks reads a
+    NoiseMatrix: row i of rows is path i's noise on grid."""
+
+    rows: np.ndarray
+    grid: TimeGrid
+    n_paths: int
+
+    def increments(self, lo: int, hi: int) -> np.ndarray:
+        return self.rows[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -247,14 +258,10 @@ def auxiliary_drift(p: CklsParams, variant: str = "derived") -> Callable:
     return lambda x: 0.5 * g * s * x ** (2.0 * g - 1.0) - b * x
 
 
-def require_grid_noise(grid: TimeGrid, noise) -> None:
-    """InputError unless noise is a NoiseMatrix drawn on grid itself or
-    increment rows of grid.n_steps columns."""
-    if isinstance(noise, NoiseMatrix):
-        if noise.grid != grid:
-            raise InputError(f"noise drawn on {noise.grid} does not fit {grid}")
-    elif np.shape(noise)[-1:] != (grid.n_steps,):
-        raise InputError(f"noise of shape {np.shape(noise)} does not fit {grid}")
+def auxiliary_boundary(p: CklsParams) -> str:
+    """The boundary rule of the auxiliary equation's Euler runs, by gamma
+    alone: "run-off" for gamma > 1, "clamp" below (see euler_auxiliary)."""
+    return "run-off" if p.gamma > 1.0 else "clamp"
 
 
 def _copy_rows(dst: np.ndarray, src: np.ndarray) -> None:
@@ -268,21 +275,6 @@ def _copy_rows(dst: np.ndarray, src: np.ndarray) -> None:
     tile = max(64, 4096 // max(src.shape[1], 1))
     for i in range(0, src.shape[0], tile):
         dst[i : i + tile] = src[i : i + tile]
-
-
-def step_columns(dW: np.ndarray):
-    """Yield the noise columns dW[:, k] in step order as contiguous arrays.
-
-    They are views of dW in column order: a Fortran-ordered dW, as
-    map_noise_blocks hands out, is read as it is, and any other layout
-    is copied to column order once first.  The values are dW's, bit for
-    bit.
-    """
-    if not dW.flags.f_contiguous:
-        cols = np.empty(dW.shape, dtype=dW.dtype, order="F")
-        _copy_rows(cols, dW)
-        dW = cols
-    yield from dW.T
 
 
 class Snapshots:
@@ -312,7 +304,7 @@ def euler_blocks(
     drift: Callable,
     diffusion: Callable,
     r0: float,
-    dt: float,
+    grid: TimeGrid,
     noise,
     observers=(),
     boundary: str = "clamp",
@@ -321,11 +313,12 @@ def euler_blocks(
     """The one Euler-Maruyama loop, r <- r + drift(r) dt + diffusion(r) dW,
     run a thread block of paths at a time.
 
-    noise is a NoiseMatrix, blocked by map_noise_blocks into blocks of
-    BLOCK_SIZE paths in column order, or increment rows, run as one block
-    (copied to column order once unless Fortran-ordered already); workers
-    must be an integer >= 1 either way.  Each step reads its noise as one
-    contiguous column of the block (step_columns).  The drift is
+    The steps are grid's, of size dt = grid.dt.  noise is a NoiseMatrix
+    drawn on grid, or increment rows of grid.n_steps columns (one path's
+    as a 1-D array), else InputError before any block is drawn; either is
+    blocked by map_noise_blocks into blocks of BLOCK_SIZE paths in column
+    order, and workers must be an integer >= 1.  Each step reads its
+    noise as one contiguous column of the block.  The drift is
     evaluated as given; ckls_diffusion (or its signed form) is formed as
     (s r) dW in the one array a step allocates, s = sign sigma
     r^(gamma-1), and any other diffusion as given.  One r.min() a step is
@@ -345,7 +338,16 @@ def euler_blocks(
     """
     if boundary not in BOUNDARY_RULES:
         raise ValueError(f"unknown boundary rule {boundary!r}; one of {BOUNDARY_RULES}")
-    _require_integer("workers", workers)
+    if isinstance(noise, NoiseMatrix):
+        if noise.grid != grid:
+            raise InputError(f"noise drawn on {noise.grid} does not fit {grid}")
+    else:
+        rows = np.asarray(noise, dtype=float)
+        if rows.ndim > 2 or rows.shape[-1:] != (grid.n_steps,):
+            raise InputError(f"noise of shape {rows.shape} does not fit {grid}")
+        rows = rows.reshape(-1, grid.n_steps)
+        noise = _Rows(rows, grid, len(rows))
+    dt = grid.dt
     run_off, raise_nan = boundary == "run-off", boundary == "raise-nan"
     floor = boundary != "none"
     power = isinstance(diffusion, _CklsDiffusion)
@@ -358,7 +360,7 @@ def euler_blocks(
         watch = [make(n) for make in observers]
         low = r0
         with np.errstate(**quiet):
-            for k, col in enumerate(step_columns(dW)):
+            for k, col in enumerate(dW.T):
                 if raise_nan and low != low:
                     raise DomainError(f"NaN rate before step {k}")
                 s = diffusion.power(r) if power else None
@@ -389,11 +391,7 @@ def euler_blocks(
             out.update(obs.end(r))
         return out
 
-    if isinstance(noise, NoiseMatrix):
-        blocks = map_noise_blocks(noise, run_block, workers=workers)
-    else:
-        dW = np.atleast_2d(np.asarray(noise, dtype=float))
-        blocks = [run_block(0, dW.shape[0], dW)]
+    blocks = map_noise_blocks(noise, run_block, workers=workers)
     return {key: np.concatenate([b[key] for b in blocks], axis=-1) for key in blocks[0]}
 
 
@@ -411,7 +409,7 @@ def euler_values(
     drift: Callable,
     diffusion: Callable,
     r0: float,
-    dt: float,
+    grid: TimeGrid,
     noise,
     boundary: str = "clamp",
     workers: int = 1,
@@ -419,13 +417,12 @@ def euler_values(
     """The paths of euler_blocks as a value matrix.
 
     Returns (values, euler_exits) with values of shape
-    (n_paths, n_steps + 1); under "run-off" a path's values are +inf from
-    the step that left on.
+    (n_paths, grid.n_steps + 1); under "run-off" a path's values are +inf
+    from the step that left on.
     """
-    n_steps = noise.grid.n_steps if isinstance(noise, NoiseMatrix) else np.shape(noise)[-1]
     run = euler_blocks(
-        drift, diffusion, r0, dt, noise,
-        [lambda n: Snapshots(range(n_steps + 1), n_steps, n)], boundary=boundary,
+        drift, diffusion, r0, grid, noise,
+        [lambda n: Snapshots(range(grid.n_steps + 1), grid.n_steps, n)], boundary=boundary,
         workers=workers,
     )
     return np.ascontiguousarray(run["snapshots"].T), euler_exits(run)
@@ -437,8 +434,7 @@ def euler_ckls(p: CklsParams, grid: TimeGrid, noise) -> tuple[np.ndarray, np.nda
     r_(k+1) = r_k + (a - b r_k) dt + sigma r_k^gamma dW_k, clamped at the
     positivity floor with the clamp events counted per path.
     """
-    require_grid_noise(grid, noise)
-    return euler_values(ckls_drift(p), ckls_diffusion(p), p.r0, grid.dt, noise)
+    return euler_values(ckls_drift(p), ckls_diffusion(p), p.r0, grid, noise)
 
 
 def euler_auxiliary(
@@ -456,10 +452,9 @@ def euler_auxiliary(
     overshoot through +inf and, like a step that overflows, a blowup: the
     path's values are +inf from that step on, and it counts one exit.
     """
-    require_grid_noise(grid, noise)
     return euler_values(
-        auxiliary_drift(p, variant), ckls_diffusion(p), p.r0, grid.dt, noise,
-        boundary="run-off" if p.gamma > 1.0 else "clamp", workers=workers,
+        auxiliary_drift(p, variant), ckls_diffusion(p), p.r0, grid, noise,
+        boundary=auxiliary_boundary(p), workers=workers,
     )
 
 
@@ -470,9 +465,8 @@ def euler_under_q(p: CklsParams, grid: TimeGrid, noise) -> tuple[np.ndarray, np.
     RegimeError unless p is transformable, as in explicit_rate_on_grid.
     Returns euler_values' (values, exits), clamped at the floor."""
     require_transformable(p)
-    require_grid_noise(grid, noise)
     diffusion = _CklsDiffusion(p, sign=1.0 if p.gamma < 1.0 else -1.0)
-    return euler_values(auxiliary_drift(p), diffusion, p.r0, grid.dt, noise)
+    return euler_values(auxiliary_drift(p), diffusion, p.r0, grid, noise)
 
 
 def _ou_draw(p: CklsParams, x0: float, c: float, kappa: float, t: float, z) -> np.ndarray:
@@ -557,14 +551,15 @@ def explicit_rate_on_grid(p: CklsParams, grid: TimeGrid, noise) -> np.ndarray:
     overflows.
     """
     require_transformable(p)
-    require_grid_noise(grid, noise)
     g, dt = p.gamma, grid.dt
     c = p.b * (1.0 - g)
     growth = math.expm1(c * dt) / dt
     vol = p.sigma * abs(g - 1.0) * math.sqrt(stable_phi(2.0 * c, dt) / dt)
 
     def skeleton(x0: float) -> np.ndarray:
-        return euler_values(lambda x: growth * x, lambda x: vol, x0, dt, noise, boundary="none")[0]
+        return euler_values(
+            lambda x: growth * x, lambda x: vol, x0, grid, noise, boundary="none"
+        )[0]
 
     try:
         x0 = p.r0 ** (1.0 - g)
@@ -630,16 +625,17 @@ def map_noise_blocks(
     workers: int = 1,
 ):
     """Apply fn(lo, hi, increments) over blocks of BLOCK_SIZE rows (read
-    at each call), stitched in block order.
+    at each call), stitched in block order; zero rows are one empty block.
 
-    increments is the block of noise rows lo to hi in column order: a
-    Fortran-ordered (hi - lo, noise.grid.n_steps) array with the rows'
-    values.  euler_blocks reads its columns, a step's noise each, as
-    contiguous views through step_columns, and keeps its working arrays
-    per call.  fn runs on the calling thread, one block at a time in
-    block order, so the returned list and any ordered reduction of it are
-    the same for every worker count.  Each block is a new array, which fn
-    may keep.
+    noise is a NoiseMatrix, or anything with its n_paths, grid and
+    increments(lo, hi), as euler_blocks passes increment rows given as
+    an array.  increments is the block of noise rows lo to hi in column
+    order: a Fortran-ordered (hi - lo, noise.grid.n_steps) array with the
+    rows' values.  euler_blocks reads its columns, a step's noise each,
+    as contiguous views, and keeps its working arrays per call.  fn runs
+    on the calling thread, one block at a time in block order, so the
+    returned list and any ordered reduction of it are the same for every
+    worker count.  Each block is a new array, which fn may keep.
 
     A block is drawn one stream block at a time through noise.increments,
     and each piece is copied into the block in column order (_copy_rows)
@@ -656,7 +652,7 @@ def map_noise_blocks(
     """
     _require_integer("workers", workers)
     n_paths = int(noise.n_paths)
-    ranges = [(lo, min(lo + BLOCK_SIZE, n_paths)) for lo in range(0, n_paths, BLOCK_SIZE)]
+    ranges = [(lo, min(lo + BLOCK_SIZE, n_paths)) for lo in range(0, max(n_paths, 1), BLOCK_SIZE)]
 
     def allocate(lo: int, hi: int) -> np.ndarray:
         return np.empty((hi - lo, noise.grid.n_steps), order="F")

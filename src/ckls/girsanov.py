@@ -23,9 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .engine import (
-    NoiseMatrix, TimeGrid, ckls_diffusion, ckls_drift, euler_blocks, require_grid_noise,
-)
+from .engine import NoiseMatrix, TimeGrid, ckls_diffusion, ckls_drift, euler_blocks
 from .errors import DegenerateTransform, DegenerateWeights, InputError
 from .numerics import like_argument, positive_points
 from .params import CklsParams
@@ -184,8 +182,10 @@ def simulate_weighted(
     as one contiguous column; the thread that draws a block's rows also
     transposes them (engine.map_noise_blocks).  With workers >= 2,
     workers - 1 pool threads draw and transpose the next block meanwhile,
-    so at most two blocks of noise are resident.  The rates are engine.euler_blocks'
-    with the base drift and diffusion, those of euler_ckls bit for bit;
+    so at most two blocks of noise are resident.  The rates are
+    engine.euler_blocks' on grid, which raises InputError unless the
+    noise fits it, with the base drift and diffusion, those of euler_ckls
+    bit for bit;
     the weight observer derives q from each step's power
     s = sigma r^(gamma-1) with drift_adjustment's operations in per-block
     buffers, and keeps per path the sums of q dW and q^2.  A rate that
@@ -195,9 +195,8 @@ def simulate_weighted(
     """
     if p.gamma == 1.0:
         raise DegenerateTransform("drift adjustment requires gamma != 1")
-    require_grid_noise(grid, noise)
     run = euler_blocks(
-        ckls_drift(p), ckls_diffusion(p), p.r0, grid.dt, noise,
+        ckls_drift(p), ckls_diffusion(p), p.r0, grid, noise,
         [lambda n: _Weight(p, grid.dt, n)], boundary="raise-nan", workers=workers,
     )
     return WeightedSample(

@@ -43,6 +43,7 @@ from .engine import (
     NoiseMatrix,
     Snapshots,
     TimeGrid,
+    auxiliary_boundary,
     auxiliary_drift,
     ckls_diffusion,
     ckls_drift,
@@ -228,9 +229,8 @@ def check_measure_consistency(
     est = weighted_expectation_arrays(sample.log_weight, tr.f(sample.terminal_rate))
 
     aux = euler_blocks(
-        auxiliary_drift(p, "derived"), ckls_diffusion(p), p.r0, grid.dt,
-        NoiseMatrix(seed + 1, n_paths, grid), boundary="run-off" if p.gamma > 1.0 else "clamp",
-        workers=workers,
+        auxiliary_drift(p, "derived"), ckls_diffusion(p), p.r0, grid,
+        NoiseMatrix(seed + 1, n_paths, grid), boundary=auxiliary_boundary(p), workers=workers,
     )
     aux_mean, aux_se = _mean_se(tr.f(aux["rate"]))
 
@@ -305,7 +305,7 @@ def _snapshot_rates(
     positivity floor."""
     grid = TimeGrid(t_end, n_steps)
     run = euler_blocks(
-        ckls_drift(p), ckls_diffusion(p), p.r0, grid.dt, NoiseMatrix(seed, n_paths, grid),
+        ckls_drift(p), ckls_diffusion(p), p.r0, grid, NoiseMatrix(seed, n_paths, grid),
         [lambda n: Snapshots(snap_indices, n_steps, n)], workers=workers,
     )
     return run["snapshots"], int(run["trunc"].sum())

@@ -254,9 +254,9 @@ def test_every_export_is_defined():
         assert not missing, f"ckls.{info.name}.__all__ names undefined {missing}"
 
 
-def test_private_streams_only_in_the_pinned_checks():
-    """default_rng, a noise stream outside NoiseMatrix's rule, is named in
-    code only by the two verify checks whose KS values are pinned."""
+def _token_owners(match) -> set:
+    """module.function of each token of the ckls sources that match
+    accepts: the innermost function holding it, "<module>" outside any."""
     owners = set()
     for path in sorted(Path(ckls.__file__).parent.glob("*.py")):
         source = path.read_text()
@@ -265,9 +265,27 @@ def test_private_streams_only_in_the_pinned_checks():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type == tokenize.NAME and tok.string == "default_rng":
+            if match(tok):
                 line = tok.start[0]
                 inner = [f for f in funcs if f.lineno <= line <= f.end_lineno]
                 owner = max(inner, key=lambda f: f.lineno).name if inner else "<module>"
                 owners.add(f"{path.stem}.{owner}")
+    return owners
+
+
+def test_private_streams_only_in_the_pinned_checks():
+    """default_rng, a noise stream outside NoiseMatrix's rule, is named in
+    code only by the two verify checks whose KS values are pinned."""
+    owners = _token_owners(lambda tok: tok.type == tokenize.NAME and tok.string == "default_rng")
     assert owners == {"verify._law_ks", "verify.check_ncx2_battery"}
+
+
+def test_noise_fit_check_only_in_the_kernel():
+    """The check that a noise fits its grid, whose InputError says "does
+    not fit", is made by euler_blocks alone, so no wrapper states it
+    again; the wrapper-side require_grid_noise and step_columns, the
+    second block path of increment rows, are named nowhere."""
+    owners = _token_owners(lambda tok: "does not fit" in tok.string)
+    assert owners == {"engine.euler_blocks"}
+    gone = ("require_grid_noise", "step_columns")
+    assert _token_owners(lambda tok: tok.type == tokenize.NAME and tok.string in gone) == set()

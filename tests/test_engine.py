@@ -44,7 +44,6 @@ from ckls.engine import (
     euler_blocks,
     euler_values,
     map_noise_blocks,
-    step_columns,
 )
 from ckls.numerics import stable_phi
 from noise_v1 import NoiseV1
@@ -113,7 +112,7 @@ class TestNoiseMatrix:
     def test_row_slicing(self):
         g = TimeGrid(1.0, 8)
         nm = NoiseMatrix(9, 12, g)
-        assert np.array_equal(nm.row(5), nm.increments()[5])
+        assert np.array_equal(nm.increments(5, 6)[0], nm.increments()[5])
         assert np.array_equal(nm.increments(3, 7), nm.increments()[3:7])
 
     def test_seed_validation(self):
@@ -124,8 +123,8 @@ class TestNoiseMatrix:
         lambda nm: nm.increments(True, 3),
         lambda nm: nm.increments(0, True),
         lambda nm: nm.increments(np.True_, 3),
-        lambda nm: nm.row(True),
-        lambda nm: nm.row(np.False_),
+        lambda nm: nm.increments(True, True + 1)[0],
+        lambda nm: nm.increments(np.False_, np.False_ + 1)[0],
     ], ids=["lo", "hi", "numpy-lo", "row", "numpy-row"])
     def test_rejects_bool_indices(self, call):
         """operator.index takes a bool as 0 or 1; a row index does not."""
@@ -194,7 +193,7 @@ class TestNoiseOracle:
     def test_single_step_and_row_zero(self):
         grid = TimeGrid(2.0, 1)
         nm = NoiseV1(11, 5, grid)
-        assert np.array_equal(nm.row(0), numpy_rows(11, 0, 1, grid)[0])
+        assert np.array_equal(nm.increments(0, 1)[0], numpy_rows(11, 0, 1, grid)[0])
         assert nm.increments(3, 3).shape == (0, 1)
 
     def test_rows_past_32_bit_index(self):
@@ -236,7 +235,7 @@ def test_block_counts_are_integers_from_one(run, name, bad):
     with pytest.raises(error, match=name):
         if run.startswith("euler_"):
             kernel = euler_values if run.startswith("euler_values") else euler_blocks
-            kernel(ckls_drift(HIGH), ckls_diffusion(HIGH), HIGH.r0, grid.dt, noise, **{name: bad})
+            kernel(ckls_drift(HIGH), ckls_diffusion(HIGH), HIGH.r0, grid, noise, **{name: bad})
         else:
             simulate_weighted(HIGH, grid, noise, **{name: bad})
 
@@ -274,7 +273,7 @@ class TestDrawAhead:
             noise = noise_cls(2024, n_paths, grid)
             s = simulate_weighted(HIGH, grid, noise, workers=workers)
             values = euler_blocks(
-                ckls_drift(CLAMPING), ckls_diffusion(CLAMPING), CLAMPING.r0, grid.dt, noise,
+                ckls_drift(CLAMPING), ckls_diffusion(CLAMPING), CLAMPING.r0, grid, noise,
                 [lambda n: Snapshots(range(grid.n_steps + 1), grid.n_steps, n)],
                 workers=workers,
             )
@@ -291,7 +290,7 @@ class TestDrawAhead:
     def test_euler_values_is_bit_identical(self, noise_cls):
         grid = TimeGrid(0.5, 8)
         noise = noise_cls(7, 2 * BLOCK_SIZE + 700, grid)
-        args = (ckls_drift(CLAMPING), ckls_diffusion(CLAMPING), CLAMPING.r0, grid.dt, noise)
+        args = (ckls_drift(CLAMPING), ckls_diffusion(CLAMPING), CLAMPING.r0, grid, noise)
         values, exits = euler_values(*args)
         assert exits.sum() > 0
         for workers in (2, 3, 4):
@@ -422,7 +421,7 @@ class TestNoiseStreamV2:
         grid = TimeGrid(1.0, 5)
         nm = NoiseMatrix(8, 2100, grid)
         for i in (0, 1, 1023, 1024, 2099):
-            assert np.array_equal(nm.row(i), v2_rows(8, i, i + 1, grid)[0])
+            assert np.array_equal(nm.increments(i, i + 1)[0], v2_rows(8, i, i + 1, grid)[0])
         assert nm.increments(7, 7).shape == (0, 5)
 
     @pytest.mark.parametrize("seed,lo", [(2**40 + 9, 2**32 - 2), (5, 2**64 - 3)])
@@ -444,8 +443,8 @@ class TestNoiseStreamV2:
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**32, 2**64 - 1])
     def test_keys_differ_from_v1(self, seed):
         grid = TimeGrid(1.0, 8)
-        v1 = NoiseV1(seed, 1, grid).row(0)
-        v2 = NoiseMatrix(seed, 1, grid).row(0)
+        v1 = NoiseV1(seed, 1, grid).increments(0, 1)[0]
+        v2 = NoiseMatrix(seed, 1, grid).increments(0, 1)[0]
         assert not np.array_equal(v1, v2)
 
     @pytest.mark.parametrize(
@@ -477,24 +476,58 @@ class TestNoiseStreamV2:
 
 
 class TestStepColumns:
-    """step_columns yields dW's columns in order, bit for bit, for any
-    layout and for step counts on and off the copy-tile edges."""
+    """The kernel reads each step's noise column in step order whatever the
+    layout of increment rows given as an array: every layout gives
+    euler_values bit for bit as a C copy of its rows does, for step counts
+    on and off the copy-tile edges, one row and no rows."""
+
+    ARGS = (ckls_drift(CLAMPING), ckls_diffusion(CLAMPING), CLAMPING.r0)
 
     @pytest.mark.parametrize(
         "shape", [(5, 1), (3, 7), (10, 8), (4, 9), (1, 33), (0, 5), (200, 3), (130, 64)]
     )
     def test_columns_in_order(self, shape):
-        a = np.random.default_rng(sum(shape)).standard_normal(shape)
+        grid = TimeGrid(0.5, shape[1])
+        a = np.random.default_rng(sum(shape)).standard_normal(shape) * math.sqrt(grid.dt)
         wide = np.hstack([a, a])
+        # additive noise from 0 under "none": the values are the running sums
+        sums, _ = euler_values(lambda x: 0.0 * x, lambda x: 1.0, 0.0, grid, a, boundary="none")
+        np.testing.assert_array_equal(sums[:, 1:], np.cumsum(a, axis=1))
         for dW in (a, np.asfortranarray(a), a[:, ::-1], wide[:, : shape[1]], wide[:, 1::2]):
-            cols = [col.copy() for col in step_columns(dW)]
-            assert len(cols) == shape[1]
-            assert all(col.flags.c_contiguous for col in cols)
-            np.testing.assert_array_equal(np.array(cols).reshape(shape[::-1]), dW.T)
+            values, exits = euler_values(*self.ARGS, grid, dW)
+            want_values, want_exits = euler_values(*self.ARGS, grid, np.ascontiguousarray(dW))
+            assert values.shape == (shape[0], shape[1] + 1) and exits.shape == (shape[0],)
+            np.testing.assert_array_equal(values, want_values)
+            np.testing.assert_array_equal(exits, want_exits)
 
-    def test_column_ordered_input_is_not_copied(self):
-        dW = np.asfortranarray(np.random.default_rng(1).standard_normal((70, 9)))
-        assert all(np.shares_memory(col, dW) for col in step_columns(dW))
+    def test_one_path_as_a_flat_row(self):
+        grid = TimeGrid(0.5, 9)
+        row = NoiseMatrix(4, 1, grid).increments()[0]
+        values, exits = euler_values(*self.ARGS, grid, row)
+        want_values, want_exits = euler_values(*self.ARGS, grid, row[None, :])
+        assert values.shape == (1, 10)
+        np.testing.assert_array_equal(values, want_values)
+        np.testing.assert_array_equal(exits, want_exits)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_rows_are_blocked_as_their_noise_matrix(self, workers, monkeypatch):
+        """Rows given as an array go through map_noise_blocks, three
+        BLOCK_SIZE blocks here, and give what their NoiseMatrix gives."""
+        blocks = []
+
+        def counting(*args, **kwargs):
+            out = map_noise_blocks(*args, **kwargs)
+            blocks.append(len(out))
+            return out
+
+        monkeypatch.setattr(engine, "map_noise_blocks", counting)
+        grid = TimeGrid(0.5, 8)
+        noise = NoiseMatrix(7, 2 * BLOCK_SIZE + 700, grid)
+        want_values, want_exits = euler_values(*self.ARGS, grid, noise, workers=workers)
+        values, exits = euler_values(*self.ARGS, grid, noise.increments(), workers=workers)
+        assert blocks == [3, 3] and exits.sum() > 0
+        np.testing.assert_array_equal(values, want_values)
+        np.testing.assert_array_equal(exits, want_exits)
 
 
 class TestEulerCkls:
@@ -545,7 +578,7 @@ class TestEulerCkls:
         drift = lambda x: x * x - x * x  # noqa: E731  (0, or NaN once x * x overflows)
         dW = np.array([[0.0, 0.0, 0.0], [1e200, 1e200, 0.0], [1e100, 0.0, 0.0]])
         with np.errstate(over="ignore", invalid="ignore"):
-            values, exits = euler_values(drift, lambda x: x * x, 1.0, 0.1, dW)
+            values, exits = euler_values(drift, lambda x: x * x, 1.0, TimeGrid(0.3, 3), dW)
         assert np.isnan(values[1, -1]) and values[2, -1] == 1e100
         assert exits.tolist() == [0, 1, 0]
 
@@ -553,14 +586,14 @@ class TestEulerCkls:
     @pytest.mark.parametrize("boundary", ["run_off"])
     def test_unknown_boundary_rule_raises(self, kernel, boundary):
         with pytest.raises(ValueError, match="unknown boundary rule"):
-            kernel(ckls_drift(HIGH), ckls_diffusion(HIGH), 1.0, 0.1, np.zeros((1, 1)),
-                   boundary=boundary)
+            kernel(ckls_drift(HIGH), ckls_diffusion(HIGH), 1.0, TimeGrid(0.1, 1),
+                   np.zeros((1, 1)), boundary=boundary)
 
     def test_no_floor_rule_lets_the_state_change_sign(self):
         """Under "none" a state below the floor, or below 0, runs on as it
         is and counts no exit."""
         dW = np.array([[0.0, 0.0, 0.0]])
-        values, exits = euler_values(lambda x: -1.0, lambda x: 0.0, 1.0, 1.0, dW,
+        values, exits = euler_values(lambda x: -1.0, lambda x: 0.0, 1.0, TimeGrid(3.0, 3), dW,
                                      boundary="none")
         assert values.tolist() == [[1.0, 0.0, -1.0, -2.0]]
         assert exits.tolist() == [0]
@@ -579,7 +612,8 @@ def test_snapshot_indices_are_integers(indices):
 
 class TestNoiseFitsGrid:
     """Every entry point that takes a grid and a noise rejects noise drawn
-    on another grid, or rows of another width, before it runs."""
+    on another grid, or rows of another width or of more than two
+    dimensions, before it runs: the Euler kernel checks it, once."""
 
     GRID = TimeGrid(1.0, 64)
     ENTRY_POINTS = {
@@ -588,11 +622,18 @@ class TestNoiseFitsGrid:
         "euler_under_q": lambda g, noise: euler_under_q(HIGH, g, noise),
         "explicit_rate_on_grid": lambda g, noise: explicit_rate_on_grid(HIGH, g, noise),
         "simulate_weighted": lambda g, noise: simulate_weighted(HIGH, g, noise),
+        "euler_blocks": lambda g, noise: euler_blocks(
+            ckls_drift(HIGH), ckls_diffusion(HIGH), HIGH.r0, g, noise
+        ),
+        "euler_values": lambda g, noise: euler_values(
+            ckls_drift(HIGH), ckls_diffusion(HIGH), HIGH.r0, g, noise
+        ),
     }
     NOISES = {
         "more-steps": NoiseMatrix(3, 4, TimeGrid(1.0, 128)),
         "other-t-end": NoiseMatrix(3, 4, TimeGrid(2.0, 64)),
         "wrong-width": np.zeros((4, 65)),
+        "three-dims": np.zeros((1, 4, 64)),
     }
 
     @pytest.mark.parametrize("noise", sorted(NOISES))
@@ -866,7 +907,7 @@ class TestExplicitRateRange:
             growth = math.expm1(c * grid.dt) / grid.dt
             vol = p.sigma * abs(g - 1.0) * math.sqrt(stable_phi(2.0 * c, grid.dt) / grid.dt)
             x, _ = euler_values(lambda x: growth * x, lambda x: vol, p.r0 ** (1.0 - g),
-                                grid.dt, dW, boundary="none")
+                                grid, dW, boundary="none")
             np.testing.assert_array_equal(
                 explicit_rate_on_grid(p, grid, dW), np.abs(x) ** (1.0 / (1.0 - g))
             )

@@ -29,7 +29,7 @@ from ckls import (
     transition_spec,
 )
 from ckls.analysis import ks_statistic
-from ckls.engine import auxiliary_drift, ckls_diffusion, ckls_drift, euler_blocks
+from ckls.engine import auxiliary_drift, ckls_diffusion, ckls_drift
 from ckls.girsanov import WeightedEstimate, _Weight, _times_exp, weighted_expectation_arrays
 from ckls.numerics import stable_phi
 from noise_v1 import NoiseV1
@@ -132,14 +132,6 @@ class ConstantNoise(NoiseMatrix):
         return np.zeros((hi - lo, self.grid.n_steps))
 
 
-def weighted_run(p, dt, dW):
-    """euler_blocks with the weight observer of simulate_weighted, on
-    increment rows dW."""
-    return euler_blocks(
-        ckls_drift(p), ckls_diffusion(p), p.r0, dt, dW, [lambda n: _Weight(p, dt, n)]
-    )
-
-
 def left_point_weight(p, values, dW, dt):
     """The log weight and dt sum q^2 of one path, summed along its
     stored values: q(r_k) at the state before each step."""
@@ -153,7 +145,9 @@ class TestAccumulateWeight:
     and along the paths of euler_ckls."""
 
     def test_empty_integral_gives_unit_weight(self):
-        run = weighted_run(HIGH, 1.0, np.zeros((1, 0)))
+        """No step: a grid has one at least, so the weight observer ends
+        unstepped."""
+        run = _Weight(HIGH, 1.0, 1).end(np.full(1, HIGH.r0))
         assert run["log_weight"][0] == 0.0 and run["q_integral_sq"][0] == 0.0
 
     def test_zero_noise_gives_negative_log_weight(self):
@@ -272,7 +266,8 @@ class TestNovikovDiagnostic:
     check_martingale reports by its mean and standard error."""
 
     def test_zero_horizon_estimate_is_zero(self):
-        run = weighted_run(HIGH, 1.0, np.zeros((2, 0)))
+        """No step, as in TestAccumulateWeight: the observer ends unstepped."""
+        run = _Weight(HIGH, 1.0, 2).end(np.full(2, HIGH.r0))
         np.testing.assert_array_equal(run["q_integral_sq"], [0.0, 0.0])
 
     def test_stable_across_dt_refinement_case_ii(self):
@@ -551,7 +546,7 @@ class TestPushforwardLaw:
         grid = TimeGrid(t, n_steps)
         dW = NoiseMatrix(97, n, grid).increments()
         vals, _ = euler_values(
-            auxiliary_drift(HIGH, "derived"), ckls_diffusion(HIGH), HIGH.r0, grid.dt, dW,
+            auxiliary_drift(HIGH, "derived"), ckls_diffusion(HIGH), HIGH.r0, grid, dW,
             boundary="run-off",
         )
         aux = tr.f(vals[:, -1])

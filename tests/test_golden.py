@@ -133,7 +133,7 @@ def mc_moment(p, t, exponent, n_paths, n_steps, seed, workers=1):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "BLOCK_SIZE", 8192)
         run = engine.euler_blocks(
-            ckls_drift(p), ckls_diffusion(p), p.r0, grid.dt, NoiseMatrix(seed, n_paths, grid),
+            ckls_drift(p), ckls_diffusion(p), p.r0, grid, NoiseMatrix(seed, n_paths, grid),
             [lambda n: Trapezoid(exponent, grid.dt, n)], workers=workers,
         )
     terminal, integral = run["terminal"], run["integral"]
@@ -203,7 +203,7 @@ class TestGoldenEulerValues:
         Fortran-ordered noise block (contiguous columns, strided rows)."""
         dW = np.asfortranarray(NoiseMatrix(3, 3000, self.GRID).increments())
         values, exits = euler_values(
-            ckls_drift(CLAMPING), ckls_diffusion(CLAMPING), CLAMPING.r0, self.GRID.dt, dW,
+            ckls_drift(CLAMPING), ckls_diffusion(CLAMPING), CLAMPING.r0, self.GRID, dW,
             boundary=boundary,
         )
         assert exits.sum() > 0
@@ -311,7 +311,7 @@ def euler_golden_runs():
     def values(boundary):
         dW = np.asfortranarray(NoiseMatrix(3, 3000, grid).increments())
         vals, exits = euler_values(
-            ckls_drift(CLAMPING), ckls_diffusion(CLAMPING), CLAMPING.r0, grid.dt, dW,
+            ckls_drift(CLAMPING), ckls_diffusion(CLAMPING), CLAMPING.r0, grid, dW,
             boundary=boundary,
         )
         return digest(vals, exits.astype(float)), [vals], {"trunc": exits, "first": first_exits(vals)}
