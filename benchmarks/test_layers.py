@@ -82,14 +82,21 @@ def test_noise_block(benchmark, grid):
     assert blocks[0].flags.f_contiguous and blocks[0].shape == (BLOCK_SIZE, grid.n_steps)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("grid,n_paths", [(SHORT, 50_000), (LONG, 16_384)], ids=["16-steps", "512-steps"])
-@pytest.mark.parametrize("p", [HIGH, LOW], ids=["high", "low"])
+@pytest.mark.parametrize("p,grid,n_paths,workers", [
+    *(
+        pytest.param(p, grid, n_paths, workers, id=f"{name}-{steps}-{workers}")
+        for name, p in [("high", HIGH), ("low", LOW)]
+        for steps, grid, n_paths in [("16-steps", SHORT, 50_000), ("512-steps", LONG, 16_384)]
+        for workers in [1, 2]
+    ),
+    pytest.param(HIGH, TimeGrid(0.5, 4), 200_000, 1, id="high-4-steps-1"),
+])
 def test_weighted_kernel(benchmark, p, grid, n_paths, workers):
     """The pre-drawn rows are still copied into column order a block at a
     time: with workers=2 by the pool, while the kernel runs on the
     calling thread, and with workers=1 by the calling thread between
-    blocks."""
+    blocks.  The 4-step case runs blocks of 4 BLOCK_SIZE rows, the most
+    engine.block_rows gives, with a quarter of the noise that allows."""
     noise = PreDrawn(5, n_paths, grid)
     sample = benchmark.pedantic(
         simulate_weighted, args=(p, grid, noise), kwargs={"workers": workers},

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import like_argument, stable_phi
+from .numerics import TINY, like_argument, not_normal, stable_phi
 from .params import CklsParams, require_transformable
 from .transform import CirParams, Transform
 
@@ -207,18 +207,41 @@ def noncentral_sample(d: NoncentralChiSq, rng: np.random.Generator, size=None):
 
 def rate_density(p: CklsParams, tr: Transform, spec: TransitionSpec, x):
     """Density of the rate at time t under the transformed measure:
-    g(x) = pdf(f(x)/scale) |f'(x)| / scale via change of variables.  0
-    wherever the pdf factor is 0, also where f'(x) overflows (near x = 0
-    for gamma > 1/2), and in the right tail for gamma > 1 where f(x) is 0
-    (x = +inf, or f(x) underflowed)."""
-    y = tr.f(x) / spec.scale
+    g(x) = pdf(f(x)/scale) |f'(x)| / scale via change of variables, 0
+    at x = +inf.  On the df = 1 law, at a finite x where f(x)/scale or
+    f'(x) is not a normal float or the product is 0, it is formed in logs
+    (_log_rate_density_df1), so the far right tail for gamma > 1, about
+    x^(-gamma), is 0 only where that density underflows.  Other df (the
+    Bessel form) take the float product throughout: 0 where a factor or
+    the product underflows."""
+    y = np.asarray(tr.f(x)) / spec.scale
+    fprime = np.abs(tr.fprime(x))
     # the df < 2 pdf raises at 0; those points are overwritten below
     tail = (y == 0.0) & (tr.gamma > 1.0)
     dens = noncentral_pdf(spec, np.where(tail, 1.0, y))
     with np.errstate(over="ignore", invalid="ignore"):
-        out = dens * np.abs(tr.fprime(x)) / spec.scale
+        out = dens * fprime / spec.scale
     out = np.where(tail | (dens == 0.0), 0.0, out)
+    # five reductions decide whether any point needs the log form
+    if spec.df == 1.0 and out.size and not (
+        min(y.min(), fprime.min(), out.min()) >= TINY and max(y.max(), fprime.max()) < math.inf
+    ):
+        arr = np.asarray(x, dtype=float)
+        far = (not_normal(y) | not_normal(fprime) | (out == 0.0)) & (arr < math.inf)
+        out[far] = np.exp(_log_rate_density_df1(tr, spec, arr[far]))
     return like_argument(out, x)
+
+
+def _log_rate_density_df1(tr: Transform, spec: TransitionSpec, x):
+    """log of rate_density at x on the df = 1 law, from the logs of f(x)
+    and |f'(x)|: with s = sqrt(f(x)/scale) and r = sqrt(nonc), log of
+    (phi(s - r) + phi(s + r)) |f'(x)| / (s scale)."""
+    log_scale = math.log(spec.scale)
+    log_y = tr.log_abs(x) - log_scale
+    with np.errstate(over="ignore"):  # an infinite s gives a log density of -inf
+        s, r = np.exp(0.5 * log_y), math.sqrt(spec.nonc)
+    log_pdf = np.logaddexp(-0.5 * (s - r) ** 2, -0.5 * (s + r) ** 2) - 0.5 * math.log(8.0 * math.pi)
+    return log_pdf - 0.5 * log_y + tr.log_abs(x, 1) - log_scale
 
 
 def rate_cdf(p: CklsParams, tr: Transform, spec: TransitionSpec, x):

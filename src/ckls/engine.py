@@ -13,7 +13,10 @@ SeedSequence(seed, spawn_key=(k,)), so one generator serves a thousand
 rows and its draw runs without the GIL.
 
 Every Euler run is euler_blocks on a TimeGrid, which checks once that
-the noise fits the grid, over thread blocks of BLOCK_SIZE paths.  The
+the noise fits the grid, over thread blocks of block_rows(n_steps)
+paths: BLOCK_SIZE from 64 steps on, and below that up to 4 BLOCK_SIZE
+whole stream blocks while a block's noise stays within 2^18 normals
+(2 MB), so a short grid makes fewer, longer numpy calls.  The
 kernel runs on the calling thread, a block at a time, and reads each
 block in column order, a step's noise as one contiguous column.  The
 thread that draws a block's rows, or slices them from increment rows
@@ -35,7 +38,7 @@ import numpy as np
 
 from .distribution import transition_spec
 from .errors import DegenerateTransform, DomainError, InputError, SingularSample
-from .numerics import like_argument, require_horizon, stable_phi
+from .numerics import like_argument, not_normal, require_horizon, stable_phi
 from .params import CklsParams, require_transformable
 from .transform import CirParams
 
@@ -62,6 +65,7 @@ __all__ = [
     "explicit_rate",
     "explicit_rate_on_grid",
     "sample_cir_exact",
+    "block_rows",
     "map_noise_blocks",
     "Snapshots",
 ]
@@ -86,9 +90,20 @@ NOISE_RULE = (
 )
 NOISE_STREAM = 2
 
-# Rows per thread block of map_noise_blocks, so of every Euler run: four
-# whole stream blocks, 16 MB of noise at 512 steps.
+# Rows per thread block of map_noise_blocks from 64 steps on: four whole
+# stream blocks, 16 MB of noise at 512 steps.  Shorter grids take a
+# multiple of it (block_rows).
 BLOCK_SIZE = 4096
+
+
+def block_rows(n_steps: int) -> int:
+    """Rows per thread block on a grid of n_steps: BLOCK_SIZE from 64
+    steps on; below, up to 4 BLOCK_SIZE (whole stream blocks) while a
+    block's noise stays within 2^18 normals, 2 MB.  16384 rows at 16
+    steps and fewer, 8192 at 32.  A step's ufunc calls cost about 10 us
+    each block whatever its rows, a quarter of a 4096-row block's step at
+    16 steps; wider blocks gained nothing more and raise peak memory."""
+    return BLOCK_SIZE * min(4, max(1, 2**18 // (BLOCK_SIZE * n_steps)))
 
 
 @dataclass(frozen=True)
@@ -316,14 +331,14 @@ def euler_blocks(
     The steps are grid's, of size dt = grid.dt.  noise is a NoiseMatrix
     drawn on grid, or increment rows of grid.n_steps columns (one path's
     as a 1-D array), else InputError before any block is drawn; either is
-    blocked by map_noise_blocks into blocks of BLOCK_SIZE paths in column
-    order, and workers must be an integer >= 1.  Each step reads its
-    noise as one contiguous column of the block.  The drift is
-    evaluated as given; ckls_diffusion (or its signed form) is formed as
-    (s r) dW in the one array a step allocates, s = sign sigma
-    r^(gamma-1), and any other diffusion as given.  One r.min() a step is
-    the floor test, and the boundary rule, a name in BOUNDARY_RULES, says
-    what a failed test does.
+    blocked by map_noise_blocks into blocks of block_rows(grid.n_steps)
+    paths in column order, and workers must be an integer >= 1.  Each
+    step reads its noise as one contiguous column of the block.  The
+    drift is evaluated as given and scaled by dt into a new array;
+    ckls_diffusion (or its signed form) is formed as (s r) dW in the
+    array s = sign sigma r^(gamma-1), and any other diffusion as given.
+    One r.min() a step is the floor test, and the boundary rule, a name
+    in BOUNDARY_RULES, says what a failed test does.
     "clamp" sets the rates below the floor to it and counts them per path;
     "raise-nan" also raises DomainError at a NaN rate before the next step;
     "run-off" sets every rate that is not >= the floor (below it, -inf or
@@ -332,7 +347,9 @@ def euler_blocks(
 
     An observer factory is called with a block's path count; its object
     gets step(k, r_k, s, dW_k) before step k (s is None with another
-    diffusion) and end(r_n), which returns a dict of per-path arrays.
+    diffusion; r_k is the block's rate array, which the step then
+    updates in place) and end(r_n), which returns a dict of per-path
+    arrays.
     Returns "rate" (r_n), "trunc" (clamped steps) and the observers'
     arrays, blocks joined along the last axis.
     """
@@ -524,7 +541,7 @@ def explicit_rate(p: CklsParams, t: float, z):
     mag = np.abs(base)
     with np.errstate(divide="ignore"):  # zero bases are formed again below
         out = np.asarray(mag ** (1.0 / (1.0 - g)))
-    far = _far(mag)
+    far = not_normal(mag)
     if far.any():
         z_far = np.asarray(z, dtype=float)[far]
         with np.errstate(divide="ignore"):
@@ -570,7 +587,7 @@ def explicit_rate_on_grid(p: CklsParams, grid: TimeGrid, noise) -> np.ndarray:
     mag = np.abs(x)
     with np.errstate(divide="ignore"):  # zero bases are formed again below
         out = mag ** (1.0 / (1.0 - g))
-    far = _far(mag)
+    far = not_normal(mag)
     if far.any():
         n = skeleton(0.0)
         far &= np.isfinite(n)
@@ -579,12 +596,6 @@ def explicit_rate_on_grid(p: CklsParams, grid: TimeGrid, noise) -> np.ndarray:
             log_noise = np.log(np.abs(n[far]))
         out[far] = _rate_in_logs(g, log_mean[far], log_noise, np.sign(n[far]))
     return out
-
-
-def _far(mag: np.ndarray) -> np.ndarray:
-    """Where the magnitude mag is not a normal float: zero, subnormal,
-    infinite or NaN."""
-    return ~((mag >= np.finfo(float).tiny) & (mag < np.inf))
 
 
 def _log_phi(c: float, t: float) -> float:
@@ -624,8 +635,10 @@ def map_noise_blocks(
     fn: Callable[[int, int, np.ndarray], dict],
     workers: int = 1,
 ):
-    """Apply fn(lo, hi, increments) over blocks of BLOCK_SIZE rows (read
-    at each call), stitched in block order; zero rows are one empty block.
+    """Apply fn(lo, hi, increments) over blocks of block_rows(n_steps)
+    rows (read at each call): BLOCK_SIZE from 64 steps on, up to 4
+    BLOCK_SIZE below while a block's noise stays within 2^18 normals.
+    Stitched in block order; zero rows are one empty block.
 
     noise is a NoiseMatrix, or anything with its n_paths, grid and
     increments(lo, hi), as euler_blocks passes increment rows given as
@@ -646,13 +659,14 @@ def map_noise_blocks(
     on this thread, last first, while the pool takes the first.  So at
     most two blocks are resident, whatever workers is; with workers = 1
     this thread allocates and draws each block when fn needs it, after
-    the last one is released.  A BLOCK_SIZE that cuts a stream block
+    the last one is released.  A block size that cuts a stream block
     gives the same rows, but the cut stream block is drawn for both
     thread blocks.  workers must be an integer >= 1.
     """
     _require_integer("workers", workers)
     n_paths = int(noise.n_paths)
-    ranges = [(lo, min(lo + BLOCK_SIZE, n_paths)) for lo in range(0, max(n_paths, 1), BLOCK_SIZE)]
+    rows = block_rows(noise.grid.n_steps)
+    ranges = [(lo, min(lo + rows, n_paths)) for lo in range(0, max(n_paths, 1), rows)]
 
     def allocate(lo: int, hi: int) -> np.ndarray:
         return np.empty((hi - lo, noise.grid.n_steps), order="F")

@@ -176,9 +176,11 @@ def simulate_weighted(
 ) -> WeightedSample:
     """Simulate the base model and accumulate weights in one streaming pass.
 
-    The kernel runs on the calling thread over blocks of engine.BLOCK_SIZE
-    paths, stitched by path index, so statistics do not depend on the
-    worker count.  It reads each block in column order, a step's noise
+    The kernel runs on the calling thread over blocks of
+    engine.block_rows(grid.n_steps) paths (BLOCK_SIZE from 64 steps on,
+    up to 4 BLOCK_SIZE on shorter grids), stitched by path index, so
+    statistics do not depend on the worker count or the block cut.  It
+    reads each block in column order, a step's noise
     as one contiguous column; the thread that draws a block's rows also
     transposes them (engine.map_noise_blocks).  With workers >= 2,
     workers - 1 pool threads draw and transpose the next block meanwhile,

@@ -16,14 +16,25 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["stable_phi", "affine_exp_convolution",
+__all__ = ["stable_phi", "affine_exp_convolution", "not_normal",
            "positive_points", "require_horizon", "like_argument"]
+
+
+# the least normal float
+TINY = float(np.finfo(float).tiny)
+
+
+def not_normal(mag) -> np.ndarray:
+    """Where the magnitude mag is not a normal float: zero, subnormal,
+    infinite or NaN."""
+    return ~((mag >= TINY) & (mag < np.inf))
 
 
 def positive_points(x, name: str = "x") -> np.ndarray:
     """x as a float array; DomainError unless every value is > 0."""
     arr = np.asarray(x, dtype=float)
-    if not np.all(arr > 0):
+    # one reduction: the least value is NaN if any is
+    if arr.size and not arr.min() > 0:
         raise DomainError(f"{name} must be positive, got {x}")
     return arr
 

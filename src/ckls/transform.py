@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTransform
-from .numerics import like_argument, positive_points
+from .errors import DegenerateTransform, DomainError
+from .numerics import TINY, like_argument, not_normal, positive_points
 from .params import CklsParams, require_transformable
 
 __all__ = [
@@ -43,7 +43,10 @@ class Transform:
     """Frozen power map: the constant C > 0 and the exponent gamma != 1.
 
     Both are finite real numbers, not bools; gamma = 1 has no power
-    transform and raises DegenerateTransform.
+    transform and raises DegenerateTransform.  f, f' and f'' are each a
+    constant times a power of x; where the constant or the power leaves
+    the normal float range (near gamma = 1, at extreme C or x) but the
+    product does not, they are formed in logs.
     """
 
     c: float
@@ -59,21 +62,63 @@ class Transform:
             raise ValueError(f"C must be positive and finite, got {c!r}")
 
     def f(self, x):
-        arr = positive_points(x)
         g = self.gamma
-        out = self.c**2 / (4.0 * (1.0 - g) ** 2) * arr ** (2.0 * (1.0 - g))
-        return like_argument(out, x)
+        return self._power(self.c**2 / (4.0 * (1.0 - g) ** 2), 0, x)
 
     def fprime(self, x):
-        arr = positive_points(x)
         g = self.gamma
-        out = self.c**2 / (2.0 * (1.0 - g)) * arr ** (1.0 - 2.0 * g)
-        return like_argument(out, x)
+        return self._power(self.c**2 / (2.0 * (1.0 - g)), 1, x)
 
     def fsecond(self, x):
-        arr = positive_points(x)
         g = self.gamma
-        out = self.c**2 * (1.0 - 2.0 * g) / (2.0 * (1.0 - g)) * arr ** (-2.0 * g)
+        return self._power(self.c**2 * (1.0 - 2.0 * g) / (2.0 * (1.0 - g)), 2, x)
+
+    def _exponents(self) -> tuple[float, float, float]:
+        """The powers of x in f, f' and f''."""
+        g = self.gamma
+        return 2.0 * (1.0 - g), 1.0 - 2.0 * g, -2.0 * g
+
+    def log_abs(self, x, k: int = 0):
+        """log |f^(k)(x)| for k = 0, 1, 2 at the positive points x, from
+        log x: finite also where f^(k)(x) is past the float range, and
+        -inf where f^(k) is 0 (f'' at gamma = 1/2)."""
+        arr = positive_points(x)
+        p = self._exponents()
+        # f^(k) = C^2 / (4 (1-gamma)^2) p_0 ... p_(k-1) x^(p_k)
+        with np.errstate(divide="ignore"):
+            log_coef = (
+                2.0 * math.log(self.c) - math.log(4.0) - 2.0 * math.log(abs(1.0 - self.gamma))
+                + np.log(np.abs(p[:k])).sum()
+            )
+        return like_argument(log_coef + p[k] * np.log(arr), x)
+
+    def _power(self, coef: float, k: int, x):
+        """f^(k)(x) = coef x^(p_k) at the positive points x: the product
+        where C^2, coef and x^(p_k) are normal floats, and formed in logs
+        (log_abs) where one is not, so the result is zero or infinite only
+        where f^(k)(x) is past the float range."""
+        arr = np.asarray(x, dtype=float)
+        # the least x is the positivity test (NaN if any x is) and, with
+        # the greatest, the range test below
+        lo, hi = (float(arr.min()), float(arr.max())) if arr.size else (1.0, 1.0)
+        if not lo > 0:
+            raise DomainError(f"x must be positive, got {x}")
+        p = self._exponents()
+        normal_coef = TINY <= abs(coef) < math.inf and TINY <= self.c**2
+        # every x^(p_k) is a normal float while |p_k log2 x| stays below
+        # 1022 at both ends of x (1000 leaves room for rounding): then no
+        # point needs the mask
+        if normal_coef and abs(p[k]) * max(abs(math.log2(lo)), abs(math.log2(hi))) < 1000.0:
+            return like_argument(coef * arr ** p[k], x)
+        # past the float range these are formed again below
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = arr ** p[k]
+            out = coef * power
+        far = not_normal(power) | (not normal_coef)
+        if np.any(far):
+            with np.errstate(over="ignore"):
+                logs = np.sign(math.prod(p[:k])) * np.exp(self.log_abs(arr, k))
+            out = np.where(far, logs, out)
         return like_argument(out, x)
 
     def inverse(self, y):

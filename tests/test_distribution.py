@@ -531,13 +531,37 @@ class TestRateDensity:
         got = rate_density(p, tr, spec, np.array([0.5, math.inf]))
         assert got[1] == 0.0 and got[0] == rate_density(p, tr, spec, np.array([0.5]))[0] > 0.0
 
-    def test_zero_where_f_underflows_in_the_right_tail(self):
-        # gamma = 3, default C: f(x) = x^-4 is 0 from x = 1e81 on, like f(+inf)
-        p = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=3.0, r0=1.0)
+    @pytest.mark.parametrize("gamma", [3.0, 1.5])
+    def test_far_right_tail_against_mpmath(self, gamma):
+        """Default C: for gamma = 3, f(x) = x^-4 is 0 from x = 1e81 on and
+        f'(x) from 1e65, while the density, about x^(-gamma), is
+        representable up to about 1e107.  It is formed in logs where f,
+        f' or the product is not a normal float, within 1e-12 of a
+        40-digit reference, and 0 only where that underflows; elsewhere it
+        is the product, bit for bit."""
+        p = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=gamma, r0=1.0)
         tr = make_transform(p)
         spec = transition_spec(p, derive_cir(p, tr), 1.0)
-        assert tr.f(1e81) == 0.0
-        assert rate_density(p, tr, spec, 1e81) == 0.0
+        xs = np.concatenate([10.0 ** np.arange(0, 301, 3), [1e78, 1e79, 1e81, 1.7e308]])
+        c, g = mpmath.mpf(tr.c), mpmath.mpf(gamma)
+
+        def reference(x):
+            x = mpmath.mpf(x)
+            s = mpmath.sqrt(c**2 / (4 * (1 - g) ** 2) * x ** (2 * (1 - g)) / spec.scale)
+            r = mpmath.sqrt(spec.nonc)
+            pdf = (mpmath.npdf(s - r) + mpmath.npdf(s + r)) / (2 * s)
+            return float(pdf * abs(c**2 / (2 * (1 - g)) * x ** (1 - 2 * g)) / spec.scale)
+
+        with mpmath.workdps(40):
+            want = np.array([reference(x) for x in xs])
+        got = rate_density(p, tr, spec, xs)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-322)
+        assert rate_density(p, tr, spec, 1e78) > 0.0 and got[-1] == 0.0
+        y, fprime = tr.f(xs) / spec.scale, np.abs(tr.fprime(xs))
+        normal = (y > 1e-300) & (fprime > 1e-300)
+        linear = noncentral_pdf(spec, y[normal]) * fprime[normal] / spec.scale
+        assert normal.sum() > 10 and np.all(linear > 1e-300)
+        np.testing.assert_array_equal(got[normal], linear)
 
     def test_domain_error(self):
         tr = make_transform(HIGH, 1.0)

@@ -39,6 +39,7 @@ from ckls.engine import (
     NOISE_STREAM,
     Snapshots,
     auxiliary_drift,
+    block_rows,
     ckls_diffusion,
     ckls_drift,
     euler_blocks,
@@ -204,7 +205,7 @@ class TestNoiseOracle:
         assert np.array_equal(nm.increments(lo, hi), numpy_rows(2**40 + 9, lo, hi, grid))
 
     def test_map_noise_blocks_two_workers(self, monkeypatch):
-        monkeypatch.setattr(engine, "BLOCK_SIZE", 333)
+        monkeypatch.setattr(engine, "block_rows", lambda n_steps: 333)
         grid = TimeGrid(1.0, 6)
         nm = NoiseV1(2**63 + 5, 1000, grid)
         blocks = map_noise_blocks(nm, lambda lo, hi, dW: dW, workers=2)
@@ -266,7 +267,7 @@ class TestDrawAhead:
         """333-row blocks cut stream blocks; NoiseV1 overrides increments
         alone, so its rows reach the kernel only if the pool draws through
         it."""
-        monkeypatch.setattr(engine, "BLOCK_SIZE", block_size)
+        monkeypatch.setattr(engine, "block_rows", lambda n_steps: block_size)
         grid = TimeGrid(0.5, 8)
 
         def run(workers):
@@ -287,7 +288,8 @@ class TestDrawAhead:
                 np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("noise_cls", [NoiseMatrix, NoiseV1], ids=["v2", "v1"])
-    def test_euler_values_is_bit_identical(self, noise_cls):
+    def test_euler_values_is_bit_identical(self, noise_cls, monkeypatch):
+        monkeypatch.setattr(engine, "block_rows", lambda n_steps: BLOCK_SIZE)
         grid = TimeGrid(0.5, 8)
         noise = noise_cls(7, 2 * BLOCK_SIZE + 700, grid)
         args = (ckls_drift(CLAMPING), ckls_diffusion(CLAMPING), CLAMPING.r0, grid, noise)
@@ -310,21 +312,103 @@ class TestDrawAhead:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_at_most_two_blocks_resident(self, workers):
-        """Peak traced memory of a weighted run stays under 3.25 blocks of
-        noise whatever the worker count: two blocks, the pieces the pool
-        is drawing, and the per-path arrays.  With one worker a block is
-        allocated only after the last one is released: one block, the
-        piece being copied into it and the per-path arrays, under 2."""
-        grid = TimeGrid(0.5, 128)
-        noise = NoiseMatrix(5, 32_768, grid)
-        tracemalloc.start()
-        try:
-            simulate_weighted(HIGH, grid, noise, workers=workers)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        bound = 2.0 if workers == 1 else 3.25
-        assert peak < bound * BLOCK_SIZE * grid.n_steps * 8
+        """Peak traced memory of a weighted run over eight thread blocks
+        stays under two blocks of noise, a stream block's piece per
+        thread, a dozen per-path arrays of a block (the kernel's and the
+        weight's buffers, the drift's temporaries) and the run's four
+        outputs, kept per block and joined.  With one worker a block is
+        allocated only after the last one is released: one block of
+        noise.  On 16 and 1 steps the blocks are block_rows' widened
+        ones, and on 1 step the per-path arrays outweigh the noise."""
+        for n_steps in (128, 16, 1):
+            rows = block_rows(n_steps)
+            grid = TimeGrid(0.5, n_steps)
+            noise = NoiseMatrix(5, 8 * rows, grid)
+            tracemalloc.start()
+            try:
+                simulate_weighted(HIGH, grid, noise, workers=workers)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            blocks = 1 if workers == 1 else 2
+            noise_values = (blocks * rows + workers * NOISE_BLOCK) * n_steps
+            assert peak < (noise_values + 12 * rows + 8 * noise.n_paths) * 8, n_steps
+            if n_steps == 128:  # the bound in blocks of noise, kept as well
+                assert peak < (2.0 if workers == 1 else 3.25) * BLOCK_SIZE * n_steps * 8
+
+
+class TestBlockRows:
+    """The thread-block rule: BLOCK_SIZE rows from 64 steps on, and below
+    up to 4 BLOCK_SIZE whole stream blocks while a block's noise stays
+    within 2^18 normals; map_noise_blocks cuts its blocks by it."""
+
+    STEPS = [*range(1, 130), 255, 256, 512, 4096, 10**6]
+
+    def test_whole_stream_blocks_within_2_18_normals(self):
+        for n_steps in self.STEPS:
+            rows = block_rows(n_steps)
+            assert rows % NOISE_BLOCK == 0 and BLOCK_SIZE <= rows <= 4 * BLOCK_SIZE
+            if n_steps < 64:
+                assert rows * n_steps <= 2**18
+
+    def test_widths(self):
+        assert block_rows(16) == 16_384 and block_rows(32) == 8192
+        assert block_rows(1) == 4 * BLOCK_SIZE
+        assert all(block_rows(n) == BLOCK_SIZE for n in self.STEPS if n >= 64)
+
+    @pytest.mark.parametrize("n_steps,rows", [(16, 16_384), (1, 16_384), (32, 8192), (64, 4096)])
+    def test_map_noise_blocks_cuts_by_the_rule(self, n_steps, rows):
+        grid = TimeGrid(0.5, n_steps)
+        noise = NoiseMatrix(3, 2 * rows + 5, grid)
+        spans = map_noise_blocks(noise, lambda lo, hi, dW: (lo, hi, dW.shape))
+        assert spans == [
+            (0, rows, (rows, n_steps)),
+            (rows, 2 * rows, (rows, n_steps)),
+            (2 * rows, 2 * rows + 5, (5, n_steps)),
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_widened_blocks_give_the_same_bits(self, workers, monkeypatch):
+        """16-step runs over two 16384-row blocks equal runs over
+        BLOCK_SIZE-row blocks, for every worker count."""
+        grid = TimeGrid(0.5, 16)
+        noise = NoiseMatrix(2024, 2 * block_rows(16) + 700, grid)
+        s = simulate_weighted(HIGH, grid, noise, workers=workers)
+        values, exits = euler_values(
+            ckls_drift(CLAMPING), ckls_diffusion(CLAMPING), CLAMPING.r0, grid, noise,
+            workers=workers,
+        )
+        monkeypatch.setattr(engine, "block_rows", lambda n_steps: BLOCK_SIZE)
+        want = simulate_weighted(HIGH, grid, noise)
+        for key in ("terminal_rate", "log_weight", "q_integral_sq", "truncations"):
+            np.testing.assert_array_equal(getattr(s, key), getattr(want, key))
+        want_values, want_exits = euler_values(
+            ckls_drift(CLAMPING), ckls_diffusion(CLAMPING), CLAMPING.r0, grid, noise
+        )
+        assert want_exits.sum() > 0
+        np.testing.assert_array_equal(values, want_values)
+        np.testing.assert_array_equal(exits, want_exits)
+
+
+class TestDriftContract:
+    """The step never writes into what the drift returns, even where that
+    is the rates themselves or a view of them: every drift gives what a
+    step-by-step loop of the same operations gives."""
+
+    @pytest.mark.parametrize("drift", [
+        lambda x: x, lambda x: x[:], lambda x: -1.0, lambda x: 0.0 * x, ckls_drift(HIGH),
+    ], ids=["identity", "view", "scalar", "zero-times", "ckls"])
+    @pytest.mark.parametrize("diffusion", [lambda x: 0.3, ckls_diffusion(HIGH)], ids=["additive", "ckls"])
+    def test_against_a_python_loop(self, drift, diffusion):
+        grid = TimeGrid(0.5, 7)
+        dW = NoiseMatrix(9, 40, grid).increments()
+        values, _ = euler_values(drift, diffusion, 1.0, grid, dW, boundary="none")
+        r = np.full(len(dW), 1.0)
+        want = [r.copy()]
+        for k in range(grid.n_steps):
+            r = r + drift(r) * grid.dt + diffusion(r) * dW[:, k]
+            want.append(r.copy())
+        np.testing.assert_array_equal(values, np.column_stack(want))
 
 
 class TestColumnBlocks:
@@ -343,7 +427,7 @@ class TestColumnBlocks:
     ):
         """333-row blocks cut stream blocks, and both sizes end in a
         one-row block, which is C- and F-contiguous at once."""
-        monkeypatch.setattr(engine, "BLOCK_SIZE", block_size)
+        monkeypatch.setattr(engine, "block_rows", lambda n_steps: block_size)
         grid = TimeGrid(1.0, 6)
         noise = noise_cls(2**63 + 5, n_paths, grid)
         spans = []
@@ -521,6 +605,7 @@ class TestStepColumns:
             return out
 
         monkeypatch.setattr(engine, "map_noise_blocks", counting)
+        monkeypatch.setattr(engine, "block_rows", lambda n_steps: BLOCK_SIZE)
         grid = TimeGrid(0.5, 8)
         noise = NoiseMatrix(7, 2 * BLOCK_SIZE + 700, grid)
         want_values, want_exits = euler_values(*self.ARGS, grid, noise, workers=workers)

@@ -338,14 +338,14 @@ class TestGoldenWeightedSample:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name,p", [("high", HIGH), ("low", LOW)])
     def test_digest(self, name, p, workers, monkeypatch):
-        monkeypatch.setattr(engine, "BLOCK_SIZE", 1024)
+        monkeypatch.setattr(engine, "block_rows", lambda n_steps: 1024)
         grid = TimeGrid(0.5, 16)
         s = simulate_weighted(p, grid, NoiseV1(2024, 3000, grid), workers=workers)
         assert weighted_sample_digest(s) == self.GOLDEN[name]
 
     def test_readme_recipe(self, monkeypatch):
         """The README's v1 recipe, run as printed, gives the HIGH digest."""
-        monkeypatch.setattr(engine, "BLOCK_SIZE", 1024)
+        monkeypatch.setattr(engine, "block_rows", lambda n_steps: 1024)
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         blocks = [b.split("```")[0] for b in readme.split("```python\n")[1:]]
         (recipe,) = [b for b in blocks if "class NoiseV1(" in b]
@@ -370,7 +370,7 @@ class TestGoldenWeightedSampleV2:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name,p", [("high", HIGH), ("low", LOW)])
     def test_digest(self, name, p, workers, block_size, monkeypatch):
-        monkeypatch.setattr(engine, "BLOCK_SIZE", block_size)
+        monkeypatch.setattr(engine, "block_rows", lambda n_steps: block_size)
         grid = TimeGrid(0.5, 16)
         s = simulate_weighted(p, grid, NoiseMatrix(2024, 3000, grid), workers=workers)
         assert weighted_sample_digest(s) == self.GOLDEN[name]
@@ -428,7 +428,7 @@ class TestKernelAgainstReference:
         CklsParams(a=0.3, b=-0.4, sigma=1.2, gamma=1.25, r0=0.2),
     ])
     def test_bit_identical(self, p, n_steps, monkeypatch):
-        monkeypatch.setattr(engine, "BLOCK_SIZE", 1000)
+        monkeypatch.setattr(engine, "block_rows", lambda n_steps: 1000)
         grid = TimeGrid(0.5, n_steps)
         noise = NoiseMatrix(17, 2500, grid)
         s = simulate_weighted(p, grid, noise, workers=2)
@@ -484,7 +484,7 @@ class TestNonFiniteWeightedPaths:
     def test_clamp_count_matches_euler(self, monkeypatch):
         """On a set that clamps, the kernel clamps the same steps as
         euler_ckls on the same rows, and ends in the same states."""
-        monkeypatch.setattr(engine, "BLOCK_SIZE", 1000)
+        monkeypatch.setattr(engine, "block_rows", lambda n_steps: 1000)
         p = CklsParams(a=0.5, b=5.0, sigma=0.5, gamma=0.5, r0=0.01)
         grid = TimeGrid(0.5, 16)
         noise = NoiseMatrix(3, 3000, grid)

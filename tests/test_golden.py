@@ -131,7 +131,7 @@ def mc_moment(p, t, exponent, n_paths, n_steps, seed, workers=1):
     recorded on (they hash each block's arrays)."""
     grid = TimeGrid(t, n_steps)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "BLOCK_SIZE", 8192)
+        mp.setattr(engine, "block_rows", lambda n_steps: 8192)
         run = engine.euler_blocks(
             ckls_drift(p), ckls_diffusion(p), p.r0, grid, NoiseMatrix(seed, n_paths, grid),
             [lambda n: Trapezoid(exponent, grid.dt, n)], workers=workers,
@@ -385,7 +385,7 @@ class TestOneEulerPowerAgainstOldStep:
     @pytest.mark.parametrize("stream", [1, 2])
     @pytest.mark.parametrize("name,p", [("high", HIGH), ("low", LOW)])
     def test_simulate_weighted(self, name, p, stream, monkeypatch):
-        monkeypatch.setattr(engine, "BLOCK_SIZE", 1024)
+        monkeypatch.setattr(engine, "block_rows", lambda n_steps: 1024)
         grid = TimeGrid(0.5, 16)
         noise = (NoiseV1 if stream == 1 else NoiseMatrix)(2024, 3000, grid)
         old = old_weighted_run(p, grid.dt, noise.increments())

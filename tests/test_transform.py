@@ -4,6 +4,7 @@ coefficients."""
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -135,6 +136,59 @@ class TestTransformEval:
             h = 1e-6 * xs
             fd = (tr.fprime(xs + h) - tr.fprime(xs - h)) / (2 * h)
             np.testing.assert_allclose(tr.fsecond(xs), fd, rtol=1e-6)
+
+
+def _ulps_from_one(k: int) -> float:
+    """gamma k ulps from 1: above it for k > 0, below it for k < 0."""
+    g = 1.0
+    for _ in range(abs(k)):
+        g = float(np.nextafter(g, 2.0 if k > 0 else 0.0))
+    return g
+
+
+class TestNearGammaOne:
+    """f, f' and f'' at gamma = 1 +- 1 to 4 ulps, where the constants are
+    of order (1-gamma)^-2, against a 40-digit reference over x from
+    1e-300 to 1e300.  x^(-2 gamma) in f'' overflows below x = 1e-154
+    and is subnormal above 1e154 while f'' is not, at the default C
+    (2|1-gamma|) too; there and wherever a constant or a power is not a
+    normal float, the value is formed in logs, within 1e-12 of the
+    reference, and 0 or infinite only where the reference is."""
+
+    GAMMAS = [_ulps_from_one(k) for k in (-4, -3, -2, -1, 1, 2, 3, 4)]
+    XS = 10.0 ** np.arange(-300, 301, 5)
+
+    @staticmethod
+    def reference(name, c, g, x):
+        c, g, x = mpmath.mpf(c), mpmath.mpf(g), mpmath.mpf(x)
+        if name == "f":
+            return float(c**2 / (4 * (1 - g) ** 2) * x ** (2 * (1 - g)))
+        if name == "fprime":
+            return float(c**2 / (2 * (1 - g)) * x ** (1 - 2 * g))
+        return float(c**2 * (1 - 2 * g) / (2 * (1 - g)) * x ** (-2 * g))
+
+    @pytest.mark.parametrize("name", ["f", "fprime", "fsecond"])
+    @pytest.mark.parametrize("c", [None, 0.5, 2.0, 1e-160], ids=["default", "0.5", "2", "1e-160"])
+    def test_against_mpmath(self, name, c):
+        for g in self.GAMMAS:
+            tr = Transform(default_c(g) if c is None else c, g)
+            with mpmath.workdps(40):
+                want = np.array([self.reference(name, tr.c, g, x) for x in self.XS])
+            with np.errstate(over="ignore"):  # where the reference overflows too
+                got = getattr(tr, name)(self.XS)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-322, err_msg=f"gamma={g!r}")
+
+    @pytest.mark.parametrize("g", [_ulps_from_one(-1), _ulps_from_one(1), 1.5, 0.75])
+    def test_normal_products_keep_their_bits(self, g):
+        """Where the constant and the power are normal floats, each is the
+        product of the two, as before the log form was added."""
+        tr = Transform(2.0, g)
+        xs = np.geomspace(1e-100, 1e100, 97)
+        np.testing.assert_array_equal(tr.f(xs), 4.0 / (4.0 * (1.0 - g) ** 2) * xs ** (2.0 * (1.0 - g)))
+        np.testing.assert_array_equal(tr.fprime(xs), 4.0 / (2.0 * (1.0 - g)) * xs ** (1.0 - 2.0 * g))
+        np.testing.assert_array_equal(
+            tr.fsecond(xs), 4.0 * (1.0 - 2.0 * g) / (2.0 * (1.0 - g)) * xs ** (-2.0 * g)
+        )
 
 
 class TestTransformProperties:
