@@ -460,7 +460,10 @@ class TestGoldenKsStatistics:
     """The KS statistics the verify checks and the law benchmark shape
     compute, pinned by repr, so the statistic stays the same double.
     Recorded while ks_statistic evaluated the CDF at every sample; the
-    law shape is also held to that full evaluation (ks_oracle.full_ks)."""
+    law shape is also held to that full evaluation (ks_oracle.full_ks).
+    Beside each, KsResult.cdf_points is pinned (the *_POINTS tables), so a
+    change to the search's bookkeeping shows whether it still evaluates
+    the CDF at the same number of samples."""
 
     EXPLICIT_LAW = {"high": "0.0030575627100174474", "low": "0.0030575627099983516"}
     DELTA_ARBITRATION = {"derived": "0.003208373840617784", "paper": "0.1566892687646655"}
@@ -481,19 +484,39 @@ class TestGoldenKsStatistics:
         (13, "low", "derived"): "0.005177376287918256",
         (13, "low", "paper"): "0.07618747089815114",
     }
+    EXPLICIT_LAW_POINTS = {"high": 2530, "low": 2516}
+    DELTA_ARBITRATION_POINTS = {"derived": 1977, "paper": 2908}
+    NCX2_BATTERY_POINTS = {
+        "df=1.0,nonc=14.4533": 2768,
+        "df=1.0,nonc=0.5": 3790,
+        "df=3.0,nonc=2.0": 2285,
+    }
+    LAW_POINTS = {
+        (3, "high", "derived"): 1155,
+        (3, "high", "paper"): 875,
+        (3, "low", "derived"): 994,
+        (3, "low", "paper"): 854,
+        (13, "high", "derived"): 1435,
+        (13, "high", "paper"): 742,
+        (13, "low", "derived"): 1512,
+        (13, "low", "paper"): 868,
+    }
 
     @pytest.mark.parametrize("name,p", [("high", HIGH), ("low", LOW)])
     def test_explicit_law(self, name, p):
         check = check_explicit_law(p, n=100_000, seed=515)
         assert repr(check.statistic) == self.EXPLICIT_LAW[name]
+        assert check.details["cdf_points"] == self.EXPLICIT_LAW_POINTS[name]
 
     def test_delta_arbitration(self):
         results = check_delta_arbitration(HIGH, c=2.0, n=100_000, seed=7713).details["results"]
         assert {rule: repr(r["ks"]) for rule, r in results.items()} == self.DELTA_ARBITRATION
+        assert {rule: r["cdf_points"] for rule, r in results.items()} == self.DELTA_ARBITRATION_POINTS
 
     def test_ncx2_battery(self):
         details = check_ncx2_battery(seed=454).details
         assert {key: repr(v["ks"]) for key, v in details.items()} == self.NCX2_BATTERY
+        assert {key: v["ks_cdf_points"] for key, v in details.items()} == self.NCX2_BATTERY_POINTS
 
     @pytest.mark.parametrize("rule", ["derived", "paper"])
     @pytest.mark.parametrize("k,name,p", [(0, "high", HIGH), (1, "low", LOW)])
@@ -507,6 +530,7 @@ class TestGoldenKsStatistics:
         def cdf(x):
             return rate_cdf(p, tr, spec, x)
 
-        statistic = ks_statistic(draws, cdf).statistic
-        assert repr(statistic) == self.LAW[seed, name, rule]
-        assert statistic == full_ks(draws, cdf)
+        res = ks_statistic(draws, cdf)
+        assert repr(res.statistic) == self.LAW[seed, name, rule]
+        assert res.cdf_points == self.LAW_POINTS[seed, name, rule]
+        assert res.statistic == full_ks(draws, cdf)
