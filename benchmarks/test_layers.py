@@ -11,7 +11,8 @@ noise draw (which workers >= 2 overlaps with the kernel), the unweighted
 Euler kernel and its value matrix at the export size, the gamma > 1
 auxiliary run at the same size (the kernel's "run-off" boundary rule,
 beside "raise-nan" in the weighted kernel and "clamp" in euler_ckls), the
-noncentral chi-square pdf and CDF, the KS statistic against the rate law under each df rule,
+noncentral chi-square pdf and CDF, the closed-form rate draws of the law
+workload, the KS statistic against the rate law under each df rule,
 and the two path writers.  Two cold-start timings launch a fresh
 interpreter per round: `import ckls, ckls.cli`, and the whole user-visible
 job `ckls simulate --mode euler-p` at 200 paths x 16 steps.  Rounds are
@@ -142,6 +143,14 @@ def test_ncx2(benchmark, fn, df):
     xs = np.linspace(0.01, 60.0, 10_000)
     out = benchmark.pedantic(fn, args=(d, xs), rounds=20, warmup_rounds=1)
     assert out.shape == xs.shape
+
+
+@pytest.mark.parametrize("p", [HIGH, LOW], ids=["high", "low"])
+def test_explicit_rate(benchmark, p):
+    """25 000 closed-form rate draws at t = 1, as in the law workload."""
+    z = np.random.default_rng([5, 0]).standard_normal(25_000)
+    out = benchmark.pedantic(explicit_rate, args=(p, 1.0, z), rounds=20, warmup_rounds=1)
+    assert out.shape == z.shape
 
 
 @pytest.mark.parametrize("rule", ["derived", "paper"])

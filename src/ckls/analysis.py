@@ -187,9 +187,9 @@ def ks_statistic(
 ) -> KsResult:
     """One-sample Kolmogorov-Smirnov distance sup |F_hat - F|.
 
-    With weights, the empirical CDF uses normalized cumulative weights and
-    the 1% critical value uses the effective sample size in place of n
-    (asymptotic c(alpha)/sqrt(ESS)).
+    With weights, finite and positive, the empirical CDF uses normalized
+    cumulative weights and the 1% critical value uses the effective
+    sample size in place of n (asymptotic c(alpha)/sqrt(ESS)).
 
     cdf must be elementwise and nondecreasing.  It is evaluated only
     where the supremum can be: first on every _KS_STRIDE-th sample and the
@@ -204,24 +204,32 @@ def ks_statistic(
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1:
         raise InputError(f"samples must be 1-D, got shape {samples.shape}")
-    if samples.size == 0:
-        raise InputError("empty input")
-    if np.any(np.isnan(samples)) or np.any(np.diff(samples) < 0):
-        raise InputError("samples must be sorted ascending, without NaN")
     n = samples.size
-    # lower_i = steps[i] / total, upper_i = steps[i + 1] / total
+    if n == 0:
+        raise InputError("empty input")
+    # one comparison per neighbour pair: False at a decrease and next to a
+    # NaN (a lone sample is compared with itself)
+    if not np.all(samples[1:] >= samples[:-1] if n > 1 else samples == samples):
+        raise InputError("samples must be sorted ascending, without NaN")
+    # lower_i = frac[i], upper_i = frac[i + 1]
     if weights is None:
-        steps = np.arange(n + 1)
+        frac = np.arange(n + 1) / n
         ess = float(n)
     else:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != samples.shape:
             raise InputError("weights must match samples in shape")
-        if not np.all(weights > 0):
-            raise InputError("weights must be positive")
+        # the least weight is NaN if any is
+        top = float(weights.max())
+        if not (weights.min() > 0 and top < math.inf):
+            raise InputError("weights must be finite and positive")
+        # scaled by a power of two, exactly, to a greatest weight in
+        # [1/2, 1): the sums below neither overflow nor underflow, and
+        # w 2^k gives the same doubles for every k
+        weights = np.ldexp(weights, -math.frexp(top)[1])
         steps = np.concatenate([[0.0], np.cumsum(weights)])
+        frac = steps / steps[-1]
         ess = float(steps[-1] ** 2 / np.sum(weights**2))
-    total = steps[-1]
     f = np.empty(n)
     known = np.zeros(n, dtype=bool)
     new = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
@@ -229,18 +237,20 @@ def ks_statistic(
     while new.size:
         f_new = f[new] = _cdf_at(cdf, samples[new])
         known[new] = True
-        d = max(d, float(np.max(steps[new + 1] / total - f_new)),
-                float(np.max(f_new - steps[new] / total)))
+        d = max(d, float(np.max(frac[new + 1] - f_new)), float(np.max(f_new - frac[new])))
         at = np.flatnonzero(known)
-        a, b = at[:-1], at[1:]
-        bound = np.maximum(steps[b] / total - f[a], f[b] - steps[a + 1] / total)
-        open_run = (b - a > 1) & (bound >= d - _KS_SLACK)
+        f_at, a, b = f[at], at[:-1], at[1:]
+        width = b - a
+        bound = np.maximum(frac[b] - f_at[:-1], f_at[1:] - frac[a + 1])
+        open_run = (width > 1) & (bound >= d - _KS_SLACK)
         # cut points of the open runs, ascending, with repeats in runs
         # narrower than _KS_SPLIT and the known left ends among them
-        a, width = a[open_run, None], (b - a)[open_run, None]
+        a, width = a[open_run, None], width[open_run, None]
         cuts = (a + width * np.arange(1, _KS_SPLIT) // _KS_SPLIT).ravel()
-        new = cuts[~known[cuts] & (np.diff(cuts, prepend=-1) > 0)]
-    if np.any(np.diff(f[at]) < -_KS_SLACK):
+        fresh = ~known[cuts]
+        fresh[1:] &= cuts[1:] != cuts[:-1]
+        new = cuts[fresh]
+    if np.any(f_at[1:] - f_at[:-1] < -_KS_SLACK):
         raise InputError("cdf must be nondecreasing along the sorted samples")
     return KsResult(
         statistic=d,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,17 +62,26 @@ class Transform:
         if isinstance(c, bool) or not isinstance(c, numbers.Real) or not 0 < c < math.inf:
             raise ValueError(f"C must be positive and finite, got {c!r}")
 
+    @cached_property
+    def _c_squared(self) -> float:
+        """C^2, or inf where it is past the float range: f, f' and f''
+        then take _power's log route."""
+        try:
+            return float(self.c**2)
+        except OverflowError:
+            return math.inf
+
     def f(self, x):
         g = self.gamma
-        return self._power(self.c**2 / (4.0 * (1.0 - g) ** 2), 0, x)
+        return self._power(self._c_squared / (4.0 * (1.0 - g) ** 2), 0, x)
 
     def fprime(self, x):
         g = self.gamma
-        return self._power(self.c**2 / (2.0 * (1.0 - g)), 1, x)
+        return self._power(self._c_squared / (2.0 * (1.0 - g)), 1, x)
 
     def fsecond(self, x):
         g = self.gamma
-        return self._power(self.c**2 * (1.0 - 2.0 * g) / (2.0 * (1.0 - g)), 2, x)
+        return self._power(self._c_squared * (1.0 - 2.0 * g) / (2.0 * (1.0 - g)), 2, x)
 
     def _exponents(self) -> tuple[float, float, float]:
         """The powers of x in f, f' and f''."""
@@ -104,7 +114,7 @@ class Transform:
         if not lo > 0:
             raise DomainError(f"x must be positive, got {x}")
         p = self._exponents()
-        normal_coef = TINY <= abs(coef) < math.inf and TINY <= self.c**2
+        normal_coef = TINY <= abs(coef) < math.inf and TINY <= self._c_squared
         # every x^(p_k) is a normal float while |p_k log2 x| stays below
         # 1022 at both ends of x (1000 leaves room for rounding): then no
         # point needs the mask

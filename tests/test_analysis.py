@@ -257,6 +257,33 @@ class TestKsStatistic:
         with pytest.raises(InputError, match=match):
             ks_statistic(np.array([0.1, 0.5, 0.9]), lambda x: np.asarray(x), weights=weights)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_weight_rejected(self, bad):
+        """+inf passed the positivity check and gave statistic -inf and
+        ESS NaN."""
+        with pytest.raises(InputError, match="finite and positive"):
+            ks_statistic(np.array([0.1, 0.5, 0.9]), lambda x: np.asarray(x), weights=[1.0, bad, 1.0])
+
+    def test_huge_equal_weights_match_unweighted(self):
+        """1000 weights of 1e306 overflowed the running sum (0.1189 against
+        0.0382 unweighted) and their squares."""
+        samples = np.sort(np.random.default_rng(5).random(1000))
+        plain = ks_statistic(samples, lambda x: np.asarray(x))
+        weighted = ks_statistic(samples, lambda x: np.asarray(x), np.full(1000, 1e306))
+        assert weighted.statistic == pytest.approx(plain.statistic, rel=1e-12)
+        assert weighted.ess == pytest.approx(1000.0, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [-1000, -600, -1, 1, 600, 1000])
+    def test_power_of_two_weights_give_the_same_result(self, k):
+        """w 2^k weighs every sample as w does: the same KsResult, bit for
+        bit, also where the sum or the squares of w 2^k leave the float
+        range."""
+        rng = np.random.default_rng(11)
+        samples = np.sort(rng.random(2000))
+        w = rng.uniform(0.5, 50.0, samples.size)
+        want = ks_statistic(samples, lambda x: np.asarray(x), w)
+        assert ks_statistic(samples, lambda x: np.asarray(x), np.ldexp(w, k)) == want
+
     def test_single_point_against_identity(self):
         res = ks_statistic(np.array([0.5]), lambda x: np.asarray(x))
         assert res.statistic == 0.5

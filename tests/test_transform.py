@@ -191,6 +191,33 @@ class TestNearGammaOne:
         )
 
 
+class TestLargeC:
+    """C past about 1.3e154, where C^2 overflows: f, f' and f'' are formed
+    in logs where their values are representable, against the 40-digit
+    reference of TestNearGammaOne."""
+
+    XS = 10.0 ** np.arange(-300, 301, 5)
+
+    @pytest.mark.parametrize("name", ["f", "fprime", "fsecond"])
+    @pytest.mark.parametrize("c", [1e160, 1e300, 10**200], ids=["1e160", "1e300", "int-1e200"])
+    @pytest.mark.parametrize("g", [1.5, 0.75])
+    def test_against_mpmath(self, name, c, g):
+        tr = Transform(c, g)
+        with mpmath.workdps(40):
+            want = np.array([TestNearGammaOne.reference(name, c, g, x) for x in self.XS])
+        with np.errstate(over="ignore"):  # where the reference overflows too
+            got = getattr(tr, name)(self.XS)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-322)
+
+    def test_reciprocal_finite_from_1e12(self):
+        """gamma = 1.5, C = 1e160: f(x) = 1e320 / x, past the float range
+        below x of about 5.6e11."""
+        tr = Transform(1e160, 1.5)
+        assert tr.f(1e12) == pytest.approx(1e308, rel=1e-12)
+        assert tr.f(1e20) == pytest.approx(1e300, rel=1e-12)
+        assert tr.f(1e11) == math.inf
+
+
 class TestTransformProperties:
     @given(
         gamma=st.floats(0.5, 2.5),
