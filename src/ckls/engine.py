@@ -38,7 +38,7 @@ import numpy as np
 
 from .distribution import transition_spec
 from .errors import DegenerateTransform, DomainError, InputError, SingularSample
-from .numerics import TINY, like_argument, not_normal, require_horizon, stable_phi
+from .numerics import like_argument, not_normal, require_horizon, stable_phi
 from .params import CklsParams, require_transformable
 from .transform import CirParams
 
@@ -541,9 +541,8 @@ def explicit_rate(p: CklsParams, t: float, z):
     mag = np.abs(base)
     with np.errstate(divide="ignore"):  # zero bases are formed again below
         out = np.asarray(mag ** (1.0 / (1.0 - g)))
-    # two reductions decide whether any base needs the log form
-    if mag.size and not (mag.min() >= TINY and mag.max() < math.inf):
-        far = not_normal(mag)
+    far = not_normal(mag)
+    if far.any():
         z_far = np.asarray(z, dtype=float)[far]
         with np.errstate(divide="ignore"):
             log_noise = math.log(kappa) + 0.5 * _log_phi(2.0 * c, t) + np.log(np.abs(z_far))
@@ -588,10 +587,10 @@ def explicit_rate_on_grid(p: CklsParams, grid: TimeGrid, noise) -> np.ndarray:
     mag = np.abs(x)
     with np.errstate(divide="ignore"):  # zero bases are formed again below
         out = mag ** (1.0 / (1.0 - g))
-    # two reductions decide whether any value needs the log form
-    if mag.size and not (mag.min() >= TINY and mag.max() < math.inf):
+    far = not_normal(mag)
+    if far.any():
         n = skeleton(0.0)
-        far = not_normal(mag) & np.isfinite(n)
+        far &= np.isfinite(n)
         log_mean = np.broadcast_to((1.0 - g) * math.log(p.r0) + c * grid.times, x.shape)
         with np.errstate(divide="ignore"):
             log_noise = np.log(np.abs(n[far]))
