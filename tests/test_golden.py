@@ -455,6 +455,44 @@ class TestGoldenCliOutput:
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN[fmt]
 
+    # (params, t_end, n_steps, mode, CSV SHA-256): values whose repr is in
+    # exponent form.  The auxiliary run on HIGH writes inf and values of
+    # 1e16 and more; the Euler run near the floor clamps, so it writes
+    # values below 1e-4 down to the 1e-12 floor.
+    EDGE_RUNS = {
+        "aux-high-inf": (
+            HIGH.to_dict(), 3.0, 64, "auxiliary",
+            "6f761e87981b9c091b4fde8f1199c8076aeb4c185003560f492f24420b1083d2",
+        ),
+        "euler-p-floor": (
+            {"a": 0.05, "b": 0.2, "sigma": 2.0, "gamma": 0.75, "r0": 0.01}, 1.0, 40, "euler-p",
+            "825e06b6ca01eb4a679d6183f9af784e3615f33efcbd0ce5bf43a62f452a92a6",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EDGE_RUNS))
+    def test_simulate_exponent_form_values(self, name, tmp_path, capsys):
+        """CSV files of 300 paths at seed 11 whose values reach the repr's
+        exponent form: below 1e-4, from 1e16 on, and inf."""
+        params, t_end, n_steps, mode, golden = self.EDGE_RUNS[name]
+        out = tmp_path / "paths.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "params": params,
+            "grid": {"t_end": t_end, "n_steps": n_steps},
+            "n_paths": 300,
+            "seed": 11,
+            "output": {"format": "csv", "path": str(out)},
+        }))
+        assert cli.main(["--config", str(cfg), "simulate", "--mode", mode]) == 0
+        capsys.readouterr()
+        raw = out.read_bytes()
+        values = np.array([float(line.rsplit(b",", 1)[1]) for line in raw.splitlines()[2:]])
+        mag = np.abs(values)
+        counts = (np.isinf(values).sum(), (mag >= 1e16).sum(), ((0 < mag) & (mag < 1e-4)).sum())
+        assert counts == {"aux-high-inf": (144, 187, 0), "euler-p-floor": (0, 0, 1202)}[name]
+        assert hashlib.sha256(raw).hexdigest() == golden
+
 
 class TestGoldenKsStatistics:
     """The KS statistics the verify checks and the law benchmark shape
