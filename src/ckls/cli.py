@@ -40,7 +40,7 @@ from .errors import (
     UnknownSuite,
 )
 from .params import classify_regime
-from .pathio import write_paths_binary, write_paths_csv
+from .pathio import csv_rows, write_paths_binary, write_paths_csv
 from .transform import derive_cir, make_transform
 from .verify import SUITE_NAMES, run_suite
 
@@ -220,11 +220,7 @@ def cmd_density(cfg: RunConfig, x_min: float | None, x_max: float | None, x_poin
         f"# config: {json.dumps(_echo_config(cfg), sort_keys=True)}",
         "x,pdf,cdf",
     ]
-    lines += [
-        f"{x!r},{d!r},{c_!r}"
-        for x, d, c_ in zip(xs.tolist(), np.asarray(pdf).tolist(), np.asarray(cdf).tolist())
-    ]
-    text = "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n" + csv_rows(xs, pdf, cdf)
     if cfg.output_path:
         with open(cfg.output_path, "w", newline="") as fh:
             fh.write(text)

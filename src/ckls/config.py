@@ -16,19 +16,20 @@ A config object looks like
 "C" and everything from "delta_rule" down are optional.  Unknown keys are
 rejected at every level; round-trips are lossless.  Nothing is coerced:
 "n_paths", "seed" and "n_steps" must be JSON integers (not floats, not
-booleans), and every real value must be a finite number (JSON NaN and
-Infinity are rejected).
+booleans), and every real value must be a number that converts to a
+finite float (JSON NaN and Infinity, and ints past the float range, are
+rejected).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 from .engine import TimeGrid
 from .errors import ConfigError
+from .numerics import finite_float
 from .params import CklsParams
 
 __all__ = ["RunConfig", "load_config", "parse_config"]
@@ -91,7 +92,7 @@ def _integer(value, name: str) -> int:
 def _real(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    if not finite_float(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return float(value)
 
@@ -164,6 +165,7 @@ def load_config(path: str | FsPath) -> RunConfig:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, an int past the digit limit, or bytes that are not text
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(obj)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["stable_phi", "affine_exp_convolution", "not_normal",
+__all__ = ["stable_phi", "affine_exp_convolution", "not_normal", "finite_float",
            "positive_points", "require_horizon", "like_argument"]
 
 
@@ -28,6 +28,15 @@ def not_normal(mag) -> np.ndarray:
     """Where the magnitude mag is not a normal float: zero, subnormal,
     infinite or NaN."""
     return ~((mag >= TINY) & (mag < np.inf))
+
+
+def finite_float(value) -> bool:
+    """Whether the real number value converts to a finite float: an int
+    past the float range does not, although it compares below inf."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def positive_points(x, name: str = "x") -> np.ndarray:

@@ -12,11 +12,11 @@ sit relative to two sets of hypotheses, captured by `classify_regime`.
 from __future__ import annotations
 
 import enum
-import math
 import numbers
 from dataclasses import asdict, dataclass
 
 from .errors import RegimeError
+from .numerics import finite_float
 
 __all__ = [
     "CklsParams",
@@ -32,7 +32,7 @@ __all__ = [
 class CklsParams:
     """The model quadruple (a, b, sigma, gamma) plus the initial rate r0.
 
-    All five must be finite real numbers, not bools.
+    All five must be real numbers, not bools, that convert to finite floats.
 
     a       drift level (rate/time), must be positive
     b       mean-reversion speed (1/time), any sign
@@ -52,7 +52,7 @@ class CklsParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
+            if not finite_float(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not self.a > 0:
             raise ValueError(f"a must be positive, got {self.a}")

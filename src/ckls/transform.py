@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateTransform, DomainError
-from .numerics import TINY, like_argument, not_normal, positive_points
+from .numerics import TINY, finite_float, like_argument, not_normal, positive_points
 from .params import CklsParams, require_transformable
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
 class Transform:
     """Frozen power map: the constant C > 0 and the exponent gamma != 1.
 
-    Both are finite real numbers, not bools; gamma = 1 has no power
+    Both are real numbers, not bools, that convert to finite floats; gamma = 1 has no power
     transform and raises DegenerateTransform.  f, f' and f'' are each a
     constant times a power of x; where the constant or the power leaves
     the normal float range (near gamma = 1, at extreme C or x) but the
@@ -55,11 +55,11 @@ class Transform:
 
     def __post_init__(self) -> None:
         g, c = self.gamma, self.c
-        if isinstance(g, bool) or not isinstance(g, numbers.Real) or not math.isfinite(g):
+        if isinstance(g, bool) or not isinstance(g, numbers.Real) or not finite_float(g):
             raise ValueError(f"gamma must be a finite real number, got {g!r}")
         if g == 1.0:
             raise DegenerateTransform("gamma = 1: the power transform is undefined")
-        if isinstance(c, bool) or not isinstance(c, numbers.Real) or not 0 < c < math.inf:
+        if isinstance(c, bool) or not isinstance(c, numbers.Real) or not (c > 0 and finite_float(c)):
             raise ValueError(f"C must be positive and finite, got {c!r}")
 
     @cached_property

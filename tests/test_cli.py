@@ -390,6 +390,26 @@ class TestDensityCommand:
         assert "# df: 1.0" in td and "# df: 4.0" in tp
         assert td.splitlines()[8] != tp.splitlines()[8]
 
+    def test_rows_are_per_value_repr(self, tmp_path):
+        """Each row is f"{x!r},{pdf!r},{cdf!r}", also in the tails, where
+        pdf values below 1e-4 take repr's exponent form."""
+        from ckls import CklsParams, make_transform
+        from ckls.distribution import rate_cdf, rate_density, transition_spec
+        from ckls.transform import derive_cir
+
+        cfg = write_config(tmp_path)
+        out = tmp_path / "dens.csv"
+        args = ("--x-min", "0.05", "--x-max", "20", "--x-points", "64")
+        assert run_cli("--config", cfg, "--out", str(out), "density", *args).returncode == 0
+        p = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
+        tr = make_transform(p, 1.0)
+        spec = transition_spec(p, derive_cir(p, tr), 0.5)
+        xs = np.geomspace(0.05, 20.0, 64)
+        pdf, cdf = rate_density(p, tr, spec, xs), rate_cdf(p, tr, spec, xs)
+        assert ((0 < pdf) & (pdf < 1e-4)).sum() >= 5
+        rows = [f"{x!r},{d!r},{c!r}" for x, d, c in zip(xs.tolist(), pdf.tolist(), cdf.tolist())]
+        assert out.read_text().splitlines()[7:] == rows
+
     def test_derived_law_takes_the_df_one_form(self, tmp_path):
         """sigma = 0.3, gamma = 1.5, C = 3, where 4 drift_const / vol^2
         rounds to 1.0000000000000002: the derived law prints df 1.0, and
@@ -433,6 +453,18 @@ class TestDensityCommand:
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
         assert "Traceback" not in res.stderr and res.stdout == ""
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "density"])
+def test_c_past_float_range_is_a_config_error(tmp_path, command):
+    """A 401-digit JSON int for C: one error line and exit 1."""
+    out = tmp_path / "out.csv"
+    res = run_cli("--config", write_config(tmp_path, params={"C": 10**400}), "--out", str(out), command)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert "C must be finite" in res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
+    assert not out.exists()
 
 
 class TestVerifyCommand:

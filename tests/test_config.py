@@ -121,7 +121,8 @@ class TestNoCoercion:
 
     @given(
         key=st.sampled_from(["a", "b", "sigma", "gamma", "r0", "C", "t_end"]),
-        value=st.sampled_from([math.nan, math.inf, -math.inf]),
+        # an int past the float range compares below inf but has no float
+        value=st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400)]),
     )
     def test_reals_must_be_finite(self, key, value):
         obj = base_config()
@@ -166,6 +167,13 @@ class TestLoad:
     def test_bad_json(self, tmp_path):
         dest = tmp_path / "cfg.json"
         dest.write_text("{not json")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(dest)
+
+    def test_int_past_digit_limit(self, tmp_path):
+        """json refuses an int of more than 4300 digits with a bare ValueError."""
+        dest = tmp_path / "cfg.json"
+        dest.write_text(json.dumps(base_config()).replace('"b": 0.2', '"b": 1' + "0" * 5000))
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(dest)
 

@@ -294,6 +294,24 @@ class TestImportCost:
         # array-API shim imports numpy.f2py and numpy.testing
         assert self._loaded_after("import ckls, ckls.cli", ("scipy",)) == []
 
+    def test_import_with_cli_loads_no_orjson(self):
+        # orjson forms the CSV float text and is imported by the writer
+        assert self._loaded_after("import ckls, ckls.cli", ("orjson",)) == []
+
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    def test_only_csv_output_loads_orjson(self, tmp_path, fmt):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "params": {"a": 1.0, "b": 0.2, "sigma": 0.5, "gamma": 1.5, "r0": 1.0},
+            "grid": {"t_end": 0.5, "n_steps": 8},
+            "n_paths": 20,
+            "seed": 42,
+            "output": {"format": fmt, "path": str(tmp_path / f"out.{fmt}")},
+        }))
+        statement = f"from ckls import cli; assert cli.main(['--config', {str(cfg)!r}, 'simulate']) == 0"
+        loaded = self._loaded_after(statement, ("orjson",))
+        assert ("orjson" in loaded) == (fmt == "csv") and (loaded == []) == (fmt == "binary")
+
     @pytest.mark.parametrize("mode", ["euler-p", "explicit-q", "cir-exact", "auxiliary"])
     def test_simulate_loads_no_scipy_special(self, tmp_path, mode):
         cfg = tmp_path / "cfg.json"

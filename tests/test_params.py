@@ -55,7 +55,7 @@ class TestValidation:
 
     @given(
         name=st.sampled_from(["a", "b", "sigma", "gamma", "r0"]),
-        value=st.sampled_from([math.nan, math.inf, -math.inf]),
+        value=st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400)]),
     )
     def test_rejects_non_finite(self, name, value):
         # b has no sign constraint, so b = nan used to pass as a HIGH set

@@ -1,9 +1,13 @@
 """CSV and binary path export."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from ckls import InputError
 from ckls.pathio import (
@@ -62,6 +66,24 @@ class TestCsv:
                 text += f"{i},{t!r},{v!r}\n"
         return text.encode()
 
+    # repr's fixed and exponent forms meet at magnitudes 1e-4 and 1e16
+    EDGES = [1e-4, 1e16]
+    SPECIALS = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e-300, 0.1, 1 / 3] + [
+        sign * v
+        for edge in EDGES
+        for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))
+        for sign in (1.0, -1.0)
+    ]
+
+    @classmethod
+    def random_values(cls, n_paths, n_points) -> np.ndarray:
+        """Magnitudes from 1e-300 to 1e300, led by the special values."""
+        rng = np.random.default_rng(n_paths * 7919 + n_points)
+        values = rng.standard_normal((n_paths, n_points)) * 10.0 ** rng.integers(-300, 300, (n_paths, n_points))
+        flat = values.reshape(-1)
+        flat[: len(cls.SPECIALS)] = cls.SPECIALS[: flat.size]
+        return values
+
     @pytest.mark.parametrize(
         "n_paths,n_points",
         [(0, 5), (2, 0), (1, 1), (3, 5), (1023, 1), (1025, 1), (2050, 2), (40, 33), (31, 33), (32, 33), (3, 2000)],
@@ -69,16 +91,36 @@ class TestCsv:
     def test_bytes_equal_per_value_format(self, n_paths, n_points, tmp_path):
         """Writes cut into blocks of paths: path ids carry on across the
         block edges, and special floats keep their repr."""
-        rng = np.random.default_rng(n_paths * 7919 + n_points)
         times = np.linspace(0.0, 0.5, n_points)
-        values = rng.standard_normal((n_paths, n_points)) * 10.0 ** rng.integers(-300, 300, (n_paths, n_points))
-        specials = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1e300, -1e-300, 0.1, 1 / 3]
-        flat = values.reshape(-1)
-        flat[: len(specials)] = specials[: flat.size]
+        values = self.random_values(n_paths, n_points)
         metadata = {"seed": 7, "mode": "euler-p", "list": [1.5, None]}
         dest = tmp_path / "paths.csv"
         write_paths_csv(dest, times, values, metadata=metadata)
         assert dest.read_bytes() == self.per_value_csv(times, values, metadata)
+
+    @pytest.mark.parametrize("layout", ["F", "strided"])
+    def test_bytes_equal_per_value_format_any_layout(self, layout, tmp_path):
+        """Values that are not one C-ordered block of memory."""
+        times = np.linspace(0.0, 0.5, 33)
+        values = self.random_values(40, 33)
+        view = np.asfortranarray(values) if layout == "F" else np.repeat(values, 2, axis=1)[:, ::2]
+        assert not view.flags.c_contiguous
+        dest = tmp_path / "paths.csv"
+        write_paths_csv(dest, times, view)
+        assert dest.read_bytes() == self.per_value_csv(times, values, {})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        values=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=40)),
+    )
+    def test_bytes_equal_per_value_format_property(self, data, values):
+        """Any float64 matrix, NaN, inf, subnormals and both signs included."""
+        times = data.draw(arrays(np.float64, values.shape[1]))
+        with tempfile.TemporaryDirectory() as tmp:
+            dest = Path(tmp) / "paths.csv"
+            write_paths_csv(dest, times, values)
+            assert dest.read_bytes() == self.per_value_csv(times, values, {})
 
     @pytest.mark.parametrize("metadata", [None, {}])
     def test_bytes_equal_per_value_format_1d(self, metadata, tmp_path):

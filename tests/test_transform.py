@@ -75,15 +75,16 @@ class TestTransformValidation:
     sign-folded C, a NaN or a ZeroDivisionError on first use."""
 
     @pytest.mark.parametrize(
-        "c", [-1.0, 0.0, math.nan, math.inf, True, np.True_],
-        ids=["negative", "zero", "nan", "inf", "bool", "numpy-bool"],
+        "c", [-1.0, 0.0, math.nan, math.inf, 10**400, True, np.True_],
+        ids=["negative", "zero", "nan", "inf", "int-past-float", "bool", "numpy-bool"],
     )
     def test_bad_c_rejected(self, c):
         with pytest.raises(ValueError, match="^C must be positive and finite"):
             Transform(c=c, gamma=1.5)
 
     @pytest.mark.parametrize(
-        "gamma", [math.nan, math.inf, True, np.True_], ids=["nan", "inf", "bool", "numpy-bool"]
+        "gamma", [math.nan, math.inf, 10**400, True, np.True_],
+        ids=["nan", "inf", "int-past-float", "bool", "numpy-bool"],
     )
     def test_bad_gamma_rejected(self, gamma):
         with pytest.raises(ValueError, match="^gamma must be a finite real number"):
