@@ -78,6 +78,7 @@ def _float_texts(values: np.ndarray) -> list[str]:
     # import path of ckls and of every run that writes no CSV
     import orjson
 
+    # orjson reads a numpy array only in C order
     flat = np.ascontiguousarray(values)
     if not flat.size:
         return []

@@ -43,11 +43,11 @@ __all__ = [
 class Transform:
     """Frozen power map: the constant C > 0 and the exponent gamma != 1.
 
-    Both are real numbers, not bools, that convert to finite floats; gamma = 1 has no power
-    transform and raises DegenerateTransform.  f, f' and f'' are each a
-    constant times a power of x; where the constant or the power leaves
-    the normal float range (near gamma = 1, at extreme C or x) but the
-    product does not, they are formed in logs.
+    Both are real numbers, not bools, that convert to finite floats;
+    gamma = 1 has no power transform and raises DegenerateTransform.
+    f, f' and f'' are each a constant times a power of x; where the
+    constant or the power leaves the normal float range (near gamma = 1,
+    at extreme C or x) but the product does not, they are formed in logs.
     """
 
     c: float
