@@ -13,10 +13,12 @@ auxiliary run at the same size (the kernel's "run-off" boundary rule,
 beside "raise-nan" in the weighted kernel and "clamp" in euler_ckls), the
 noncentral chi-square pdf and CDF, the closed-form rate draws of the law
 workload, the KS statistic against the rate law under each df rule,
-and the two path writers.  Two cold-start timings launch a fresh
+and the two path writers.  Three cold-start timings launch a fresh
 interpreter per round: `import ckls, ckls.cli`, and the whole user-visible
-job `ckls simulate --mode euler-p` at 200 paths x 16 steps.  Rounds are
-fixed so a full run takes well under a minute.
+jobs `ckls simulate --mode euler-p` at 200 paths x 16 steps and
+`ckls verify --suite default` at the README config (HIGH, seed 42), the
+slowest of them, timed in one round.  Rounds are fixed so a full run
+takes about a minute.
 """
 
 import functools
@@ -185,15 +187,29 @@ def test_cold_import(benchmark):
     benchmark.pedantic(_fresh_python, args=("-c", "import ckls, ckls.cli"), rounds=5, warmup_rounds=1)
 
 
-def test_cold_simulate(benchmark, tmp_path):
+def _high_config(tmp_path, n_steps: int, n_paths: int, seed: int) -> str:
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "params": {"a": 1.0, "b": 0.2, "sigma": 0.5, "gamma": 1.5, "r0": 1.0},
-        "grid": {"t_end": 0.5, "n_steps": 16},
-        "n_paths": 200,
-        "seed": 5,
+        "grid": {"t_end": 0.5, "n_steps": n_steps},
+        "n_paths": n_paths,
+        "seed": seed,
     }))
-    argv = ("-m", "ckls.cli", "--config", str(cfg), "--out", str(tmp_path / "paths.csv"),
-            "simulate", "--mode", "euler-p")
+    return str(cfg)
+
+
+def test_cold_simulate(benchmark, tmp_path):
+    argv = ("-m", "ckls.cli", "--config", _high_config(tmp_path, 16, 200, 5),
+            "--out", str(tmp_path / "paths.csv"), "simulate", "--mode", "euler-p")
     benchmark.pedantic(_fresh_python, args=argv, rounds=5, warmup_rounds=1)
     assert (tmp_path / "paths.csv").stat().st_size > 0
+
+
+def test_cold_verify(benchmark, tmp_path):
+    """The default suite's checks size their own runs (100k paths), so the
+    config's grid and path count do not enter; C is left at its default,
+    1 on HIGH."""
+    argv = ("-m", "ckls.cli", "--config", _high_config(tmp_path, 512, 100_000, 42),
+            "--out", str(tmp_path / "report.json"), "verify", "--suite", "default")
+    benchmark.pedantic(_fresh_python, args=argv, rounds=1, warmup_rounds=0)
+    assert json.loads((tmp_path / "report.json").read_text())["checks"]

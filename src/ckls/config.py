@@ -29,7 +29,7 @@ from pathlib import Path as FsPath
 
 from .engine import TimeGrid
 from .errors import ConfigError
-from .numerics import finite_float
+from .numerics import _echo, finite_float
 from .params import CklsParams
 
 __all__ = ["RunConfig", "load_config", "parse_config"]
@@ -93,7 +93,7 @@ def _real(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     if not finite_float(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
+        raise ConfigError(f"{name} must be finite, got {_echo(value)}")
     return float(value)
 
 
@@ -140,9 +140,9 @@ def parse_config(obj: dict) -> RunConfig:
             n_steps=_integer(raw_grid["n_steps"], "n_steps"),
         )
         if n_paths < 1:
-            raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
+            raise ConfigError(f"n_paths must be >= 1, got {_echo(n_paths)}")
         if not 0 <= seed < 2**64:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
+            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {_echo(seed)}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .distribution import transition_spec
 from .errors import DegenerateTransform, DomainError, InputError, SingularSample
-from .numerics import like_argument, not_normal, require_horizon, stable_phi
+from .numerics import _echo, like_argument, not_normal, require_horizon, stable_phi
 from .params import CklsParams, require_transformable
 from .transform import CirParams
 
@@ -54,9 +54,7 @@ __all__ = [
     "ckls_drift",
     "ckls_diffusion",
     "auxiliary_drift",
-    "auxiliary_boundary",
     "euler_blocks",
-    "euler_exits",
     "euler_values",
     "euler_ckls",
     "euler_auxiliary",
@@ -139,7 +137,7 @@ def _require_integer(name: str, value, low: int = 1) -> None:
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if not value >= low:
-        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+        raise ValueError(f"{name} must be >= {low}, got {_echo(value)}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +164,7 @@ class NoiseMatrix:
         _require_integer("seed", self.seed, 0)
         _require_integer("n_paths", self.n_paths)
         if not int(self.seed) < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {_echo(self.seed)}")
 
     @property
     def rule(self) -> str:
@@ -271,12 +269,6 @@ def auxiliary_drift(p: CklsParams, variant: str = "derived") -> Callable:
     if g > 1.0:
         return lambda x: 2.0 * a - b * x - 0.5 * g * s**2 * x ** (2.0 * g - 1.0)
     return lambda x: 0.5 * g * s * x ** (2.0 * g - 1.0) - b * x
-
-
-def auxiliary_boundary(p: CklsParams) -> str:
-    """The boundary rule of the auxiliary equation's Euler runs, by gamma
-    alone: "run-off" for gamma > 1, "clamp" below (see euler_auxiliary)."""
-    return "run-off" if p.gamma > 1.0 else "clamp"
 
 
 def _copy_rows(dst: np.ndarray, src: np.ndarray) -> None:
@@ -412,16 +404,6 @@ def euler_blocks(
     return {key: np.concatenate([b[key] for b in blocks], axis=-1) for key in blocks[0]}
 
 
-def euler_exits(run: dict) -> np.ndarray:
-    """Per-path exits of an euler_blocks run: the steps that landed below
-    the floor, where they are clamped, and one more for a path whose
-    terminal rate is not finite.  A path that overflows stays non-finite
-    (NaN is never below the floor); under "run-off" the kernel sets a
-    path that leaves the floor or the finite range to +inf, so it counts
-    one exit."""
-    return run["trunc"] + ~np.isfinite(run["rate"])
-
-
 def euler_values(
     drift: Callable,
     diffusion: Callable,
@@ -433,16 +415,18 @@ def euler_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The paths of euler_blocks as a value matrix.
 
-    Returns (values, euler_exits) with values of shape
-    (n_paths, grid.n_steps + 1); under "run-off" a path's values are +inf
-    from the step that left on.
+    Returns (values, exits): values of shape (n_paths, grid.n_steps + 1),
+    and per path the steps clamped below the floor plus one if its
+    terminal rate is not finite (an overflow stays non-finite, NaN is
+    never below the floor; under "run-off" a path is +inf from the step
+    that left the floor or the finite range on).
     """
     run = euler_blocks(
         drift, diffusion, r0, grid, noise,
         [lambda n: Snapshots(range(grid.n_steps + 1), grid.n_steps, n)], boundary=boundary,
         workers=workers,
     )
-    return np.ascontiguousarray(run["snapshots"].T), euler_exits(run)
+    return np.ascontiguousarray(run["snapshots"].T), run["trunc"] + ~np.isfinite(run["rate"])
 
 
 def euler_ckls(p: CklsParams, grid: TimeGrid, noise) -> tuple[np.ndarray, np.ndarray]:
@@ -471,7 +455,7 @@ def euler_auxiliary(
     """
     return euler_values(
         auxiliary_drift(p, variant), ckls_diffusion(p), p.r0, grid, noise,
-        boundary=auxiliary_boundary(p), workers=workers,
+        boundary="run-off" if p.gamma > 1.0 else "clamp", workers=workers,
     )
 
 

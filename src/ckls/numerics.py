@@ -39,6 +39,14 @@ def finite_float(value) -> bool:
         return False
 
 
+def _echo(value) -> str:
+    """repr(value) for an error message, but the size of an int past the
+    float range, whose digits str() may refuse (past 4300 of them)."""
+    if isinstance(value, int) and not finite_float(value):
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    return repr(value)
+
+
 def positive_points(x, name: str = "x") -> np.ndarray:
     """x as a float array; DomainError unless every value is > 0."""
     arr = np.asarray(x, dtype=float)

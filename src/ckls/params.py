@@ -16,7 +16,7 @@ import numbers
 from dataclasses import asdict, dataclass
 
 from .errors import RegimeError
-from .numerics import finite_float
+from .numerics import _echo, finite_float
 
 __all__ = [
     "CklsParams",
@@ -53,7 +53,7 @@ class CklsParams:
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if not finite_float(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise ValueError(f"{name} must be finite, got {_echo(value)}")
         if not self.a > 0:
             raise ValueError(f"a must be positive, got {self.a}")
         if not self.sigma > 0:

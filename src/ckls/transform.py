@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateTransform, DomainError
-from .numerics import TINY, finite_float, like_argument, not_normal, positive_points
+from .numerics import TINY, _echo, finite_float, like_argument, not_normal, positive_points
 from .params import CklsParams, require_transformable
 
 __all__ = [
@@ -56,11 +56,11 @@ class Transform:
     def __post_init__(self) -> None:
         g, c = self.gamma, self.c
         if isinstance(g, bool) or not isinstance(g, numbers.Real) or not finite_float(g):
-            raise ValueError(f"gamma must be a finite real number, got {g!r}")
+            raise ValueError(f"gamma must be a finite real number, got {_echo(g)}")
         if g == 1.0:
             raise DegenerateTransform("gamma = 1: the power transform is undefined")
         if isinstance(c, bool) or not isinstance(c, numbers.Real) or not (c > 0 and finite_float(c)):
-            raise ValueError(f"C must be positive and finite, got {c!r}")
+            raise ValueError(f"C must be positive and finite, got {_echo(c)}")
 
     @cached_property
     def _c_squared(self) -> float:

@@ -11,8 +11,8 @@ the library: the weighted base-measure pushforward of the transformed
 level must match the closed-form transition law.  It holds because the
 drift adjustment carries the base drift to the drift the closed-form
 solution solves; the printed kernel, which does not, fails it (README,
-"Known formula erratum").  An independent simulation of the auxiliary
-dynamics is reported alongside as a cross-check.
+"Known formula erratum").  Within one run_suite call, checks that need
+the same Monte Carlo run share it (see _SUITE).
 """
 
 from __future__ import annotations
@@ -43,12 +43,9 @@ from .engine import (
     NoiseMatrix,
     Snapshots,
     TimeGrid,
-    auxiliary_boundary,
-    auxiliary_drift,
     ckls_diffusion,
     ckls_drift,
     euler_blocks,
-    euler_exits,
     euler_under_q,
     explicit_rate,
     explicit_rate_on_grid,
@@ -114,6 +111,21 @@ def _timed(check):
     return run
 
 
+# the Monte Carlo runs of the run_suite call in progress, by arguments
+_runs: dict | None = None
+
+
+def _run_once(simulate, *args) -> tuple:
+    """(simulate(*args), whether an earlier check of the run_suite call
+    in progress made that run); outside run_suite it always simulates."""
+    runs = {} if _runs is None else _runs
+    key = (simulate, *args)
+    reused = key in runs
+    if not reused:
+        runs[key] = simulate(*args)
+    return runs[key], reused
+
+
 @_timed
 def check_transform_identities(p: CklsParams, c: float | None = None, seed: int = 0) -> CheckReport:
     """|x^gamma f'(x)| = C sqrt(f(x)) and finv(f(x)) = x on a 100-point
@@ -151,9 +163,9 @@ def check_martingale(
     their stability under dt refinement is the usable signal, never
     asserted."""
     grid = TimeGrid(t, n_steps)
-    sample = simulate_weighted(p, grid, NoiseMatrix(seed, n_paths, grid), workers=workers)
-    mean, se = _mean_se(sample.weights())
-    novikov_mean, novikov_se = _mean_se(sample.q_integral_sq)
+    run, reused = _run_once(simulate_weighted, p, grid, NoiseMatrix(seed, n_paths, grid), workers)
+    mean, se = _mean_se(run.weights())
+    novikov_mean, novikov_se = _mean_se(run.q_integral_sq)
     z = abs(mean - 1.0) / se
     return CheckReport(
         name="martingale",
@@ -162,8 +174,8 @@ def check_martingale(
         threshold=3.0,
         seed=seed,
         details={"mean_weight": mean, "std_error": se, "n_paths": n_paths,
-                 "truncations": sample.truncations, "novikov_mean": novikov_mean,
-                 "novikov_std_error": novikov_se},
+                 "truncations": run.truncations, "novikov_mean": novikov_mean,
+                 "novikov_std_error": novikov_se, "reused_run": reused},
     )
 
 
@@ -215,27 +227,14 @@ def check_measure_consistency(
     workers: int = 1,
 ) -> CheckReport:
     """Weighted pushforward of f(r_t) within 3 SE of the transition-law
-    mean scale*(df+nonc).  The auxiliary-dynamics cross-check, a direct
-    Euler simulation of the adjusted drift on independent noise, is
-    reported with its floor exits (blowups for gamma > 1, whose level
-    f(+inf) is 0)."""
+    mean scale*(df+nonc).  In run_suite it reads the martingale check's
+    weighted run, which has the same grid, paths and seed."""
     tr = make_transform(p, c)
-    cir = derive_cir(p, tr)
-    spec = transition_spec(p, cir, t, delta_rule="derived")
-    target = spec.mean()
-
+    target = transition_spec(p, derive_cir(p, tr), t, delta_rule="derived").mean()
     grid = TimeGrid(t, n_steps)
-    sample = simulate_weighted(p, grid, NoiseMatrix(seed, n_paths, grid), workers=workers)
-    est = weighted_expectation_arrays(sample.log_weight, tr.f(sample.terminal_rate))
-
-    aux = euler_blocks(
-        auxiliary_drift(p, "derived"), ckls_diffusion(p), p.r0, grid,
-        NoiseMatrix(seed + 1, n_paths, grid), boundary=auxiliary_boundary(p), workers=workers,
-    )
-    aux_mean, aux_se = _mean_se(tr.f(aux["rate"]))
-
+    run, reused = _run_once(simulate_weighted, p, grid, NoiseMatrix(seed, n_paths, grid), workers)
+    est = weighted_expectation_arrays(run.log_weight, tr.f(run.terminal_rate))
     z_spec = abs(est.estimate - target) / est.std_error
-    z_aux = abs(est.estimate - aux_mean) / math.hypot(est.std_error, aux_se)
     return CheckReport(
         name="measure-consistency",
         status=_status(z_spec <= 3.0),
@@ -248,12 +247,9 @@ def check_measure_consistency(
             "ess": est.ess,
             "n_paths": n_paths,
             "target_closed_form": target,
-            "auxiliary_estimate": aux_mean,
-            "auxiliary_std_error": aux_se,
-            "auxiliary_floor_exits": int(euler_exits(aux).sum()),
             "z_vs_closed_form": z_spec,
-            "z_vs_auxiliary": z_aux,
             "passes_closed_form_target": bool(z_spec <= 3.0),
+            "reused_run": reused,
         },
     )
 
@@ -297,7 +293,7 @@ def _snapshot_rates(
     n_steps: int,
     n_paths: int,
     seed: int,
-    snap_indices: list[int],
+    snap_indices: tuple[int, ...],
     workers: int = 1,
 ) -> tuple[np.ndarray, int]:
     """Euler states captured at several grid indices, of shape
@@ -311,40 +307,42 @@ def _snapshot_rates(
     return run["snapshots"], int(run["trunc"].sum())
 
 
-def _snapshot_grid(ts: tuple, n_steps_per_unit: int) -> tuple[float, int, list[int]]:
-    """(t_end, n_steps, grid indices) of the snapshot times ts, each on a
+def _snapshot_run(p: CklsParams, ts, n_steps_per_unit, n_paths, seed, workers) -> tuple:
+    """_run_once of _snapshot_rates at the snapshot times ts, each on a
     grid index of its own past 0: a repeat or r0 has no spread to test."""
     ts = tuple(ts)
     if not ts or not all(math.isfinite(t) and t > 0 for t in ts):
         raise InputError(f"snapshot times must be finite and positive, got {ts}")
     t_end = max(ts)
     n_steps = int(round(n_steps_per_unit * t_end))
-    idx = [int(round(t / t_end * n_steps)) for t in ts]
+    idx = tuple(int(round(t / t_end * n_steps)) for t in ts)
     if len(set(idx)) < len(idx) or 0 in idx:
         raise InputError(
             f"snapshot times {ts} fall on grid indices {idx} of a {n_steps}-step grid; "
             "each needs an index of its own past 0"
         )
-    return t_end, n_steps, idx
+    return _run_once(_snapshot_rates, p, t_end, n_steps, n_paths, seed, idx, workers)
+
+
+_MEAN_TIMES = (0.25, 0.5, 1.0)
 
 
 @_timed
 def check_closed_form_mean(
     p: CklsParams,
-    ts: tuple = (0.25, 0.5, 1.0),
+    ts: tuple = _MEAN_TIMES,
     n_paths: int = 100_000,
     n_steps_per_unit: int = 1024,
     seed: int = 606,
     workers: int = 1,
 ) -> CheckReport:
     """Euler terminal mean against a/b + (r0 - a/b) e^(-b t), 3 SE."""
-    t_end, n_steps, idx = _snapshot_grid(ts, n_steps_per_unit)
-    snaps, truncations = _snapshot_rates(p, t_end, n_steps, n_paths, seed, idx, workers)
+    (snaps, truncations), reused = _snapshot_run(p, ts, n_steps_per_unit, n_paths, seed, workers)
     zs = {}
     for j, t in enumerate(ts):
         m, se = _mean_se(snaps[j])
-        zs[t] = {"mc": m, "closed_form": mean_rate(p, t), "std_error": se,
-                 "z": abs(m - mean_rate(p, t)) / se}
+        zs[str(t)] = {"mc": m, "closed_form": mean_rate(p, t), "std_error": se,
+                      "z": abs(m - mean_rate(p, t)) / se}
     worst = max(v["z"] for v in zs.values())
     return CheckReport(
         name="closed-form-mean",
@@ -352,7 +350,7 @@ def check_closed_form_mean(
         statistic=worst,
         threshold=3.0,
         seed=seed,
-        details={**{str(t): v for t, v in zs.items()}, "truncations": truncations},
+        details={**zs, "truncations": truncations, "reused_run": reused},
     )
 
 
@@ -367,9 +365,8 @@ def check_moment_bounds(
 ) -> CheckReport:
     """MC moments E r_t^(-2 gamma) and E r_t^(2 (gamma-1)) must not exceed
     the closed-form bounds by more than 3 SE."""
-    t_end, n_steps, idx = _snapshot_grid(ts, n_steps_per_unit)
-    snaps, truncations = _snapshot_rates(p, t_end, n_steps, n_paths, seed, idx, workers)
-    details: dict = {"truncations": truncations}
+    (snaps, truncations), reused = _snapshot_run(p, ts, n_steps_per_unit, n_paths, seed, workers)
+    details: dict = {"truncations": truncations, "reused_run": reused}
     worst = -math.inf
     for kind, expo in (
         ("neg_moment", -2.0 * p.gamma),
@@ -583,19 +580,21 @@ def _skipped(name: str, threshold: float, seed: int, why: str) -> list[CheckRepo
 
 # Every check in run order, as a call on (params, C, suite seed, workers)
 # that returns its reports; `ckls verify --suite NAME` runs the one named
-# NAME, and suite "default" runs them all.
+# NAME, and suite "default" runs them all.  Two pairs of checks run the
+# same simulation, and the later check takes the earlier one's seed and
+# grid: measure-consistency reads martingale's weighted run (seed s), and
+# moments reads mean's snapshot run (seed s + 4, times _MEAN_TIMES).
 _SUITE = {
     "transform": lambda p, c, s, w: [check_transform_identities(p, c, s)],
     "martingale": lambda p, c, s, w: [check_martingale(p, seed=s, workers=w)],
     "explicit-law": lambda p, c, s, w: [check_explicit_law(p, c, seed=s + 1)],
-    "measure-consistency": lambda p, c, s, w: [
-        check_measure_consistency(p, c, seed=s + 2, workers=w)
-    ],
+    "measure-consistency": lambda p, c, s, w: [check_measure_consistency(p, c, seed=s, workers=w)],
     "delta-arbitration": lambda p, c, s, w: [check_delta_arbitration(p, seed=s + 3)],
     "mean": lambda p, c, s, w: [check_closed_form_mean(p, seed=s + 4, workers=w)],
     "moments": lambda p, c, s, w: (
-        [check_moment_bounds(p, seed=s + 5, workers=w)] if classify_regime(p).moment_valid
-        else _skipped("moment-bounds", 3.0, s + 5, "parameters satisfy neither moment-bound case")
+        [check_moment_bounds(p, _MEAN_TIMES, seed=s + 4, workers=w)]
+        if classify_regime(p).moment_valid
+        else _skipped("moment-bounds", 3.0, s + 4, "parameters satisfy neither moment-bound case")
     ),
     "ladder": lambda p, c, s, w: [check_convergence_ladder(p, seed=s + 6)],
     "ncx2": lambda p, c, s, w: [check_ncx2_battery(seed=s + 7)],
@@ -623,9 +622,15 @@ def run_suite(
 
     Checks whose hypotheses the parameter set does not satisfy (moment
     bounds outside both cases, scale function outside gamma in [1/2, 1))
-    are skipped with a report-only entry.
+    are skipped with a report-only entry.  Checks on the same Monte Carlo
+    run share it for the length of the call (see _SUITE).
     """
+    global _runs
     if suite not in SUITE_NAMES:
         raise UnknownSuite(f"unknown suite {suite!r}; known: {', '.join(SUITE_NAMES)}")
     names = CHECKS if suite == "default" else (suite,)
-    return [report for name in names for report in _SUITE[name](p, c, seed, workers)]
+    _runs = {}
+    try:
+        return [report for name in names for report in _SUITE[name](p, c, seed, workers)]
+    finally:
+        _runs = None

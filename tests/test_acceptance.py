@@ -85,9 +85,8 @@ def test_criterion_04_measure_consistency():
     assert d["z_vs_closed_form"] <= 3.0, (
         "weighted pushforward does not match the closed-form target: "
         f"estimate {d['weighted_estimate']:.5f} +- {d['std_error']:.5f} vs "
-        f"target {d['target_closed_form']:.5f} (z = {d['z_vs_closed_form']:.1f}); "
-        f"auxiliary-dynamics cross-check {d['auxiliary_estimate']:.5f} "
-        f"(z = {d['z_vs_auxiliary']:.2f}), ESS {d['ess']:.0f}"
+        f"target {d['target_closed_form']:.5f} (z = {d['z_vs_closed_form']:.1f}), "
+        f"ESS {d['ess']:.0f}"
     )
 
 

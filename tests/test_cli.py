@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import scipy
 
-from ckls.cli import SIM_MODES
+from ckls import CklsParams, verify
+from ckls.cli import SIM_MODES, main
 from ckls.engine import NoiseMatrix
 from ckls.pathio import read_paths_binary
 
@@ -457,12 +458,14 @@ class TestDensityCommand:
 
 @pytest.mark.parametrize("command", ["simulate", "density"])
 def test_c_past_float_range_is_a_config_error(tmp_path, command):
-    """A 401-digit JSON int for C: one error line and exit 1."""
+    """A 401-digit JSON int for C: one short error line, naming C's size,
+    and exit 1."""
     out = tmp_path / "out.csv"
     res = run_cli("--config", write_config(tmp_path, params={"C": 10**400}), "--out", str(out), command)
     assert res.returncode == 1
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
-    assert "C must be finite" in res.stderr
+    assert "C must be finite, got an int of 1329 bits" in res.stderr
+    assert len(res.stderr) < 100
     assert "Traceback" not in res.stderr and res.stdout == ""
     assert not out.exists()
 
@@ -510,16 +513,46 @@ class TestVerifyCommand:
         errs = payload["checks"][0]["details"]["errors"]
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
-    def test_default_suite_on_reference_set_exits_zero(self, tmp_path):
-        """The full default suite: asserted checks all pass, the
-        measure-consistency check among them."""
+    def test_default_suite_on_reference_set_exits_zero(self, tmp_path, monkeypatch):
+        """The full default suite, in-process: asserted checks all pass,
+        the measure-consistency check among them.  It simulates one
+        weighted run for martingale and measure-consistency and one Euler
+        snapshot run for mean and moments (determinism's three weighted
+        runs are its own); run alone, either sharing check gives the same
+        report but for its time and reused_run, and no run outlives the
+        call."""
+        runs = {"simulate_weighted": 0, "euler_blocks": 0}
+        for name in runs:
+            def spy(*args, _name=name, _run=getattr(verify, name), **kwargs):
+                runs[_name] += 1
+                return _run(*args, **kwargs)
+
+            monkeypatch.setattr(verify, name, spy)
         cfg = write_config(tmp_path)
         out = tmp_path / "report.json"
-        res = run_cli("--config", cfg, "--out", str(out), "verify", "--suite", "default")
-        assert res.returncode == 0, res.stdout[-2000:]
+        assert main(["--config", cfg, "--out", str(out), "verify", "--suite", "default"]) == 0
+        assert runs == {"simulate_weighted": 4, "euler_blocks": 1}
         payload = json.loads(out.read_text())
         by_name = {c["name"]: c for c in payload["checks"]}
         assert by_name["measure-consistency"]["status"] == "pass"
         assert by_name["measure-consistency"]["details"]["passes_closed_form_target"]
         asserted = [c for c in payload["checks"] if c["status"] != "report"]
         assert asserted and all(c["status"] == "pass" for c in asserted)
+
+        def untimed(report: dict) -> dict:
+            details = {k: v for k, v in report["details"].items() if k != "reused_run"}
+            return {**report, "details": details, "elapsed_seconds": None}
+
+        p = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=1.5, r0=1.0)
+        for suite, name, maker in (("measure-consistency", "measure-consistency", "martingale"),
+                                   ("moments", "moment-bounds", "closed-form-mean")):
+            assert by_name[name]["details"]["reused_run"]
+            assert not by_name[maker]["details"]["reused_run"]
+            (alone,) = verify.run_suite(suite, p, c=1.0, seed=42)
+            alone = json.loads(json.dumps(alone.to_dict(), default=float))
+            assert not alone["details"]["reused_run"]
+            assert untimed(alone) == untimed(by_name[name])
+        assert runs == {"simulate_weighted": 5, "euler_blocks": 2}
+        for _ in range(2):
+            verify.check_martingale(p, n_steps=16, n_paths=200, seed=42)
+        assert runs["simulate_weighted"] == 7

@@ -157,6 +157,23 @@ class TestNoCoercion:
         obj["params"]["C"] = None
         assert parse_config(obj).c is None
 
+    @pytest.mark.parametrize("key,value,size", [
+        ("C", 10**400, "an int of 1329 bits"),
+        ("C", 10**5000, "an int of 16610 bits"),
+        ("n_paths", -(10**5000), "a negative int of 16610 bits"),
+        ("seed", 10**5000, "an int of 16610 bits"),
+    ], ids=["C-401-digits", "C-5001-digits", "n_paths", "seed"])
+    def test_int_past_float_range_echoed_by_its_size(self, key, value, size):
+        """A library caller's int past the float range is named by its size:
+        its digits would fill hundreds of characters, and past 4300 digits
+        str() would raise in place of the message."""
+        obj = base_config()
+        (obj["params"] if key == "C" else obj)[key] = value
+        with pytest.raises(ConfigError) as info:
+            parse_config(obj)
+        assert str(info.value).endswith(f"got {size}")
+        assert len(str(info.value)) < 100
+
 
 class TestLoad:
     def test_load_from_file(self, tmp_path):

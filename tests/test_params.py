@@ -63,6 +63,16 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             CklsParams(**kwargs)
 
+    @pytest.mark.parametrize("value,size", [
+        (10**400, "an int of 1329 bits"), (-(10**5000), "a negative int of 16610 bits"),
+    ], ids=["401-digits", "negative-5001-digits"])
+    def test_int_past_float_range_echoed_by_its_size(self, value, size):
+        """Its digits would fill hundreds of characters, and past 4300
+        digits str() would raise in place of the message."""
+        with pytest.raises(ValueError) as info:
+            CklsParams(**dict(HIGH.to_dict(), a=value))
+        assert str(info.value) == f"a must be finite, got {size}"
+
     def test_negative_b_allowed(self):
         CklsParams(a=1.0, b=-0.3, sigma=0.5, gamma=1.5, r0=1.0)
 

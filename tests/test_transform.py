@@ -90,6 +90,18 @@ class TestTransformValidation:
         with pytest.raises(ValueError, match="^gamma must be a finite real number"):
             Transform(c=1.0, gamma=gamma)
 
+    @pytest.mark.parametrize("field,value,text", [
+        ("c", 10**400, "C must be positive and finite, got an int of 1329 bits"),
+        ("c", -(10**5000), "C must be positive and finite, got a negative int of 16610 bits"),
+        ("gamma", 10**5000, "gamma must be a finite real number, got an int of 16610 bits"),
+    ], ids=["c-401-digits", "c-negative-5001-digits", "gamma-5001-digits"])
+    def test_int_past_float_range_echoed_by_its_size(self, field, value, text):
+        """Its digits would fill hundreds of characters, and past 4300
+        digits str() would raise in place of the message."""
+        with pytest.raises(ValueError) as info:
+            Transform(**{"c": 1.0, "gamma": 1.5, field: value})
+        assert str(info.value) == text
+
     def test_gamma_one_is_degenerate(self):
         with pytest.raises(DegenerateTransform, match="power transform is undefined"):
             Transform(c=1.0, gamma=1.0)

@@ -194,7 +194,8 @@ GAMMA_2 = CklsParams(a=1.0, b=0.2, sigma=0.5, gamma=2.0, r0=1.0)
 )
 def test_default_suite_call_and_report_sequence(monkeypatch, p, moments, scale):
     """Suite "default" calls every check in CHECKS order with its seed
-    offset, c and worker count, and skips the moment bounds outside both
+    offset (measure-consistency and moments take the seeds of the
+    martingale and mean checks, whose runs they share), c and worker count, and skips the moment bounds outside both
     moment cases and the scale trends outside gamma in [1/2, 1) with a
     report-only entry; each single-check suite runs its own slice."""
     calls = _stub_checks(monkeypatch)
@@ -203,10 +204,10 @@ def test_default_suite_call_and_report_sequence(monkeypatch, p, moments, scale):
         ("check_transform_identities", s, c, None, None),
         ("check_martingale", s, None, w, None),
         ("check_explicit_law", s + 1, c, None, None),
-        ("check_measure_consistency", s + 2, c, w, None),
+        ("check_measure_consistency", s, c, w, None),
         ("check_delta_arbitration", s + 3, 2.0, None, None),
         ("check_closed_form_mean", s + 4, None, w, None),
-        *([("check_moment_bounds", s + 5, None, w, None)] if moments else []),
+        *([("check_moment_bounds", s + 4, None, w, None)] if moments else []),
         ("check_convergence_ladder", s + 6, None, None, None),
         ("check_ncx2_battery", s + 7, None, None, None),
         *([("check_scale_trends", s, None, None, "paper"),
@@ -215,7 +216,7 @@ def test_default_suite_call_and_report_sequence(monkeypatch, p, moments, scale):
     ]
     expected_reports = [(":".join(map(str, call)), "pass", 0.0, call[1]) for call in expected_calls]
     if not moments:
-        expected_reports.insert(6, ("moment-bounds", "report", 3.0, s + 5))
+        expected_reports.insert(6, ("moment-bounds", "report", 3.0, s + 4))
     if not scale:
         expected_reports.insert(-1, ("scale-trends", "report", math.inf, s))
 
