@@ -13,11 +13,11 @@ auxiliary run at the same size (the kernel's "run-off" boundary rule,
 beside "raise-nan" in the weighted kernel and "clamp" in euler_ckls), the
 noncentral chi-square pdf and CDF, the closed-form rate draws of the law
 workload, the KS statistic against the rate law under each df rule,
-and the two path writers.  Three cold-start timings launch a fresh
-interpreter per round: `import ckls, ckls.cli`, and the whole user-visible
-jobs `ckls simulate --mode euler-p` at 200 paths x 16 steps and
-`ckls verify --suite default` at the README config (HIGH, seed 42), the
-slowest of them, timed in one round.  Rounds are fixed so a full run
+and the two path writers at three shapes.  Three cold-start timings
+launch a fresh interpreter per round: `import ckls, ckls.cli`, and the
+whole user-visible jobs `ckls simulate --mode euler-p` at 200 paths x 16
+steps and `ckls verify --suite default` at the README config (HIGH, seed
+42), the slowest of them, timed in one round.  Rounds are fixed so a full run
 takes about a minute.
 """
 
@@ -169,11 +169,16 @@ def test_ks_statistic(benchmark, rule):
 
 
 @pytest.mark.parametrize("writer", [write_paths_csv, write_paths_binary], ids=["csv", "binary"])
-def test_path_writer(benchmark, writer, tmp_path):
-    grid = TimeGrid(0.5, 32)
-    values = np.abs(NoiseMatrix(5, 5000, grid).increments()).cumsum(axis=1)
-    values = np.hstack([np.ones((5000, 1)), values])
-    benchmark.pedantic(writer, args=(tmp_path / "paths", grid.times, values), rounds=5, warmup_rounds=1)
+@pytest.mark.parametrize("n_paths,n_points", [(5000, 33), (2000, 513), (20_000, 1)], ids=lambda n: str(n))
+def test_path_writer(benchmark, writer, n_paths, n_points, tmp_path):
+    """Euler-like paths at the export shape, on a long grid and at one time
+    (the last of a one-step grid): a CSV block sets its path ids once per
+    grid time, so the three shapes sit on either side of that cost."""
+    grid = TimeGrid(0.5, max(n_points - 1, 1))
+    values = np.abs(NoiseMatrix(5, n_paths, grid).increments()).cumsum(axis=1)
+    values = np.hstack([np.ones((n_paths, 1)), values])[:, -n_points:]
+    args = (tmp_path / "paths", grid.times[-n_points:], values)
+    benchmark.pedantic(writer, args=args, rounds=5, warmup_rounds=1)
     assert (tmp_path / "paths").stat().st_size > 0
 
 

@@ -40,9 +40,10 @@ def finite_float(value) -> bool:
 
 
 def _echo(value) -> str:
-    """repr(value) for an error message, but the size of an int past the
-    float range, whose digits str() may refuse (past 4300 of them)."""
-    if isinstance(value, int) and not finite_float(value):
+    """repr(value) for an error message, but the size of an int of more
+    than 64 bits, whose digits would crowd the message (and past 4300 of
+    them str() refuses)."""
+    if isinstance(value, int) and value.bit_length() > 64:
         return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
     return repr(value)
 

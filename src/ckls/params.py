@@ -55,13 +55,13 @@ class CklsParams:
             if not finite_float(value):
                 raise ValueError(f"{name} must be finite, got {_echo(value)}")
         if not self.a > 0:
-            raise ValueError(f"a must be positive, got {self.a}")
+            raise ValueError(f"a must be positive, got {_echo(self.a)}")
         if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+            raise ValueError(f"sigma must be positive, got {_echo(self.sigma)}")
         if not self.gamma >= 0.5:
-            raise ValueError(f"gamma must be >= 1/2, got {self.gamma}")
+            raise ValueError(f"gamma must be >= 1/2, got {_echo(self.gamma)}")
         if not self.r0 > 0:
-            raise ValueError(f"r0 must be positive, got {self.r0}")
+            raise ValueError(f"r0 must be positive, got {_echo(self.r0)}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CklsParams":

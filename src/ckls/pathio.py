@@ -13,23 +13,32 @@ then the columns path_id,t,value.  Each float is written as its repr, the
 shortest text that reads back as the same double, so identical runs
 produce byte-identical files.
 
-A CSV write block is one list of four pieces a line, [id, ",t,", value,
-"\n", ...], filled by three extended-slice assignments and written with
-one join: the ids repeat per path, the ",t," pieces are rendered once per
-file, and the values come from _float_texts.  That forms repr's text with
-one orjson call a block: orjson's shortest round-trip writer (Ryu) gives
-the same digits as repr wherever repr writes plain decimals, magnitudes
-in [1e-4, 1e16), at about an eighth of the cost of a repr call a value.
-Outside that range repr uses an exponent form orjson does not ("1e-05",
-"1e+16"), and orjson writes NaN and inf as null, so those values, and
-zero, are formed by repr itself.
+A CSV write block is whole paths, _CSV_ROWS_PER_WRITE lines or fewer (or
+one path where a path is longer), held as one list of four pieces a
+line, [id, ",t,", value, "\n", ...] and written with one join.  The path
+ids go in by column, one extended-slice assignment of the block's id
+strings per grid time; the ",t," pieces, rendered once per file, by one
+assignment of their list repeated per path; the values come from
+_float_texts.  A block also costs about ten numpy and orjson calls and
+one write, which the block length, chosen on the layer benchmark, spreads
+over many lines.
+
+_float_texts forms repr's text with one orjson call a block: orjson's
+shortest round-trip writer (Ryu) gives the same digits as repr wherever
+repr writes plain decimals, magnitudes in [1e-4, 1e16), at about an
+eighth of the cost of a repr call a value.  Outside that range repr uses
+an exponent form orjson does not ("1e-05", "1e+16"), and orjson writes
+NaN and inf as null, so those values, and zero, are formed by repr
+itself.
+
+The binary header holds each count as a uint32, so write_paths_binary
+refuses 2**32 or more paths or points before it opens the file.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from itertools import chain, repeat
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -50,8 +59,8 @@ BINARY_VERSION = 1
 # magic, version, n_paths, n_points
 _BINARY_HEADER = struct.Struct("<4sBII")
 
-# CSV lines formatted per write, in whole paths
-_CSV_ROWS_PER_WRITE = 1024
+# CSV lines joined per write, in whole paths
+_CSV_ROWS_PER_WRITE = 16384
 
 
 def _times_and_matrix(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,12 +122,13 @@ def write_paths_csv(
         fh.write("path_id,t,value\n")
         time_pieces = [f",{t}," for t in _float_texts(times)]
         per_write = max(1, _CSV_ROWS_PER_WRITE // max(1, n_points))
+        step = 4 * n_points
         for lo in range(0, matrix.shape[0], per_write):
             block = matrix[lo : lo + per_write]
+            ids = list(map(str, range(lo, lo + len(block))))
             pieces = ["\n"] * (4 * block.size)
-            pieces[0::4] = chain.from_iterable(
-                repeat(str(i), n_points) for i in range(lo, lo + len(block))
-            )
+            for j in range(0, step, 4):
+                pieces[j::step] = ids
             pieces[1::4] = time_pieces * len(block)
             pieces[2::4] = _float_texts(block.ravel())
             fh.write("".join(pieces))
@@ -126,10 +136,16 @@ def write_paths_csv(
 
 def write_paths_binary(dest: str | FsPath, times: np.ndarray, values: np.ndarray) -> None:
     times, matrix = _times_and_matrix(times, values)
+    n_paths, n_points = matrix.shape
+    if max(n_paths, n_points) >= 2**32:
+        raise InputError(
+            f"{n_paths} paths x {n_points} points do not fit the binary header, "
+            f"which holds each count as a uint32 (below 2**32)"
+        )
     with open(dest, "wb") as fh:
-        fh.write(_BINARY_HEADER.pack(BINARY_MAGIC, BINARY_VERSION, *matrix.shape))
-        fh.write(times.astype("<f8").tobytes())
-        fh.write(matrix.astype("<f8").tobytes())
+        fh.write(_BINARY_HEADER.pack(BINARY_MAGIC, BINARY_VERSION, n_paths, n_points))
+        fh.write(np.ascontiguousarray(times, dtype="<f8"))
+        fh.write(np.ascontiguousarray(matrix, dtype="<f8"))
 
 
 def read_paths_binary(src: str | FsPath) -> tuple[np.ndarray, np.ndarray]:

@@ -174,6 +174,14 @@ class TestNoCoercion:
         assert str(info.value).endswith(f"got {size}")
         assert len(str(info.value)) < 100
 
+    def test_seed_past_64_bits_echoed_by_its_size(self):
+        """Every int of more than 64 bits is named by its size, inside the
+        float range as well as past it."""
+        obj = dict(base_config(), seed=2**64)
+        with pytest.raises(ConfigError) as info:
+            parse_config(obj)
+        assert str(info.value).endswith("seed must be a 64-bit unsigned integer, got an int of 65 bits")
+
 
 class TestLoad:
     def test_load_from_file(self, tmp_path):

@@ -73,6 +73,18 @@ class TestValidation:
             CklsParams(**dict(HIGH.to_dict(), a=value))
         assert str(info.value) == f"a must be finite, got {size}"
 
+    @pytest.mark.parametrize("name,rule", [
+        ("a", "must be positive"), ("sigma", "must be positive"),
+        ("gamma", "must be >= 1/2"), ("r0", "must be positive"),
+    ], ids=["a", "sigma", "gamma", "r0"])
+    def test_int_in_float_range_echoed_by_its_size(self, name, rule):
+        """A wide int inside the float range fails the sign or range check,
+        not the finite one, and is named by its size there too."""
+        with pytest.raises(ValueError) as info:
+            CklsParams(**dict(HIGH.to_dict(), **{name: -(10**300)}))
+        assert str(info.value) == f"{name} {rule}, got a negative int of 997 bits"
+        assert len(str(info.value)) < 100
+
     def test_negative_b_allowed(self):
         CklsParams(a=1.0, b=-0.3, sigma=0.5, gamma=1.5, r0=1.0)
 

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from ckls import InputError
 from ckls.pathio import (
+    _CSV_ROWS_PER_WRITE as B,
     BINARY_MAGIC,
     read_paths_binary,
     write_paths_binary,
@@ -86,7 +87,9 @@ class TestCsv:
 
     @pytest.mark.parametrize(
         "n_paths,n_points",
-        [(0, 5), (2, 0), (1, 1), (3, 5), (1023, 1), (1025, 1), (2050, 2), (40, 33), (31, 33), (32, 33), (3, 2000)],
+        [(0, 5), (2, 0), (1, 1), (3, 5), (1023, 1), (1025, 1), (2050, 2), (40, 33), (31, 33), (32, 33), (3, 2000)]
+        # across the edges of a write block of B lines
+        + [(B - 1, 1), (B, 1), (B + 1, 1), (B // 33 + 1, 33), (3 * (B // 513) + 5, 513)],
     )
     def test_bytes_equal_per_value_format(self, n_paths, n_points, tmp_path):
         """Writes cut into blocks of paths: path ids carry on across the
@@ -160,12 +163,35 @@ def test_three_dimensional_values_rejected(writer, sample, tmp_path):
 
 
 class TestBinary:
+    def test_count_past_uint32_refused_before_open(self, tmp_path):
+        """The header holds each count as a uint32: a larger count is
+        refused before the file is created."""
+        dest = tmp_path / "paths.bin"
+        with pytest.raises(InputError, match=r"4294967296 paths x 0 points .* uint32"):
+            write_paths_binary(dest, np.empty(0), np.empty((2**32, 0)))
+        assert not dest.exists()
+
     def test_roundtrip_exact(self, sample, tmp_path):
         dest = tmp_path / "paths.bin"
         write_paths_binary(dest, *sample)
         times, values = read_paths_binary(dest)
         np.testing.assert_array_equal(times, sample[0])
         np.testing.assert_array_equal(values, sample[1])
+
+    @pytest.mark.parametrize("layout", ["F", "strided", "big-endian"])
+    def test_bytes_equal_any_layout(self, layout, sample, tmp_path):
+        """Arrays not already little-endian float64 in C order are written
+        as if they were."""
+        times, values = sample
+        if layout == "F":
+            view = np.asfortranarray(values)
+        elif layout == "strided":
+            view = np.repeat(values, 2, axis=1)[:, ::2]
+        else:
+            times, view = times.astype(">f8"), values.astype(">f8")
+        write_paths_binary(tmp_path / "c.bin", *sample)
+        write_paths_binary(tmp_path / "view.bin", times, view)
+        assert (tmp_path / "view.bin").read_bytes() == (tmp_path / "c.bin").read_bytes()
 
     def test_header_layout(self, sample, tmp_path):
         dest = tmp_path / "paths.bin"
