@@ -13,7 +13,7 @@ auxiliary run at the same size (the kernel's "run-off" boundary rule,
 beside "raise-nan" in the weighted kernel and "clamp" in euler_ckls), the
 noncentral chi-square pdf and CDF, the closed-form rate draws of the law
 workload, the KS statistic against the rate law under each df rule,
-and the two path writers at three shapes.  Three cold-start timings
+and the two path writers at four shapes.  Three cold-start timings
 launch a fresh interpreter per round: `import ckls, ckls.cli`, and the
 whole user-visible jobs `ckls simulate --mode euler-p` at 200 paths x 16
 steps and `ckls verify --suite default` at the README config (HIGH, seed
@@ -169,11 +169,14 @@ def test_ks_statistic(benchmark, rule):
 
 
 @pytest.mark.parametrize("writer", [write_paths_csv, write_paths_binary], ids=["csv", "binary"])
-@pytest.mark.parametrize("n_paths,n_points", [(5000, 33), (2000, 513), (20_000, 1)], ids=lambda n: str(n))
+@pytest.mark.parametrize(
+    "n_paths,n_points", [(5000, 33), (2000, 513), (20_000, 1), (2, 20_000)], ids=lambda n: str(n)
+)
 def test_path_writer(benchmark, writer, n_paths, n_points, tmp_path):
-    """Euler-like paths at the export shape, on a long grid and at one time
-    (the last of a one-step grid): a CSV block sets its path ids once per
-    grid time, so the three shapes sit on either side of that cost."""
+    """Euler-like paths at the export shape, on a long grid, at one time
+    (the last of a one-step grid) and as a few long paths: a CSV block sets
+    its path ids once per grid time, so the four shapes sit on either side
+    of that cost, the last with a grid time for every two lines."""
     grid = TimeGrid(0.5, max(n_points - 1, 1))
     values = np.abs(NoiseMatrix(5, n_paths, grid).increments()).cumsum(axis=1)
     values = np.hstack([np.ones((n_paths, 1)), values])[:, -n_points:]

@@ -39,6 +39,7 @@ from .errors import (
     RegimeError,
     UnknownSuite,
 )
+from .numerics import require_count
 from .params import classify_regime
 from .pathio import csv_rows, write_paths_binary, write_paths_csv
 from .transform import derive_cir, make_transform
@@ -204,8 +205,7 @@ def cmd_density(cfg: RunConfig, x_min: float | None, x_max: float | None, x_poin
         lo_rate, hi_rate = sorted((tr.inverse(lo_level), tr.inverse(hi_level)))
         x_min = x_min if x_min is not None else lo_rate
         x_max = x_max if x_max is not None else hi_rate
-    if not x_points >= 1:
-        raise ConfigError(f"--x-points must be >= 1, got {x_points}")
+    require_count("--x-points", x_points)
     if not 0 < x_min <= x_max < math.inf:
         raise ConfigError(f"need 0 < x-min <= x-max < inf, got [{x_min}, {x_max}]")
     xs = np.geomspace(x_min, x_max, x_points)
@@ -241,7 +241,8 @@ def cmd_verify(cfg: RunConfig, suite: str, workers: int) -> int:
         "suite": suite,
         "config": cfg.to_dict(),
         "checks": [r.to_dict() for r in reports],
-        # every check draws its paths under NoiseMatrix's one rule
+        # the Euler checks draw under NoiseMatrix's rule; explicit-law and
+        # delta-arbitration draw default_rng([seed, 1]), ncx2 default_rng([seed, 3])
         "noise_stream": NOISE_RULE,
         "numpy_version": np.__version__,
         "scipy_version": scipy_version,
@@ -260,8 +261,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        require_count("--workers", args.workers)
         cfg = _resolve(args)
         if args.command == "regime":
             return cmd_regime(cfg)

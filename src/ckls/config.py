@@ -15,10 +15,9 @@ A config object looks like
 
 "C" and everything from "delta_rule" down are optional.  Unknown keys are
 rejected at every level; round-trips are lossless.  Nothing is coerced:
-"n_paths", "seed" and "n_steps" must be JSON integers (not floats, not
-booleans), and every real value must be a number that converts to a
-finite float (JSON NaN and Infinity, and ints past the float range, are
-rejected).
+"n_paths", "seed" and "n_steps" take the count rule and every real value
+the real rule of ckls.numerics, so floats for counts, booleans, JSON NaN
+and Infinity, and ints past the float range are rejected.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from pathlib import Path as FsPath
 
 from .engine import TimeGrid
 from .errors import ConfigError
-from .numerics import _echo, finite_float
+from .numerics import require_count, require_real, require_seed
 from .params import CklsParams
 
 __all__ = ["RunConfig", "load_config", "parse_config"]
@@ -83,20 +82,6 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
-def _integer(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _real(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    if not finite_float(value):
-        raise ConfigError(f"{name} must be finite, got {_echo(value)}")
-    return float(value)
-
-
 def parse_config(obj: dict) -> RunConfig:
     if not isinstance(obj, dict):
         raise ConfigError(f"config must be an object, got {type(obj).__name__}")
@@ -104,8 +89,8 @@ def parse_config(obj: dict) -> RunConfig:
     try:
         raw_params = obj["params"]
         raw_grid = obj["grid"]
-        n_paths = _integer(obj["n_paths"], "n_paths")
-        seed = _integer(obj["seed"], "seed")
+        n_paths = obj["n_paths"]
+        seed = obj["seed"]
     except KeyError as exc:
         raise ConfigError(f"missing required config key: {exc.args[0]}") from exc
     if not isinstance(raw_params, dict):
@@ -130,19 +115,17 @@ def parse_config(obj: dict) -> RunConfig:
 
     try:
         # "C": null is the same as leaving C out
-        reals = {k: _real(v, k) for k, v in raw_params.items() if v is not None or k != "C"}
+        reals = {k: require_real(k, v) for k, v in raw_params.items() if v is not None or k != "C"}
         params = CklsParams.from_dict(reals)
         c = reals.get("C")
         if c is not None and not c > 0:
             raise ConfigError(f"C must be positive, got {c}")
         grid = TimeGrid(
-            t_end=_real(raw_grid["t_end"], "t_end"),
-            n_steps=_integer(raw_grid["n_steps"], "n_steps"),
+            t_end=require_real("t_end", raw_grid["t_end"]),
+            n_steps=require_count("n_steps", raw_grid["n_steps"]),
         )
-        if n_paths < 1:
-            raise ConfigError(f"n_paths must be >= 1, got {_echo(n_paths)}")
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {_echo(seed)}")
+        n_paths = require_count("n_paths", n_paths)
+        seed = require_seed(seed)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import TINY, like_argument, not_normal, stable_phi
+from .numerics import TINY, _echo, like_argument, not_normal, require_real, stable_phi
 from .params import CklsParams, require_transformable
 from .transform import CirParams, Transform
 
@@ -55,16 +55,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NoncentralChiSq:
-    """Noncentral chi-square with df degrees of freedom and noncentrality nonc."""
+    """Noncentral chi-square with df > 0 degrees of freedom and noncentrality nonc >= 0."""
 
     df: float
     nonc: float
 
     def __post_init__(self) -> None:
-        if not self.df > 0:
-            raise ValueError(f"df must be positive, got {self.df}")
-        if not self.nonc >= 0:
-            raise ValueError(f"nonc must be nonnegative, got {self.nonc}")
+        if not require_real("df", self.df) > 0:
+            raise ValueError(f"df must be positive, got {_echo(self.df)}")
+        if not require_real("nonc", self.nonc) >= 0:
+            raise ValueError(f"nonc must be nonnegative, got {_echo(self.nonc)}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -76,8 +76,8 @@ class TransitionSpec(NoncentralChiSq):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not require_real("scale", self.scale) > 0:
+            raise ValueError(f"scale must be positive, got {_echo(self.scale)}")
 
     def mean(self) -> float:
         """E[Y_t] = scale * (df + nonc)."""

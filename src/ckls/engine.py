@@ -38,7 +38,10 @@ import numpy as np
 
 from .distribution import transition_spec
 from .errors import DegenerateTransform, DomainError, InputError, SingularSample
-from .numerics import _echo, like_argument, not_normal, require_horizon, stable_phi
+from .numerics import (
+    _echo, like_argument, not_normal, require_count, require_horizon, require_real, require_seed,
+    stable_phi,
+)
 from .params import CklsParams, require_transformable
 from .transform import CirParams
 
@@ -112,9 +115,9 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.t_end, (bool, np.bool_)) or not 0 < self.t_end < math.inf:
-            raise ValueError(f"t_end must be positive and finite, got {self.t_end!r}")
-        _require_integer("n_steps", self.n_steps)
+        if not require_real("t_end", self.t_end) > 0:
+            raise ValueError(f"t_end must be positive, got {_echo(self.t_end)}")
+        require_count("n_steps", self.n_steps)
 
     @property
     def dt(self) -> float:
@@ -130,14 +133,6 @@ def _row_index(value) -> int:
     if isinstance(value, (bool, np.bool_)):
         raise TypeError(f"row index must be an integer, got {value!r}")
     return operator.index(value)
-
-
-def _require_integer(name: str, value, low: int = 1) -> None:
-    """The count rule: an integer >= low, never a bool or a float."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not value >= low:
-        raise ValueError(f"{name} must be >= {low}, got {_echo(value)}")
 
 
 @dataclass(frozen=True)
@@ -161,10 +156,8 @@ class NoiseMatrix:
     grid: TimeGrid
 
     def __post_init__(self) -> None:
-        _require_integer("seed", self.seed, 0)
-        _require_integer("n_paths", self.n_paths)
-        if not int(self.seed) < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {_echo(self.seed)}")
+        require_seed(self.seed)
+        require_count("n_paths", self.n_paths)
 
     @property
     def rule(self) -> str:
@@ -293,7 +286,7 @@ class Snapshots:
         for j, k in enumerate(indices):
             if not 0 <= k <= n_steps:
                 raise DomainError(f"grid index {k} is outside 0..{n_steps}")
-            _require_integer("grid index", k, low=0)
+            require_count("grid index", k, low=0)
             self.rows.setdefault(k, []).append(j)
         self.n_steps = n_steps
         self.snapshots = np.empty((len(indices), n))
@@ -647,7 +640,7 @@ def map_noise_blocks(
     gives the same rows, but the cut stream block is drawn for both
     thread blocks.  workers must be an integer >= 1.
     """
-    _require_integer("workers", workers)
+    require_count("workers", workers)
     n_paths = int(noise.n_paths)
     rows = block_rows(noise.grid.n_steps)
     ranges = [(lo, min(lo + rows, n_paths)) for lo in range(0, max(n_paths, 1), rows)]

@@ -21,7 +21,7 @@ class RegimeError(CklsError, ValueError):
 
 
 class InputError(CklsError, ValueError):
-    """Structurally invalid input (length mismatch, unsorted samples, ...)."""
+    """Invalid input: a count or real failing its rule, a length mismatch, ..."""
 
 
 class DegenerateWeights(CklsError, ValueError):

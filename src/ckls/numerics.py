@@ -1,6 +1,13 @@
-"""Small numerically-stable kernels shared across modules, and the three
-argument rules of the closed-form layer, whose element-wise functions take
-a float, a 0-d array, a list or an array:
+"""Small numerically-stable kernels shared across modules, and the five
+argument rules.  Two take one scalar and raise InputError naming it:
+
+- count (require_count, require_seed): an integer, never a bool or a
+  float, >= low; a seed is also below 2^64;
+- real (require_real): a real number, not a bool, that converts to a
+  finite float.
+
+Three shape the arguments of the closed-form layer, whose element-wise
+functions take a float, a 0-d array, a list or an array:
 
 - point (positive_points): a float array, DomainError unless every value
   is > 0, so NaN fails;
@@ -11,13 +18,14 @@ a float, a 0-d array, a list or an array:
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InputError
 
-__all__ = ["stable_phi", "affine_exp_convolution", "not_normal", "finite_float",
-           "positive_points", "require_horizon", "like_argument"]
+__all__ = ["stable_phi", "affine_exp_convolution", "not_normal", "require_count", "require_seed",
+           "require_real", "positive_points", "require_horizon", "like_argument"]
 
 
 # the least normal float
@@ -30,15 +38,6 @@ def not_normal(mag) -> np.ndarray:
     return ~((mag >= TINY) & (mag < np.inf))
 
 
-def finite_float(value) -> bool:
-    """Whether the real number value converts to a finite float: an int
-    past the float range does not, although it compares below inf."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _echo(value) -> str:
     """repr(value) for an error message, but the size of an int of more
     than 64 bits, whose digits would crowd the message (and past 4300 of
@@ -46,6 +45,38 @@ def _echo(value) -> str:
     if isinstance(value, int) and value.bit_length() > 64:
         return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
     return repr(value)
+
+
+def require_count(name: str, value, low: int = 1) -> int:
+    """The count rule: value as an int; InputError unless it is an
+    integer, never a bool or a float, >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {_echo(value)}")
+    if not value >= low:
+        raise InputError(f"{name} must be >= {low}, got {_echo(value)}")
+    return int(value)
+
+
+def require_seed(value) -> int:
+    """The count rule for a seed, which is also below 2^64: one 64-bit word."""
+    seed = require_count("seed", value, low=0)
+    if not seed < 2**64:
+        raise InputError(f"seed must be a 64-bit unsigned integer, got {_echo(value)}")
+    return seed
+
+
+def require_real(name: str, value) -> float:
+    """The real rule: value as a float; InputError unless it is a real
+    number, not a bool, that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a real number, got {_echo(value)}")
+    try:
+        out = float(value)
+    except OverflowError:  # an int past the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise InputError(f"{name} must be finite, got {_echo(value)}")
+    return out
 
 
 def positive_points(x, name: str = "x") -> np.ndarray:

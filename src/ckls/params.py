@@ -12,11 +12,10 @@ sit relative to two sets of hypotheses, captured by `classify_regime`.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import asdict, dataclass
 
 from .errors import RegimeError
-from .numerics import _echo, finite_float
+from .numerics import _echo, require_real
 
 __all__ = [
     "CklsParams",
@@ -32,7 +31,7 @@ __all__ = [
 class CklsParams:
     """The model quadruple (a, b, sigma, gamma) plus the initial rate r0.
 
-    All five must be real numbers, not bools, that convert to finite floats.
+    All five must pass the real rule (numerics.require_real).
 
     a       drift level (rate/time), must be positive
     b       mean-reversion speed (1/time), any sign
@@ -49,11 +48,7 @@ class CklsParams:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "sigma", "gamma", "r0"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not finite_float(value):
-                raise ValueError(f"{name} must be finite, got {_echo(value)}")
+            require_real(name, getattr(self, name))
         if not self.a > 0:
             raise ValueError(f"a must be positive, got {_echo(self.a)}")
         if not self.sigma > 0:

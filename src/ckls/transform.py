@@ -20,14 +20,13 @@ drift -2 b (1-gamma) instead, plus a term in x^(1 - 2 gamma) from a.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateTransform, DomainError
-from .numerics import TINY, _echo, finite_float, like_argument, not_normal, positive_points
+from .numerics import TINY, _echo, like_argument, not_normal, positive_points, require_real
 from .params import CklsParams, require_transformable
 
 __all__ = [
@@ -43,8 +42,8 @@ __all__ = [
 class Transform:
     """Frozen power map: the constant C > 0 and the exponent gamma != 1.
 
-    Both are real numbers, not bools, that convert to finite floats;
-    gamma = 1 has no power transform and raises DegenerateTransform.
+    Both pass the real rule (numerics.require_real), and C > 0; gamma = 1
+    has no power transform and raises DegenerateTransform.
     f, f' and f'' are each a constant times a power of x; where the
     constant or the power leaves the normal float range (near gamma = 1,
     at extreme C or x) but the product does not, they are formed in logs.
@@ -54,13 +53,10 @@ class Transform:
     gamma: float
 
     def __post_init__(self) -> None:
-        g, c = self.gamma, self.c
-        if isinstance(g, bool) or not isinstance(g, numbers.Real) or not finite_float(g):
-            raise ValueError(f"gamma must be a finite real number, got {_echo(g)}")
-        if g == 1.0:
+        if require_real("gamma", self.gamma) == 1.0:
             raise DegenerateTransform("gamma = 1: the power transform is undefined")
-        if isinstance(c, bool) or not isinstance(c, numbers.Real) or not (c > 0 and finite_float(c)):
-            raise ValueError(f"C must be positive and finite, got {_echo(c)}")
+        if not require_real("C", self.c) > 0:
+            raise ValueError(f"C must be positive, got {_echo(self.c)}")
 
     @cached_property
     def _c_squared(self) -> float:
@@ -160,10 +156,10 @@ class CirParams:
         return self.vol**2 / 4.0
 
     def __post_init__(self) -> None:
-        if not self.vol > 0:
-            raise ValueError(f"vol must be positive, got {self.vol}")
-        if not self.y0 > 0:
-            raise ValueError(f"y0 must be positive, got {self.y0}")
+        require_real("drift_lin", self.drift_lin)
+        for name in ("vol", "y0"):
+            if not require_real(name, getattr(self, name)) > 0:
+                raise ValueError(f"{name} must be positive, got {_echo(getattr(self, name))}")
 
 
 def default_c(gamma: float) -> float:

@@ -69,12 +69,16 @@ class TestRegimeCommand:
         assert res.returncode == 1
         assert "unknown key" in res.stderr
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_exit_one(self, tmp_path, workers):
+    @pytest.mark.parametrize("workers,got", [
+        ("0", "0"), ("-3", "-3"), (str(-(10**300)), "a negative int of 997 bits"),
+    ], ids=["0", "-3", "-(10**300)"])
+    def test_workers_below_one_exit_one(self, tmp_path, workers, got):
+        """One short line, an int of 301 digits named by its size."""
         cfg = write_config(tmp_path)
         res = run_cli("--config", cfg, "--workers", workers, "verify", "--suite", "transform")
         assert res.returncode == 1
-        assert "--workers must be >= 1" in res.stderr
+        assert res.stderr == f"error: --workers must be >= 1, got {got}\n"
+        assert len(res.stderr) < 100
 
 
 class TestSimulateCommand:
@@ -444,14 +448,19 @@ class TestDensityCommand:
     @pytest.mark.parametrize("args", [
         ("--x-points", "-1"), ("--x-points", "0"), ("--x-min", "0"), ("--x-min", "-1"),
         ("--x-min", "nan"), ("--x-max", "inf"), ("--x-min", "2", "--x-max", "1"),
-    ], ids=lambda a: "".join(a))
+        ("--x-points", str(-(10**300))),
+    ], ids=lambda a: "".join(a)[:20])
     def test_bad_grid_is_a_config_error(self, tmp_path, args):
-        """One line on stderr, exit 1, and no table written."""
+        """One short line on stderr, exit 1, and no table written; an int
+        of 301 digits is named by its size."""
         cfg = write_config(tmp_path)
         out = tmp_path / "dens.csv"
         res = run_cli("--config", cfg, "--out", str(out), "density", *args)
         assert res.returncode == 1
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert len(res.stderr) < 100
+        if len(args[-1]) > 20:
+            assert res.stderr == "error: --x-points must be >= 1, got a negative int of 997 bits\n"
         assert "Traceback" not in res.stderr and res.stdout == ""
         assert not out.exists()
 

@@ -139,7 +139,7 @@ class TestNoCoercion:
         if key == "C" and value is None:
             value = "1"  # "C": null means C left out
         (obj["grid"] if key == "t_end" else obj["params"])[key] = value
-        with pytest.raises(ConfigError, match=f"{key} must be a number"):
+        with pytest.raises(ConfigError, match=f"{key} must be a real number"):
             parse_config(obj)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])

@@ -289,3 +289,30 @@ def test_noise_fit_check_only_in_the_kernel():
     assert owners == {"engine.euler_blocks"}
     gone = ("require_grid_noise", "step_columns")
     assert _token_owners(lambda tok: tok.type == tokenize.NAME and tok.string in gone) == set()
+
+
+def test_count_and_real_rules_stated_once():
+    """The count rule (an integer, never a bool, >= low; a seed below
+    2^64) and the real rule (a real number, not a bool, that converts to a
+    finite float) are stated in numerics alone, and the constructors, the
+    config and the command line call them: numbers is named, and their
+    messages written, nowhere else.  The row-index rule of
+    NoiseMatrix.increments keeps its own TypeError, and the array checks
+    of ks_statistic and the snapshot run their own "must be finite"."""
+    def message(text):
+        # a string that is not a docstring
+        return lambda tok: (
+            tok.type == tokenize.STRING and text in tok.string and '"""' not in tok.string
+        )
+
+    named = _token_owners(lambda tok: tok.type == tokenize.NAME and tok.string == "numbers")
+    assert named == {"numerics.<module>", "numerics.require_real"}
+    assert _token_owners(message("must be a real number")) == {"numerics.require_real"}
+    arrays = {"analysis.ks_statistic", "verify._snapshot_run"}
+    assert _token_owners(message("must be finite")) == {"numerics.require_real", *arrays}
+    assert _token_owners(message("must be an integer")) == {"numerics.require_count", "engine._row_index"}
+    assert _token_owners(message("64-bit unsigned integer")) == {"numerics.require_seed"}
+    # the one other lower bound stated by hand is gamma >= 1/2
+    assert _token_owners(message("must be >= ")) == {"numerics.require_count", "params.__post_init__"}
+    gone = ("finite_float", "_require_integer", "_integer", "_real")
+    assert _token_owners(lambda tok: tok.type == tokenize.NAME and tok.string in gone) == set()

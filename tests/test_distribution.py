@@ -395,6 +395,10 @@ class TestTransitionSpec:
         ("df", 0.0), ("df", -1.0), ("df", math.nan),
         ("nonc", -0.5), ("nonc", math.nan),
         ("scale", 0.0), ("scale", -0.5), ("scale", math.nan),
+        # the real rule: an infinite df failed only in chndtr, an infinite
+        # nonc gave a CDF of 0, and True was taken as 1
+        ("df", math.inf), ("df", True), ("nonc", math.inf), ("nonc", True),
+        ("scale", math.inf), ("scale", True),
     ])
     def test_bad_values_rejected(self, name, value):
         """A TransitionSpec is a NoncentralChiSq: both check df and nonc

@@ -69,6 +69,17 @@ class TestTimeGrid:
         for t_end in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 TimeGrid(t_end, 4)
+        # the real rule, at construction and in a short message: an int
+        # past the float range passed and then overflowed in dt, and a
+        # string raised TypeError
+        for t_end, text in [
+            (10**400, "t_end must be finite, got an int of 1329 bits"),
+            (-(10**400), "t_end must be finite, got a negative int of 1329 bits"),
+            ("1", "t_end must be a real number, got '1'"),
+        ]:
+            with pytest.raises(InputError) as info:
+                TimeGrid(t_end, 4)
+            assert str(info.value) == text and len(text) < 100
 
     @pytest.mark.parametrize("t_end", [True, np.True_], ids=["bool", "numpy-bool"])
     def test_bool_t_end_rejected(self, t_end):

@@ -56,12 +56,12 @@ class TestMakeTransform:
 
     @pytest.mark.parametrize("c", [math.inf, math.nan])
     def test_nonfinite_c_rejected(self, c):
-        with pytest.raises(ValueError, match="C must be positive and finite"):
+        with pytest.raises(ValueError, match=f"^C must be finite, got {c}$"):
             make_transform(HIGH, c)
 
     def test_bool_c_rejected(self):
         """C = True is not C = 1."""
-        with pytest.raises(ValueError, match="C must be positive and finite, got True"):
+        with pytest.raises(ValueError, match="^C must be a real number, got True$"):
             make_transform(HIGH, True)
 
     @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
@@ -74,26 +74,36 @@ class TestTransformValidation:
     """Transform checks its own fields, so no Transform gives a
     sign-folded C, a NaN or a ZeroDivisionError on first use."""
 
-    @pytest.mark.parametrize(
-        "c", [-1.0, 0.0, math.nan, math.inf, 10**400, True, np.True_],
-        ids=["negative", "zero", "nan", "inf", "int-past-float", "bool", "numpy-bool"],
-    )
-    def test_bad_c_rejected(self, c):
-        with pytest.raises(ValueError, match="^C must be positive and finite"):
+    @pytest.mark.parametrize("c,text", [
+        (-1.0, "C must be positive, got -1.0"),
+        (0.0, "C must be positive, got 0.0"),
+        (math.nan, "C must be finite, got nan"),
+        (math.inf, "C must be finite, got inf"),
+        (10**400, "C must be finite, got an int of 1329 bits"),
+        (True, "C must be a real number, got True"),
+        (np.True_, f"C must be a real number, got {np.True_!r}"),
+    ], ids=["negative", "zero", "nan", "inf", "int-past-float", "bool", "numpy-bool"])
+    def test_bad_c_rejected(self, c, text):
+        with pytest.raises(ValueError) as info:
             Transform(c=c, gamma=1.5)
+        assert str(info.value) == text
 
-    @pytest.mark.parametrize(
-        "gamma", [math.nan, math.inf, 10**400, True, np.True_],
-        ids=["nan", "inf", "int-past-float", "bool", "numpy-bool"],
-    )
-    def test_bad_gamma_rejected(self, gamma):
-        with pytest.raises(ValueError, match="^gamma must be a finite real number"):
+    @pytest.mark.parametrize("gamma,text", [
+        (math.nan, "gamma must be finite, got nan"),
+        (math.inf, "gamma must be finite, got inf"),
+        (10**400, "gamma must be finite, got an int of 1329 bits"),
+        (True, "gamma must be a real number, got True"),
+        (np.True_, f"gamma must be a real number, got {np.True_!r}"),
+    ], ids=["nan", "inf", "int-past-float", "bool", "numpy-bool"])
+    def test_bad_gamma_rejected(self, gamma, text):
+        with pytest.raises(ValueError) as info:
             Transform(c=1.0, gamma=gamma)
+        assert str(info.value) == text
 
     @pytest.mark.parametrize("field,value,text", [
-        ("c", 10**400, "C must be positive and finite, got an int of 1329 bits"),
-        ("c", -(10**5000), "C must be positive and finite, got a negative int of 16610 bits"),
-        ("gamma", 10**5000, "gamma must be a finite real number, got an int of 16610 bits"),
+        ("c", 10**400, "C must be finite, got an int of 1329 bits"),
+        ("c", -(10**5000), "C must be finite, got a negative int of 16610 bits"),
+        ("gamma", 10**5000, "gamma must be finite, got an int of 16610 bits"),
     ], ids=["c-401-digits", "c-negative-5001-digits", "gamma-5001-digits"])
     def test_int_past_float_range_echoed_by_its_size(self, field, value, text):
         """Its digits would fill hundreds of characters, and past 4300
@@ -263,13 +273,24 @@ class TestTransformProperties:
 
 
 class TestDeriveCir:
-    @pytest.mark.parametrize("name,value", [
-        ("vol", -1.0), ("vol", math.nan), ("y0", 0.0), ("y0", math.nan),
-    ])
-    def test_bad_cir_params_rejected(self, name, value):
+    @pytest.mark.parametrize("name,value,text", [
+        ("vol", -1.0, "must be positive, got -1.0"),
+        ("vol", math.nan, "must be finite, got nan"),
+        ("y0", 0.0, "must be positive, got 0.0"),
+        ("y0", math.nan, "must be finite, got nan"),
+        # each real field takes the real rule: no NaN, inf or bool passes
+        ("drift_lin", math.nan, "must be finite, got nan"),
+        ("drift_lin", -math.inf, "must be finite, got -inf"),
+        ("drift_lin", True, "must be a real number, got True"),
+        ("vol", math.inf, "must be finite, got inf"),
+        ("y0", True, "must be a real number, got True"),
+    ], ids=["vol--1.0", "vol-nan", "y0-0.0", "y0-nan",
+            "drift_lin-nan", "drift_lin--inf", "drift_lin-True", "vol-inf", "y0-True"])
+    def test_bad_cir_params_rejected(self, name, value, text):
         good = {"drift_lin": -0.1, "vol": 1.0, "y0": 1.0}
-        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+        with pytest.raises(ValueError) as info:
             CirParams(**dict(good, **{name: value}))
+        assert str(info.value) == f"{name} {text}"
 
     def test_high_gamma_example(self):
         cir = derive_cir(HIGH, make_transform(HIGH, 1.0))
