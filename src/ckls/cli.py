@@ -41,7 +41,7 @@ from .errors import (
 )
 from .numerics import require_count
 from .params import classify_regime
-from .pathio import csv_rows, write_paths_binary, write_paths_csv
+from .pathio import csv_rows, open_output, write_paths_binary, write_paths_csv
 from .transform import derive_cir, make_transform
 from .verify import SUITE_NAMES, run_suite
 
@@ -130,7 +130,7 @@ def _write_output(cfg: RunConfig, times: np.ndarray, values: np.ndarray, summary
     else:
         write_paths_csv(dest, times, values, metadata={"config": _echo_config(cfg)})
     summary["output"] = {"path": str(dest), "format": cfg.output_format}
-    with open(f"{dest}.summary.json", "w") as fh:
+    with open_output(f"{dest}.summary.json", "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
     print(json.dumps(summary, sort_keys=True))
 
@@ -222,7 +222,7 @@ def cmd_density(cfg: RunConfig, x_min: float | None, x_max: float | None, x_poin
     ]
     text = "\n".join(lines) + "\n" + csv_rows(xs, pdf, cdf)
     if cfg.output_path:
-        with open(cfg.output_path, "w", newline="") as fh:
+        with open_output(cfg.output_path, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -250,7 +250,7 @@ def cmd_verify(cfg: RunConfig, suite: str, workers: int) -> int:
     }
     text = json.dumps(payload, sort_keys=True, indent=2, default=float)
     if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
+        with open_output(cfg.output_path, "w") as fh:
             fh.write(text + "\n")
     print(text)
     failed = [r.name for r in reports if r.status == "fail"]

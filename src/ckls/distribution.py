@@ -95,11 +95,13 @@ def transition_spec(
     The time argument is restored in both exponents (the scale must equal
     the accumulated Gaussian variance, which vanishes at t = 0); the
     drift_lin -> 0 degeneracy is handled by the stable limit
-    scale = vol^2 t / 4, nonc = 4 y0 / (vol^2 t).  DomainError, naming
-    t, where the scale or the noncentrality is past the float range.
+    scale = vol^2 t / 4, nonc = 4 y0 / (vol^2 t).  The law is taken at a
+    finite t > 0 (the t -> inf limit, where it exists, is the stationary
+    law, not a transition law).  DomainError, naming t, where the scale or
+    the noncentrality is past the float range.
     """
-    if not t > 0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     require_transformable(p)
     try:
         scale = cir.vol**2 / 4.0 * stable_phi(cir.drift_lin, t)

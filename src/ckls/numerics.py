@@ -38,13 +38,20 @@ def not_normal(mag) -> np.ndarray:
     return ~((mag >= TINY) & (mag < np.inf))
 
 
+# the longest repr an error message echoes whole
+_ECHO_CHARS = 40
+
+
 def _echo(value) -> str:
     """repr(value) for an error message, but the size of an int of more
     than 64 bits, whose digits would crowd the message (and past 4300 of
-    them str() refuses)."""
+    them str() refuses), and the head and length of a longer repr."""
     if isinstance(value, int) and value.bit_length() > 64:
         return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
-    return repr(value)
+    text = repr(value)
+    if len(text) > _ECHO_CHARS:
+        return f"{text[:_ECHO_CHARS]}... ({len(text)} characters)"
+    return text
 
 
 def require_count(name: str, value, low: int = 1) -> int:

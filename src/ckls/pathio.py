@@ -33,11 +33,18 @@ itself.
 
 The binary header holds each count as a uint32, so write_paths_binary
 refuses 2**32 or more paths or points before it opens the file.
+
+Every file the package writes is opened by open_output, which makes a
+file this user alone may rewrite anew in place of truncating it: on
+ext4, truncating a file of a few megabytes frees its blocks and its
+close starts writeback, several times the cost of a remove and a create.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 import struct
 from pathlib import Path as FsPath
 
@@ -49,6 +56,7 @@ __all__ = [
     "BINARY_MAGIC",
     "BINARY_VERSION",
     "csv_rows",
+    "open_output",
     "write_paths_csv",
     "write_paths_binary",
     "read_paths_binary",
@@ -61,6 +69,28 @@ _BINARY_HEADER = struct.Struct("<4sBII")
 
 # CSV lines joined per write, in whole paths
 _CSV_ROWS_PER_WRITE = 16384
+
+
+def open_output(dest: str | FsPath, mode: str, **kw):
+    """open(dest, mode, **kw) for a mode that truncates ("w", "wb"), but
+    an existing regular file with one link, owned by the effective uid and
+    writable by its owner is removed and created anew with its permission
+    bits; its inode, ACLs and extended attributes are not kept.  Anything
+    else (a missing path, a symlink, a hard-linked, read-only or foreign
+    file, a FIFO or a device, or a file whose directory forbids the
+    removal) is opened as open itself opens it."""
+    try:
+        st = os.lstat(dest)
+        fresh = (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                 and st.st_uid == os.geteuid() and st.st_mode & stat.S_IWUSR)
+        if fresh:
+            os.unlink(dest)
+    except OSError:  # a missing path, or a directory that forbids the removal
+        fresh = False
+    fh = open(dest, mode, **kw)
+    if fresh:
+        os.fchmod(fh.fileno(), stat.S_IMODE(st.st_mode))
+    return fh
 
 
 def _times_and_matrix(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +146,7 @@ def write_paths_csv(
 ) -> None:
     times, matrix = _times_and_matrix(times, values)
     n_points = times.size
-    with open(dest, "w", newline="") as fh:
+    with open_output(dest, "w", newline="") as fh:
         for key, val in (metadata or {}).items():
             fh.write(f"# {key}: {json.dumps(val, sort_keys=True)}\n")
         fh.write("path_id,t,value\n")
@@ -142,7 +172,7 @@ def write_paths_binary(dest: str | FsPath, times: np.ndarray, values: np.ndarray
             f"{n_paths} paths x {n_points} points do not fit the binary header, "
             f"which holds each count as a uint32 (below 2**32)"
         )
-    with open(dest, "wb") as fh:
+    with open_output(dest, "wb") as fh:
         fh.write(_BINARY_HEADER.pack(BINARY_MAGIC, BINARY_VERSION, n_paths, n_points))
         fh.write(np.ascontiguousarray(times, dtype="<f8"))
         fh.write(np.ascontiguousarray(matrix, dtype="<f8"))

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: exit codes, file outputs, determinism."""
 
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -477,6 +479,81 @@ def test_c_past_float_range_is_a_config_error(tmp_path, command):
     assert len(res.stderr) < 100
     assert "Traceback" not in res.stderr and res.stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("t_end", ["y" * 5000, [1] * 2000], ids=["string", "list"])
+def test_long_non_number_is_cut_in_the_error_line(tmp_path, capsys, t_end):
+    """A config whose t_end is a JSON string or list of thousands of
+    characters: one short error line naming the head of its repr and its
+    length."""
+    cfg = write_config(tmp_path, grid={"t_end": t_end, "n_steps": 64})
+    assert main(["--config", cfg, "simulate"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "t_end must be a real number, got " in err and " characters)" in err
+    assert len(err) < 150
+
+
+class TestOutputRewrite:
+    """An output a rerun rewrites is made anew: the same bytes as a run
+    to a fresh path, a new inode and the old permission bits."""
+
+    COMMANDS = {
+        "simulate-csv": ("csv", ["simulate"]),
+        "simulate-binary": ("binary", ["simulate"]),
+        "density": ("csv", ["density", "--x-points", "64"]),
+    }
+
+    @staticmethod
+    def run(tmp_path, capsys, fmt, argv, out) -> str:
+        cfg = write_config(tmp_path, name=f"{out.name}.json", n_paths=20,
+                           output={"format": fmt, "path": str(out)})
+        assert main(["--config", cfg, *argv]) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_rerun_output_is_a_new_file(self, tmp_path, capsys, name, mode):
+        fmt, argv = self.COMMANDS[name]
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        self.run(tmp_path, capsys, fmt, argv, fresh)
+        outputs = [out, tmp_path / "out.summary.json"] if argv[0] == "simulate" else [out]
+        readers = []
+        for dest in outputs:
+            dest.write_bytes(b"an earlier, longer output\n" * 4000)
+            dest.chmod(mode)
+            readers.append(open(dest, "rb"))
+        try:
+            printed = self.run(tmp_path, capsys, fmt, argv, out)
+            for dest, reader in zip(outputs, readers):
+                assert os.fstat(reader.fileno()).st_ino != dest.stat().st_ino
+                assert stat.S_IMODE(dest.stat().st_mode) == mode
+        finally:
+            for reader in readers:
+                reader.close()
+        assert out.read_bytes() == fresh.read_bytes()
+        if argv[0] == "simulate":
+            written = json.loads(outputs[1].read_text())
+            assert written == json.loads(printed) and written["output"]["path"] == str(out)
+
+    def test_rerun_verify_report_is_a_new_file(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        out.write_bytes(b"an earlier, longer report\n" * 4000)
+        out.chmod(0o640)
+        with open(out, "rb") as reader:
+            printed = self.run(tmp_path, capsys, "csv", ["verify", "--suite", "transform"], out)
+            assert os.fstat(reader.fileno()).st_ino != out.stat().st_ino
+        assert out.read_text() == printed
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_directory_as_out_is_an_io_error(self, tmp_path, capsys, name):
+        fmt, argv = self.COMMANDS[name]
+        cfg = write_config(tmp_path, n_paths=20, output={"format": fmt})
+        assert main(["--config", cfg, "--out", str(tmp_path), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert tmp_path.is_dir()
 
 
 class TestVerifyCommand:

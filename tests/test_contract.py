@@ -18,6 +18,7 @@ import importlib
 import io
 import math
 import pkgutil
+import re
 import tokenize
 from pathlib import Path
 
@@ -316,3 +317,24 @@ def test_count_and_real_rules_stated_once():
     assert _token_owners(message("must be >= ")) == {"numerics.require_count", "params.__post_init__"}
     gone = ("finite_float", "_require_integer", "_integer", "_real")
     assert _token_owners(lambda tok: tok.type == tokenize.NAME and tok.string in gone) == set()
+
+
+def _opens_to_write(tok) -> bool:
+    """An open token (the builtin, os.open, Path.open) not in a call on
+    one line whose arguments are a path, a literal read mode, or a path
+    and a literal read mode: a mode held in a name, flags, or a call that
+    spans lines counts as a write."""
+    if tok.type != tokenize.NAME or tok.string != "open":
+        return False
+    call = re.match(r"open\(([^()]*)\)", tok.line[tok.start[1]:])
+    read = r"""[^,'"=]*(,?\s*(mode=)?(["'])[rbt]+\3)?"""
+    return call is None or not re.fullmatch(read, call.group(1))
+
+
+def test_outputs_opened_only_by_open_output():
+    """A file is opened to write in one place, pathio.open_output, so no
+    writer truncates an output in place by a bare open, and no
+    Path.write_text or write_bytes writes one."""
+    assert _token_owners(_opens_to_write) == {"pathio.open_output"}
+    writes = ("write_text", "write_bytes")
+    assert _token_owners(lambda tok: tok.type == tokenize.NAME and tok.string in writes) == set()

@@ -487,6 +487,16 @@ class TestTransitionSpec:
         with pytest.raises(DomainError):
             transition_spec(HIGH, cir, 0.0)
 
+    @pytest.mark.parametrize("b", [0.0, 0.2, -0.2], ids=["b=0", "b>0", "b<0"])
+    def test_infinite_time_rejected(self, b):
+        """A transition law is taken at a finite t on every drift_lin sign:
+        b = 0 raised ZeroDivisionError, b > 0 (drift_lin < 0 for gamma > 1)
+        returned the stationary law, b < 0 overflowed."""
+        p = CklsParams(a=1.0, b=b, sigma=0.5, gamma=1.5, r0=1.0)
+        cir = derive_cir(p, make_transform(p, 1.0))
+        with pytest.raises(DomainError, match="t must be positive and finite, got inf"):
+            transition_spec(p, cir, math.inf)
+
     def test_law_past_the_float_range_rejected(self):
         """LOW at t = 7200: e^(drift_lin t) overflows, a DomainError naming
         t rather than an OverflowError; at t = 7000 the law is finite."""

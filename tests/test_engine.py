@@ -76,6 +76,8 @@ class TestTimeGrid:
             (10**400, "t_end must be finite, got an int of 1329 bits"),
             (-(10**400), "t_end must be finite, got a negative int of 1329 bits"),
             ("1", "t_end must be a real number, got '1'"),
+            # a longer repr by its head and its length
+            ("x" * 1000, "t_end must be a real number, got '" + "x" * 39 + "... (1002 characters)"),
         ]:
             with pytest.raises(InputError) as info:
                 TimeGrid(t_end, 4)

@@ -1,6 +1,8 @@
 """CSV and binary path export."""
 
 import json
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from ckls import InputError
 from ckls.pathio import (
     _CSV_ROWS_PER_WRITE as B,
     BINARY_MAGIC,
+    open_output,
     read_paths_binary,
     write_paths_binary,
     write_paths_csv,
@@ -240,3 +243,122 @@ class TestBinary:
         dest.write_bytes(cut(dest.read_bytes()))
         with pytest.raises(InputError, match=match):
             read_paths_binary(dest)
+
+
+WRITERS = {"csv": write_paths_csv, "binary": write_paths_binary}
+# an earlier, longer output for the writers to replace: 3 paths x 400 points
+OLD = (np.linspace(0.0, 2.0, 400), np.full((3, 400), 7.25))
+
+
+class TestOpenOutput:
+    """Every writer opens its file through open_output: an existing
+    regular file of one link, owned by the effective uid and writable by
+    its owner is made anew; anything else is opened as open opens it."""
+
+    @staticmethod
+    def fresh_bytes(name, sample, tmp_path) -> bytes:
+        WRITERS[name](tmp_path / f"fresh.{name}", *sample)
+        return (tmp_path / f"fresh.{name}").read_bytes()
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_rewrite_is_a_new_file_with_the_old_mode(self, name, mode, sample, tmp_path):
+        """The rewrite has a fresh write's bytes and a new inode, and the
+        reader still open on the old file reads the old bytes whole: it
+        was removed, not truncated."""
+        dest = tmp_path / f"paths.{name}"
+        WRITERS[name](dest, *OLD)
+        old = dest.read_bytes()
+        dest.chmod(mode)
+        with open(dest, "rb") as reader:
+            WRITERS[name](dest, *sample)
+            assert os.fstat(reader.fileno()).st_ino != dest.stat().st_ino
+            assert reader.read() == old
+        assert dest.read_bytes() == self.fresh_bytes(name, sample, tmp_path)
+        assert stat.S_IMODE(dest.stat().st_mode) == mode
+
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_symlink_written_through(self, name, sample, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        WRITERS[name](target, *OLD)
+        ino = target.stat().st_ino
+        link.symlink_to(target)
+        WRITERS[name](link, *sample)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.stat().st_ino == ino
+        assert target.read_bytes() == self.fresh_bytes(name, sample, tmp_path)
+
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_hard_linked_file_truncated_in_place(self, name, sample, tmp_path):
+        dest, twin = tmp_path / "paths", tmp_path / "twin"
+        WRITERS[name](dest, *OLD)
+        ino = dest.stat().st_ino
+        os.link(dest, twin)
+        WRITERS[name](dest, *sample)
+        fresh = self.fresh_bytes(name, sample, tmp_path)
+        assert dest.read_bytes() == twin.read_bytes() == fresh
+        assert dest.stat().st_ino == twin.stat().st_ino == ino
+
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_owner_read_only_file_opened_as_before(self, name, sample, tmp_path):
+        """open refuses the write, or, for a user open's permission check
+        passes (root), truncates the file in place: the inode is kept."""
+        dest = tmp_path / "paths"
+        WRITERS[name](dest, *OLD)
+        old, ino = dest.read_bytes(), dest.stat().st_ino
+        dest.chmod(0o400)
+        try:
+            WRITERS[name](dest, *sample)
+        except PermissionError:
+            assert dest.read_bytes() == old
+        else:
+            assert dest.read_bytes() == self.fresh_bytes(name, sample, tmp_path)
+        assert dest.stat().st_ino == ino
+        assert stat.S_IMODE(dest.stat().st_mode) == 0o400
+
+    @pytest.mark.skipif(os.geteuid() != 0, reason="making a file of another uid needs root")
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_foreign_file_opened_as_before(self, name, sample, tmp_path):
+        dest = tmp_path / "paths"
+        WRITERS[name](dest, *OLD)
+        os.chown(dest, 4321, -1)
+        ino = dest.stat().st_ino
+        WRITERS[name](dest, *sample)
+        assert dest.read_bytes() == self.fresh_bytes(name, sample, tmp_path)
+        assert (dest.stat().st_ino, dest.stat().st_uid) == (ino, 4321)
+
+    def test_refused_removal_opened_as_before(self, sample, tmp_path, monkeypatch):
+        """A file whose directory forbids its removal is truncated in
+        place, as open truncates it."""
+        dest = tmp_path / "paths"
+        write_paths_csv(dest, *OLD)
+        ino = dest.stat().st_ino
+
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(os, "unlink", refuse)
+        write_paths_csv(dest, *sample)
+        monkeypatch.undo()
+        assert dest.stat().st_ino == ino
+        assert dest.read_bytes() == self.fresh_bytes("csv", sample, tmp_path)
+
+    @pytest.mark.parametrize("name,refused", [
+        ("binary", (np.empty(0), np.empty((2**32, 0)))),
+        ("csv", (np.linspace(0.0, 1.0, 3), np.ones((2, 5)))),
+        ("binary", (np.linspace(0.0, 1.0, 3), np.ones((2, 5)))),
+    ], ids=["uint32-count", "csv-shape", "binary-shape"])
+    def test_refused_write_leaves_the_file(self, name, refused, tmp_path):
+        dest = tmp_path / "paths"
+        WRITERS[name](dest, *OLD)
+        old, ino = dest.read_bytes(), dest.stat().st_ino
+        with pytest.raises(InputError):
+            WRITERS[name](dest, *refused)
+        assert (dest.read_bytes(), dest.stat().st_ino) == (old, ino)
+
+    def test_keyword_arguments_reach_open(self, tmp_path):
+        dest = tmp_path / "text"
+        dest.write_text("an earlier, longer text\n")
+        with open_output(dest, "w", newline="\r\n") as fh:
+            fh.write("a\n")
+        assert dest.read_bytes() == b"a\r\n"
